@@ -30,6 +30,7 @@ from .chart import (
     DE_SITTER,
     LORENTZ_FLAT,
     AmbientForm,
+    TEMPLATES,
     Box,
     ImmersionChart,
     grid_points,
@@ -485,8 +486,6 @@ DEFAULT_INSTANCES: dict[str, dict] = {
     "ex32": {"m": 4, "K": 2, "split": 1},
 }
 
-CONSTRUCTIBLE = ("hxr", "sxh", "hxh", "wp", "ex33")
-
 
 def build_instance(name: str, **overrides) -> ImmersionChart:
     """Build a catalog chart by CLI name with optional parameter overrides."""
@@ -495,12 +494,4 @@ def build_instance(name: str, **overrides) -> ImmersionChart:
         raise ValidationError(f"unknown catalog name {name!r}; use one of {sorted(DEFAULT_INSTANCES)}")
     params = dict(DEFAULT_INSTANCES[name])
     params.update({k: v for k, v in overrides.items() if v is not None})
-    builder = {
-        "hxr": _tmpl_hxr,
-        "sxh": _tmpl_sxh,
-        "hxh": _tmpl_hxh,
-        "wp": _tmpl_wp,
-        "ex32": _tmpl_ex32,
-        "ex33": _tmpl_ex33,
-    }[name]
-    return builder(**params)
+    return TEMPLATES[name](**params)

@@ -187,7 +187,7 @@ class ImmersionChart:
         self.params = dict(params or {})
         self.template = template
         self.guards = list(guards or [])
-        self._lambdified: dict[tuple[int, ...], Callable] = {}
+        self._x_fn: Callable | None = None
         self._jet_fns: dict[int, tuple[Callable, list[tuple[int, ...]]]] = {}
         self._guard_fns: list[tuple[str, Callable]] | None = None
 
@@ -196,17 +196,6 @@ class ImmersionChart:
     @property
     def n_comps(self) -> int:
         return self.ambient.embedding_dim
-
-    def _lambdify(self, alpha: tuple[int, ...]) -> Callable:
-        fn = self._lambdified.get(alpha)
-        if fn is None:
-            d = self.exprs
-            for ax, k in enumerate(alpha):
-                if k:
-                    d = sp.diff(d, self.syms[ax], k)
-            fn = sp.lambdify(self.syms, list(d), "numpy")
-            self._lambdified[alpha] = fn
-        return fn
 
     def _check_guards(self, U: np.ndarray) -> None:
         if not self.guards:
@@ -229,16 +218,12 @@ class ImmersionChart:
             raise DimensionMismatchError(f"points have {U.shape[1]} coords, chart expects {self.m}")
         if self.exprs is not None:
             self._check_guards(U)
-            out = self._lambdify((0,) * self.m)(*[U[:, i] for i in range(self.m)])
+            if self._x_fn is None:
+                self._x_fn = sp.lambdify(self.syms, list(self.exprs), "numpy")
+            out = self._x_fn(*[U[:, i] for i in range(self.m)])
             cols = [np.broadcast_to(np.asarray(c, dtype=float), (U.shape[0],)) for c in out]
             return np.stack(cols, axis=1)
         return np.asarray(self._eval_fn(U), dtype=float)
-
-    def _eval_alpha(self, U: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
-        fn = self._lambdify(alpha)
-        out = fn(*[U[:, i] for i in range(self.m)])
-        cols = [np.broadcast_to(np.asarray(c, dtype=float), (U.shape[0],)) for c in out]
-        return np.stack(cols, axis=1)
 
     def _jet_fn(self, order: int) -> tuple[Callable, list[tuple[int, ...]]]:
         """One cse-lambdified function returning every multi-index derivative
@@ -426,6 +411,34 @@ class ShapeData:
     coframe: np.ndarray
 
 
+def _second_fundamental(
+    chart: ImmersionChart,
+    x: np.ndarray,
+    dx: np.ndarray,
+    d2x: np.ndarray,
+    g0: np.ndarray,
+    normal_sign: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Oriented normal, h, g0^-1, H and rho^2 from the 2-jet and the metric.
+
+    Raises RegularityError when the normal is not time-like or g0 is singular.
+    """
+    signs = chart.ambient.signature.signs
+    rows = np.swapaxes(dx, 1, 2)  # (N, m, c)
+    if chart.ambient.kind != LORENTZ_FLAT:
+        rows = np.concatenate([rows, x[:, None, :]], axis=1)
+    n = batched_normal(rows, signs) * normal_sign
+    h = -np.einsum("nc,c,ncab->nab", n, signs, d2x)
+    try:
+        g0inv = np.linalg.inv(g0)
+    except np.linalg.LinAlgError as exc:
+        raise RegularityError(f"induced metric singular: {exc}") from exc
+    H = np.einsum("nab,nab->n", g0inv, h) / chart.m
+    h2 = np.einsum("nab,nag,nbd,ngd->n", h, g0inv, g0inv, h)
+    rho2 = chart.m / (chart.m - 1) * (h2 - chart.m * H**2)
+    return n, h, g0inv, H, rho2
+
+
 def shape_batch(
     chart: ImmersionChart,
     U: np.ndarray,
@@ -443,18 +456,7 @@ def shape_batch(
     x, dx, d2x = jet[0], jet[1], jet[2]
     signs = chart.ambient.signature.signs
     g0 = np.einsum("nci,c,ncj->nij", dx, signs, dx)
-    rows = np.swapaxes(dx, 1, 2)  # (N, m, c)
-    if chart.ambient.kind != LORENTZ_FLAT:
-        rows = np.concatenate([rows, x[:, None, :]], axis=1)
-    n = batched_normal(rows, signs) * normal_sign
-    h = -np.einsum("nc,c,ncab->nab", n, signs, d2x)
-    try:
-        g0inv = np.linalg.inv(g0)
-    except np.linalg.LinAlgError as exc:
-        raise RegularityError(f"induced metric singular: {exc}") from exc
-    H = np.einsum("nab,nab->n", g0inv, h) / chart.m
-    h2 = np.einsum("nab,nag,nbd,ngd->n", h, g0inv, g0inv, h)
-    rho2 = chart.m / (chart.m - 1) * (h2 - chart.m * H**2)
+    n, h, g0inv, H, rho2 = _second_fundamental(chart, x, dx, d2x, g0, normal_sign)
     if check_regular and np.any(rho2 <= cfg.regularity_tol):
         raise RegularityError(
             "totally umbilic locus: conformal factor rho^2 = "
@@ -528,18 +530,8 @@ def validate_regularity(
     eigs = np.linalg.eigvalsh(0.5 * (g0 + np.swapaxes(g0, 1, 2)))
     min_eig = float(np.min(eigs))
     ambient = float(np.max(chart.ambient.quadric_residual(x)))
-    rows = np.swapaxes(dx, 1, 2)
-    if chart.ambient.kind != LORENTZ_FLAT:
-        rows = np.concatenate([rows, x[:, None, :]], axis=1)
-    min_rho2 = np.inf
-    normal_resid = 0.0
     try:
-        n = batched_normal(rows, signs)
-        h = -np.einsum("nc,c,ncab->nab", n, signs, d2x)
-        g0inv = np.linalg.inv(g0)
-        H = np.einsum("nab,nab->n", g0inv, h) / chart.m
-        h2 = np.einsum("nab,nag,nbd,ngd->n", h, g0inv, g0inv, h)
-        rho2 = chart.m / (chart.m - 1) * (h2 - chart.m * H**2)
+        n, _, _, _, rho2 = _second_fundamental(chart, x, dx, d2x, g0)
         min_rho2 = float(np.min(rho2))
         normal_resid = float(
             max(

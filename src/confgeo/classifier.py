@@ -24,7 +24,7 @@ from .chart import DE_SITTER, ImmersionChart, grid_points, validate_regularity
 from .config import DEFAULT, NumericsConfig
 from .conformal_atlas import lift_chart
 from .errors import ComputationError, ConsistencyError
-from .invariants import InvariantField, evaluate_field, required_margin
+from .invariants import InvariantField, evaluate_field, grid_margin
 from .pseudo_linalg import cluster_eigenvalues, sym_eigen
 
 BRANCH_ISOTROPIC = "Isotropic"
@@ -230,7 +230,6 @@ def classify_field(f: InvariantField, tol: float | None = None) -> Classificatio
     tols = {
         "classify_tol": tol,
         "tier_tol": cfg.tier(f.chart.jet_mode == "analytic"),
-        "cluster_rtol": cfg.cluster_rtol,
     }
     grid = {"n_points": int(f.U.shape[0]), "m": f.m}
     report = ClassificationReport(
@@ -337,10 +336,7 @@ def classify(
         notes.append(f"lifted to the de Sitter picture via {lift}")
     counts_list = [counts] if isinstance(counts, int) else list(counts)
     if margin is None:
-        margin = max(
-            required_margin(work, cfg),
-            0.05 * min(h - l for l, h in zip(work.domain.lo, work.domain.hi)),
-        )
+        margin = grid_margin(work, cfg)
     U = grid_points(work.domain, counts_list, margin=margin)
     reg = validate_regularity(work, U, cfg)
     if not reg.regular:

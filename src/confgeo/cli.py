@@ -10,7 +10,6 @@ error (a partial report is still written once computation has started).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .conformal_atlas import (
     t_swap,
 )
 from .errors import ComputationError, ConfGeoError, ConstructionError, InputError
-from .invariants import evaluate_field, field_report, field_report_csv, required_margin
+from .invariants import evaluate_field, field_report, field_report_csv, grid_margin
 from .pseudo_linalg import PseudoVector, Signature
 
 
@@ -85,17 +84,6 @@ def _write_report(text: str, out: str | None) -> None:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("CONFGEO_THREADS", "0")
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise InputError(f"CONFGEO_THREADS must be an integer, got {raw!r}") from exc
-    if val < 0:
-        raise InputError(f"CONFGEO_THREADS must be >= 0, got {val}")
-    return val
-
-
 def _add_chart_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--catalog", type=str, help="catalog chart name (hxr, sxh, hxh, wp, ex32, ex33)")
     p.add_argument("--chart-file", type=str, help="chart definition JSON file")
@@ -142,11 +130,7 @@ def _config(args) -> NumericsConfig:
 def _prepare_field(args, cfg: NumericsConfig):
     chart = _build_chart(args)
     work = chart if chart.ambient.kind == DE_SITTER else lift_chart(chart, args.lift)
-    margin = max(
-        required_margin(work, cfg),
-        0.05 * min(h - l for l, h in zip(work.domain.lo, work.domain.hi)),
-    )
-    U = grid_points(work.domain, args.grid, margin=margin)
+    U = grid_points(work.domain, args.grid, margin=grid_margin(work, cfg))
     f = evaluate_field(work, U, cfg, derivatives=True, curvature=True)
     return chart, work, f
 
@@ -162,7 +146,6 @@ def _cmd_analyze(args) -> int:
         _write_report(field_report_csv(f), args.out)
     else:
         rep = field_report(f)
-        rep["threads"] = _threads_from_env()
         rep["source_chart"] = chart.name
         _write_report(render_json(rep), args.out)
     return 0
@@ -198,7 +181,6 @@ def _cmd_residuals(args) -> int:
         "n_points": int(f.U.shape[0]),
         "gates": {k: {"value": v, "tolerance": tol} for k, (v, tol) in gates.items()},
         "pass": ok,
-        "threads": _threads_from_env(),
     }
     _write_report(render_json(rep), args.out)
     return 0
@@ -208,9 +190,7 @@ def _cmd_classify(args) -> int:
     cfg = _config(args)
     chart = _build_chart(args)
     rep = classify(chart, counts=args.grid, cfg=cfg, tol=args.classify_tol, lift=args.lift)
-    data = rep.to_dict()
-    data["threads"] = _threads_from_env()
-    _write_report(render_json(data), args.out)
+    _write_report(render_json(rep.to_dict()), args.out)
     return 0
 
 
@@ -228,11 +208,7 @@ def _cmd_verify_catalog(args) -> int:
             results[name] = entry
             continue
         work = chart if chart.ambient.kind == DE_SITTER else lift_chart(chart, "psi1")
-        margin = max(
-            required_margin(work, cfg),
-            0.05 * min(h - l for l, h in zip(work.domain.lo, work.domain.hi)),
-        )
-        U = grid_points(work.domain, args.grid, margin=margin)
+        U = grid_points(work.domain, args.grid, margin=grid_margin(work, cfg))
         reg = validate_regularity(work, U, cfg)
         f = evaluate_field(work, U, cfg, derivatives=True, curvature=True, cross_check=True)
         analytic = work.jet_mode == "analytic"
@@ -255,7 +231,7 @@ def _cmd_verify_catalog(args) -> int:
         )
         results[name] = entry
         all_ok = all_ok and ok
-    rep = {"catalog": results, "pass": all_ok, "threads": _threads_from_env()}
+    rep = {"catalog": results, "pass": all_ok}
     _write_report(render_json(rep), args.out)
     return 0 if all_ok else 2
 
@@ -342,7 +318,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _threads_from_env()
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

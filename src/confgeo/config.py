@@ -11,11 +11,15 @@ three assertion tiers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 EPS = float(np.finfo(float).eps)
+
+
+# prefactor of the automatic step rule in FDConfig.step_for
+STEP_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -24,25 +28,21 @@ class FDConfig:
 
     Central stencils of accuracy `order`; derivative orders 3 and 4 are
     refined by one Richardson step when `richardson` is set.  The step for
-    derivative order r is  step_factor * max(noise, eps)^(1/(p_eff + r))
-    scaled by max(1, |u|_inf), where p_eff includes the Richardson gain.
+    derivative order r is  STEP_FACTOR * eps^(1/(p_eff + r)) scaled by
+    max(1, |u|_inf), where p_eff includes the Richardson gain: it balances
+    truncation against the roundoff of fields that are exact per point.
     `step` overrides the automatic rule when positive.
     """
 
     order: int = 4
     richardson: bool = True
     step: float | None = None
-    step_factor: float = 2.0
-    # assumed relative noise floor of derived fields; overridden for charts
-    # whose own jets are FD-based
-    field_noise: float = EPS
 
-    def step_for(self, deriv_order: int, scale: float = 1.0, noise: float | None = None) -> float:
+    def step_for(self, deriv_order: int, scale: float = 1.0) -> float:
         if self.step is not None and self.step > 0:
             return self.step * max(1.0, scale)
         p_eff = self.order + (2 if (self.richardson and deriv_order >= 3) else 0)
-        base = max(noise if noise is not None else self.field_noise, EPS)
-        return self.step_factor * base ** (1.0 / (p_eff + deriv_order)) * max(1.0, scale)
+        return STEP_FACTOR * EPS ** (1.0 / (p_eff + deriv_order)) * max(1.0, scale)
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,6 @@ class NumericsConfig:
     trace_a_tol: float = 1e-6
     classify_tol: float = 1e-4
 
-    # pseudo-linear algebra
-    lightlike_tol: float = 1e-12
-    pivot_tol: float = 1e-12
-    orthogonality_tol: float = 1e-12
-    projective_tol: float = 1e-12
-    cluster_rtol: float = 1e-6
-
     # chart / ambient checks
     ambient_tol: float = 1e-9
     regularity_tol: float = 1e-10
@@ -74,9 +67,6 @@ class NumericsConfig:
     crosscheck_factor: float = 100.0
 
     fd: FDConfig = field(default_factory=FDConfig)
-
-    def with_fd(self, **kw) -> "NumericsConfig":
-        return replace(self, fd=replace(self.fd, **kw))
 
     def tier(self, analytic_jets: bool) -> float:
         return self.analytic_tol if analytic_jets else self.fd_tol

@@ -92,10 +92,6 @@ def in_pi(p: ProjectivePoint, tol: float = 1e-12) -> bool:
     return abs(c[1] - c[2]) <= tol * np.linalg.norm(c)
 
 
-EXCLUDED_HYPERPLANE = {"sigma1": "pi_plus", "sigma-1": "pi_minus", "sigma0": "pi"}
-HYPERPLANE_TESTS = {"pi_plus": in_pi_plus, "pi_minus": in_pi_minus, "pi": in_pi}
-
-
 # ---------------------------------------------------------------------------
 # homogeneous representatives (work on numbers, arrays and sympy expressions)
 # ---------------------------------------------------------------------------

@@ -2,10 +2,7 @@
 
 Weights are generated by solving the Vandermonde moment system, cached per
 (derivative order, accuracy).  Mixed partials use tensor products of 1-d
-stencils; derivative orders 3 and 4 get one Richardson step.  Field
-derivatives (applied to quantities that are exact per point but sampled,
-like the conformal factor over a parameter patch) share the same machinery
-with a noise-aware step rule.
+stencils; derivative orders 3 and 4 get one Richardson step.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 from .config import FDConfig
-from .errors import DomainError
 
 
 @lru_cache(maxsize=None)
@@ -36,16 +32,6 @@ def stencil(deriv: int, accuracy: int) -> tuple[np.ndarray, np.ndarray]:
     b[deriv] = math.factorial(deriv)
     w = np.linalg.solve(A, b)
     return offs, w
-
-
-def max_reach(alpha: tuple[int, ...], accuracy: int) -> int:
-    """Largest stencil offset (in units of h) used for multi-index alpha."""
-    reach = 0
-    for d in alpha:
-        if d > 0:
-            offs, _ = stencil(d, accuracy)
-            reach = max(reach, int(np.max(np.abs(offs))))
-    return reach
 
 
 def _tensor_apply(
@@ -83,7 +69,6 @@ def fd_partial(
     alpha: tuple[int, ...],
     cfg: FDConfig,
     scale: float | None = None,
-    noise: float | None = None,
 ) -> np.ndarray:
     """Mixed partial D^alpha of a batched map f: (N, m) -> (N, ...).
 
@@ -95,71 +80,10 @@ def fd_partial(
         return f(U)
     if scale is None:
         scale = float(np.max(np.abs(U))) if U.size else 1.0
-    h = cfg.step_for(r, scale=scale, noise=noise)
+    h = cfg.step_for(r, scale=scale)
     if cfg.richardson and r >= 3:
         coarse = _tensor_apply(f, U, alpha, h, cfg.order)
         fine = _tensor_apply(f, U, alpha, h / 2.0, cfg.order)
         gain = 2.0**cfg.order
         return (gain * fine - coarse) / (gain - 1.0)
     return _tensor_apply(f, U, alpha, h, cfg.order)
-
-
-def field_derivative(
-    field: Callable[[np.ndarray], np.ndarray],
-    U: np.ndarray,
-    axis: int,
-    order: int,
-    cfg: FDConfig,
-    noise: float | None = None,
-) -> np.ndarray:
-    """Single-axis derivative of a batched field, noise-aware step."""
-    alpha = [0] * U.shape[1]
-    alpha[axis] = order
-    return fd_partial(field, U, tuple(alpha), cfg, noise=noise)
-
-
-def field_jet12(
-    field: Callable[[np.ndarray], np.ndarray],
-    U: np.ndarray,
-    cfg: FDConfig,
-    noise: float | None = None,
-    second: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """First (and optionally second) derivative stacks of a batched field.
-
-    Returns (d1, d2) with d1[..., a] = d f/du_a and d2[..., a, b] the
-    symmetric Hessian stack; appended axes come last.  Mixed second
-    derivatives nest two first-order stencils at the order-2 step.
-    """
-    m = U.shape[1]
-    d1 = np.stack([field_derivative(field, U, a, 1, cfg, noise=noise) for a in range(m)], axis=-1)
-    if not second:
-        return d1, None
-    base_shape = d1.shape[:-1]
-    d2 = np.zeros(base_shape + (m, m))
-    scale = float(np.max(np.abs(U))) if U.size else 1.0
-    h2 = cfg.step_for(2, scale=scale, noise=noise)
-    for a in range(m):
-        d2[..., a, a] = field_derivative(field, U, a, 2, cfg, noise=noise)
-        for b in range(a + 1, m):
-            inner = lambda V, bb=b: _tensor_apply(
-                field, V, tuple(1 if i == bb else 0 for i in range(m)), h2, cfg.order
-            )
-            mixed = _tensor_apply(inner, U, tuple(1 if i == a else 0 for i in range(m)), h2, cfg.order)
-            d2[..., a, b] = mixed
-            d2[..., b, a] = mixed
-    return d1, d2
-
-
-def check_margin(
-    U: np.ndarray, lo: np.ndarray, hi: np.ndarray, margin: float
-) -> None:
-    """Raise DomainError when any point sits closer than `margin` to the box."""
-    low = np.min(U - lo[None, :])
-    high = np.min(hi[None, :] - U)
-    worst = min(float(low), float(high))
-    if worst < margin:
-        raise DomainError(
-            f"stencil requires margin {margin:.3e} to the domain boundary, "
-            f"but a point sits at distance {worst:.3e}"
-        )

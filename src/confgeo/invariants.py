@@ -54,13 +54,7 @@ from .pseudo_linalg import (
 # shared stencil pass over derived fields
 # ---------------------------------------------------------------------------
 
-def _derived_jets(
-    fn,
-    U: np.ndarray,
-    cfg: NumericsConfig,
-    noise: float,
-    second: bool = True,
-):
+def _derived_jets(fn, U: np.ndarray, cfg: NumericsConfig):
     """First and second parameter derivatives of a dict-valued field.
 
     fn maps a batch (N, m) to {key: array(N, ...)}.  Returns (center, d1,
@@ -70,8 +64,8 @@ def _derived_jets(
     m = U.shape[1]
     N = U.shape[0]
     scale = max(1.0, float(np.max(np.abs(U))))
-    h1 = cfg.fd.step_for(1, scale=scale, noise=noise)
-    h2 = cfg.fd.step_for(2, scale=scale, noise=noise)
+    h1 = cfg.fd.step_for(1, scale=scale)
+    h2 = cfg.fd.step_for(2, scale=scale)
     offs1, w1 = stencil(1, cfg.fd.order)
     offs2, w2 = stencil(2, cfg.fd.order)
 
@@ -100,28 +94,27 @@ def _derived_jets(
             contribs.append((oid(tuple(du)), w / h1))
         plans_d1.append((a, contribs))
     plans_d2: list[tuple[tuple[int, int], list[tuple[int, float]]]] = []
-    if second:
-        for a in range(m):
+    for a in range(m):
+        contribs = []
+        for o, w in zip(offs2, w2):
+            du = [0.0] * m
+            du[a] = o * h2
+            contribs.append((oid(tuple(du)), w / h2**2))
+        plans_d2.append(((a, a), contribs))
+    for a in range(m):
+        for b in range(a + 1, m):
             contribs = []
-            for o, w in zip(offs2, w2):
-                du = [0.0] * m
-                du[a] = o * h2
-                contribs.append((oid(tuple(du)), w / h2**2))
-            plans_d2.append(((a, a), contribs))
-        for a in range(m):
-            for b in range(a + 1, m):
-                contribs = []
-                for oa, wa in zip(offs1, w1):
-                    if wa == 0.0:
+            for oa, wa in zip(offs1, w1):
+                if wa == 0.0:
+                    continue
+                for ob, wb in zip(offs1, w1):
+                    if wb == 0.0:
                         continue
-                    for ob, wb in zip(offs1, w1):
-                        if wb == 0.0:
-                            continue
-                        du = [0.0] * m
-                        du[a] = oa * h2
-                        du[b] = ob * h2
-                        contribs.append((oid(tuple(du)), wa * wb / h2**2))
-                plans_d2.append(((a, b), contribs))
+                    du = [0.0] * m
+                    du[a] = oa * h2
+                    du[b] = ob * h2
+                    contribs.append((oid(tuple(du)), wa * wb / h2**2))
+            plans_d2.append(((a, b), contribs))
 
     V_all = np.concatenate([U + off[None, :] for off in offset_list], axis=0)
     vals_all = fn(V_all)
@@ -132,16 +125,14 @@ def _derived_jets(
         for idx, w in contribs:
             for k in stacked:
                 d1[k][..., a] += stacked[k][idx] * w
-    d2 = None
-    if second:
-        d2 = {k: np.zeros(center[k].shape + (m, m)) for k in stacked}
-        for (a, b), contribs in plans_d2:
-            for idx, w in contribs:
-                for k in stacked:
-                    d2[k][..., a, b] += stacked[k][idx] * w
-            if b != a:
-                for k in stacked:
-                    d2[k][..., b, a] = d2[k][..., a, b]
+    d2 = {k: np.zeros(center[k].shape + (m, m)) for k in stacked}
+    for (a, b), contribs in plans_d2:
+        for idx, w in contribs:
+            for k in stacked:
+                d2[k][..., a, b] += stacked[k][idx] * w
+        if b != a:
+            for k in stacked:
+                d2[k][..., b, a] = d2[k][..., a, b]
     return center, d1, d2
 
 
@@ -157,10 +148,19 @@ def christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     )
 
 
-def _field_noise(chart: ImmersionChart, cfg: NumericsConfig) -> float:
-    # the truncation error of FD jets varies smoothly over the patch, so the
-    # stencils only have to beat the white (roundoff) part of the field error
-    return max(cfg.fd.field_noise, EPS)
+def _outer_step(chart: ImmersionChart, cfg: NumericsConfig, scale: float) -> float:
+    """Step of the covariant-derivative stencil around the field stencils.
+
+    It balances truncation against the white part of the component fields:
+    roundoff amplified through the inner second-derivative stencils (and,
+    for FD charts, through the jet stencils first).
+    """
+    h2 = cfg.fd.step_for(2, scale=scale)
+    source_white = EPS
+    if chart.jet_mode != "analytic":
+        hj2 = chart.fd.step_for(2, scale=scale)
+        source_white = 6.0 * EPS / hj2**2
+    return (3.0 * (source_white * 6.0 / h2**2)) ** (1.0 / 3.0) * scale
 
 
 def required_margin(chart: ImmersionChart, cfg: NumericsConfig = DEFAULT) -> float:
@@ -171,19 +171,19 @@ def required_margin(chart: ImmersionChart, cfg: NumericsConfig = DEFAULT) -> flo
     charts nest their own jet stencils inside every evaluation.
     """
     scale = chart.domain.scale()
-    noise = _field_noise(chart, cfg)
-    h2 = cfg.fd.step_for(2, scale=scale, noise=noise)
-    h1 = cfg.fd.step_for(1, scale=scale, noise=noise)
-    reach = 2.0 * max(h1, h2)
-    source_white = EPS
+    reach = 2.0 * max(cfg.fd.step_for(1, scale=scale), cfg.fd.step_for(2, scale=scale))
     outer_offsets = 1.0
     if chart.jet_mode != "analytic":
-        hj2 = chart.fd.step_for(2, scale=scale)
-        source_white = 6.0 * EPS / hj2**2
         reach += chart.fd_margin(2)
         outer_offsets = 2.0
-    h_out = (3.0 * source_white * 6.0 / h2**2) ** (1.0 / 3.0) * scale
-    return 1.15 * (reach + outer_offsets * h_out)
+    return 1.15 * (reach + outer_offsets * _outer_step(chart, cfg, scale))
+
+
+def grid_margin(chart: ImmersionChart, cfg: NumericsConfig = DEFAULT) -> float:
+    """Default inset of sample grids: the stencil reach, but at least 5% of
+    the narrowest side of the domain."""
+    lo, hi = chart.domain.arrays()
+    return max(required_margin(chart, cfg), 0.05 * float(np.min(hi - lo)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +210,6 @@ def _coord_invariants(chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig)
             "conformal invariants are computed in the unit de Sitter picture; "
             f"lift chart {chart.name!r} first (conformal_atlas.lift_chart)"
         )
-    m = chart.m
-    noise = _field_noise(chart, cfg)
     sb = shape_batch(chart, U, cfg)
 
     def derived(V: np.ndarray) -> dict[str, np.ndarray]:
@@ -222,7 +220,7 @@ def _coord_invariants(chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig)
             "g": s.rho[:, None, None] ** 2 * s.metric,
         }
 
-    center, d1, d2 = _derived_jets(derived, U, cfg, noise)
+    center, d1, d2 = _derived_jets(derived, U, cfg)
     dlr, d2lr = d1["logrho"], d2["logrho"]
     dH = d1["H"]
     g, dg, d2g = center["g"], d1["g"], d2["g"]
@@ -398,18 +396,7 @@ def _coord_derivatives(
     Christoffels at the centers.
     """
     m = chart.m
-    noise = _field_noise(chart, cfg)
-    scale = max(1.0, float(np.max(np.abs(U))))
-    # the step balances truncation against the white part of the component
-    # fields: roundoff amplified through the inner second-derivative stencils
-    # (and, for FD charts, through the jet stencils first)
-    h2 = cfg.fd.step_for(2, scale=scale, noise=noise)
-    source_white = EPS
-    if chart.jet_mode != "analytic":
-        hj2 = chart.fd.step_for(2, scale=scale)
-        source_white = 6.0 * EPS / hj2**2
-    white = source_white * 6.0 / h2**2
-    h = (3.0 * white) ** (1.0 / 3.0) * scale
+    h = _outer_step(chart, cfg, max(1.0, float(np.max(np.abs(U)))))
     # analytic charts sit at a tiny outer step where second order suffices;
     # FD charts need a larger step and a fourth-order stencil to keep the
     # truncation of the deep compositions below the residual tier
@@ -433,7 +420,7 @@ def _coord_derivatives(
     corrA = np.einsum("ndca,ndb->nabc", Gam, cd.A) + np.einsum("ndcb,nad->nabc", Gam, cd.A)
     corrB = np.einsum("ndca,ndb->nabc", Gam, cd.B) + np.einsum("ndcb,nad->nabc", Gam, cd.B)
     corrPhi = np.einsum("ndca,nd->nac", Gam, cd.Phi)
-    dA = np.transpose(pA, (0, 1, 2, 3)) - corrA
+    dA = pA - corrA
     dB = pB - corrB
     dPhi = pPhi - corrPhi
     return dA, dB, dPhi
@@ -533,7 +520,6 @@ def frame_route(
     kind = chart.ambient.kind
     if kind != "lorentz_flat" and abs(chart.ambient.radius - 1.0) > 1e-12:
         raise ValidationError("frame route expects unit-radius quadric ambients")
-    noise = _field_noise(chart, cfg)
     signs2 = form_signs(2, m + 3)
 
     def derived(V: np.ndarray) -> dict[str, np.ndarray]:
@@ -542,9 +528,13 @@ def frame_route(
         Y = s.rho[:, None] * Z
         g = s.rho[:, None, None] ** 2 * s.metric
         F = triangular_frame(g)
-        return {"Y": Y, "g": g, "F": F}
+        out = {"Y": Y, "g": g, "F": F}
+        if kind == DE_SITTER:
+            # xi = -H (1, x) + (0, n); its first derivatives give Phi
+            out["xi"] = np.concatenate([-s.H[:, None], -s.H[:, None] * s.x + s.normal], axis=1)
+        return out
 
-    center, d1, d2 = _derived_jets(derived, U, cfg, noise)
+    center, d1, d2 = _derived_jets(derived, U, cfg)
     Y = center["Y"]
     g = center["g"]
     F = center["F"]
@@ -563,17 +553,10 @@ def frame_route(
         "nbj,nai,ncab->ncij", F, F, d2Y
     )
 
-    sb = shape_batch(chart, U, cfg)
     Phi = None
     if kind == DE_SITTER:
-        xi = np.concatenate([-sb.H[:, None], -sb.H[:, None] * sb.x + sb.normal], axis=1)
-
-        def xi_field(V: np.ndarray) -> np.ndarray:
-            s = shape_batch(chart, V, cfg)
-            return np.concatenate([-s.H[:, None], -s.H[:, None] * s.x + s.normal], axis=1)
-
-        cen2, dxi, _ = _derived_jets(lambda V: {"xi": xi_field(V)}, U, cfg, noise, second=False)
-        Exi = np.einsum("nai,nca->nci", F, dxi["xi"])
+        xi = center["xi"]
+        Exi = np.einsum("nai,nca->nci", F, d1["xi"])
         Phi = -np.einsum("nc,c,nci->ni", N_vec, signs2, Exi)
     else:
         rows = np.concatenate(

@@ -5,6 +5,7 @@ import pytest
 import sympy as sp
 
 from confgeo.catalog import (
+    DEFAULT_INSTANCES,
     CoreHypersurface,
     build_instance,
     hyperbolic_components,
@@ -16,7 +17,7 @@ from confgeo.catalog import (
     make_wp,
     verify_core,
 )
-from confgeo.chart import AmbientForm, Box, ImmersionChart, grid_points, shape_batch
+from confgeo.chart import TEMPLATES, AmbientForm, Box, ImmersionChart, grid_points, shape_batch
 from confgeo.conformal_atlas import lift_chart
 from confgeo.errors import ConstructionError, ValidationError
 from confgeo.invariants import evaluate_field
@@ -186,3 +187,20 @@ class TestRegularityOfCatalog:
         work = chart if chart.ambient.kind == "de_sitter" else lift_chart(chart, "psi1")
         U = grid_points(work.domain, [3], margin=0.05)
         assert validate_regularity(work, U).regular
+
+
+class TestBuildInstance:
+    def test_unknown_name_lists_available(self):
+        with pytest.raises(ValidationError) as exc:
+            build_instance("nope")
+        for name in DEFAULT_INSTANCES:
+            assert repr(name) in str(exc.value)
+
+    @pytest.mark.parametrize("name", sorted(DEFAULT_INSTANCES))
+    def test_default_names_resolve_through_registry(self, name):
+        assert name in TEMPLATES
+        if name == "ex32":
+            with pytest.raises(ConstructionError):
+                build_instance(name)
+        else:
+            assert build_instance(name).template == name

@@ -99,20 +99,6 @@ class TestAnalyzeCommand:
         assert "exactly one" in err
 
 
-class TestThreadsEnv:
-    def test_invalid_value_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONFGEO_THREADS", "lots")
-        code, _, err = run_cli(capsys, "residuals", "--catalog", "sxh", "--grid", "3")
-        assert code == 1
-        assert "CONFGEO_THREADS" in err
-
-    def test_value_recorded(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONFGEO_THREADS", "2")
-        code, out, _ = run_cli(capsys, "residuals", "--catalog", "sxh", "--grid", "3")
-        assert code == 0
-        assert json.loads(out)["threads"] == 2
-
-
 class TestVerifyCatalog:
     def test_full_catalog_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify-catalog", "--grid", "3")

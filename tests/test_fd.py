@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from confgeo.config import FDConfig
-from confgeo.errors import DomainError
-from confgeo.fd import check_margin, fd_partial, field_derivative, stencil
+from confgeo.fd import fd_partial, stencil
 
 
 def test_stencil_first_derivative_order4():
@@ -57,17 +56,3 @@ def test_declared_order_convergence():
     ratio = errs[0] / errs[1]
     assert 2.5 < ratio < 6.5
 
-
-def test_field_derivative_matches_partial():
-    f = lambda U: U[:, 0] ** 2 * U[:, 1]
-    U = np.array([[1.0, 2.0], [0.5, -1.0]])
-    cfg = FDConfig()
-    d = field_derivative(f, U, 0, 1, cfg)
-    assert np.allclose(d, 2 * U[:, 0] * U[:, 1], atol=1e-9)
-
-
-def test_check_margin():
-    U = np.array([[0.05, 0.5]])
-    with pytest.raises(DomainError):
-        check_margin(U, np.zeros(2), np.ones(2), margin=0.1)
-    check_margin(U + 0.1, np.zeros(2), np.ones(2), margin=0.1)
