@@ -1,18 +1,21 @@
 """Central finite-difference stencils for jets and field derivatives.
 
-Weights are generated by solving the Vandermonde moment system, cached per
-(derivative order, accuracy).  Mixed partials use tensor products of 1-d
-stencils; derivative orders 3 and 4 get one Richardson step.
+Weights are the exact rational Fornberg weights (sympy.finite_diff_weights)
+rounded once to floats and cached per (derivative order, accuracy), so odd
+stencils are exactly antisymmetric with a zero centre tap and even stencils
+exactly symmetric.  Mixed partials use tensor products of 1-d stencils
+and skip the taps whose weight product is zero; derivative orders 3 and 4
+get one Richardson step.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+import sympy as sp
 
 from .config import FDConfig
 
@@ -26,11 +29,11 @@ def stencil(deriv: int, accuracy: int) -> tuple[np.ndarray, np.ndarray]:
     if n % 2 == 0:
         n += 1
     r = n // 2
+    exact = sp.finite_diff_weights(deriv, [sp.Integer(k) for k in range(-r, r + 1)], 0)
     offs = np.arange(-r, r + 1, dtype=float)
-    A = np.vander(offs, n, increasing=True).T
-    b = np.zeros(n)
-    b[deriv] = math.factorial(deriv)
-    w = np.linalg.solve(A, b)
+    w = np.array([float(v) for v in exact[deriv][-1]])
+    offs.setflags(write=False)
+    w.setflags(write=False)
     return offs, w
 
 
@@ -51,12 +54,14 @@ def _tensor_apply(
             per_axis.append((offs, w / h**d))
     total = None
     for combo in itertools.product(*[range(len(o)) for o, _ in per_axis]):
-        V = U.copy()
         wprod = 1.0
         for ax, idx in enumerate(combo):
-            offs, w = per_axis[ax]
-            V[:, ax] = V[:, ax] + offs[idx] * h
-            wprod *= w[idx]
+            wprod *= per_axis[ax][1][idx]
+        if wprod == 0.0:
+            continue
+        V = U.copy()
+        for ax, idx in enumerate(combo):
+            V[:, ax] = V[:, ax] + per_axis[ax][0][idx] * h
         val = f(V)
         term = val * wprod
         total = term if total is None else total + term

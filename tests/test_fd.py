@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from confgeo.chart import LORENTZ_FLAT, AmbientForm, Box, ImmersionChart
 from confgeo.config import FDConfig
 from confgeo.fd import fd_partial, stencil
 
@@ -9,6 +10,25 @@ def test_stencil_first_derivative_order4():
     offs, w = stencil(1, 4)
     assert np.allclose(offs, [-2, -1, 0, 1, 2])
     assert np.allclose(w, [1 / 12, -2 / 3, 0, 2 / 3, -1 / 12])
+
+
+@pytest.mark.parametrize("deriv,accuracy", [(1, 2), (1, 4), (3, 4), (2, 2), (2, 4), (4, 4)])
+def test_stencil_weights_exactly_symmetric(deriv, accuracy):
+    offs, w = stencil(deriv, accuracy)
+    assert np.array_equal(offs, -offs[::-1])
+    if deriv % 2:
+        assert np.array_equal(w, -w[::-1])
+        assert w[len(w) // 2] == 0.0
+    else:
+        assert np.array_equal(w, w[::-1])
+
+
+def test_stencil_weights_read_only():
+    offs, w = stencil(1, 4)
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    with pytest.raises(ValueError):
+        offs[0] = 1.0
 
 
 def test_stencil_second_derivative_order2():
@@ -56,3 +76,22 @@ def test_declared_order_convergence():
     ratio = errs[0] / errs[1]
     assert 2.5 < ratio < 6.5
 
+
+def test_fd_jet_skips_zero_weight_taps():
+    # order-2 FD jet at m=2: the centre value, 4 taps per first derivative,
+    # 5 per pure second derivative and 4 x 4 for the mixed one
+    calls = []
+
+    def graph(U):
+        calls.append(U.shape[0])
+        t = 0.1 * U[:, 0] ** 2 + 0.05 * U[:, 0] * U[:, 1] + 0.2 * U[:, 1] ** 2
+        return np.stack([t, U[:, 0], U[:, 1]], axis=1)
+
+    chart = ImmersionChart(
+        "graph", 2, AmbientForm(LORENTZ_FLAT, 3), Box((-1.0, -1.0), (1.0, 1.0)),
+        eval_fn=graph, jet_mode="fd",
+    )
+    U = np.array([[0.1, -0.2], [0.3, 0.4], [-0.5, 0.0]])
+    jet = chart.jet(U, 2)
+    assert sum(calls) == 35 * U.shape[0]
+    assert np.allclose(jet[2][:, 0], [[0.2, 0.05], [0.05, 0.4]], atol=1e-7)
