@@ -32,7 +32,8 @@ from .errors import (
     RegularityError,
     ValidationError,
 )
-from .fd import fd_partial
+from . import taylor
+from .fd import fd_partial, stencil
 from .pseudo_linalg import (
     Signature,
     batched_normal,
@@ -120,17 +121,24 @@ class Box:
 
 
 class Jet:
-    """Derivative stacks of a chart: orders[r] has shape (N, comps) + (m,)*r."""
+    """Derivative stacks of a chart: orders[r] has shape (N, comps) + (m,)*r.
 
-    def __init__(self, orders: dict[int, np.ndarray]):
-        self.orders = orders
+    A jet built from a Taylor series keeps it as `series` and forms each
+    stack on first access.
+    """
+
+    def __init__(self, orders: dict[int, np.ndarray] | None = None, series: taylor.Series | None = None):
+        self.orders = dict(orders or {})
+        self.series = series
 
     def __getitem__(self, r: int) -> np.ndarray:
+        if r not in self.orders and self.series is not None and 0 <= r <= self.series.order:
+            self.orders[r] = self.series.derivative_stack(r)
         return self.orders[r]
 
     @property
     def max_order(self) -> int:
-        return max(self.orders)
+        return self.series.order if self.series is not None else max(self.orders)
 
 
 def _multi_indices(m: int, order: int) -> list[tuple[int, ...]]:
@@ -188,7 +196,7 @@ class ImmersionChart:
         self.template = template
         self.guards = list(guards or [])
         self._x_fn: Callable | None = None
-        self._jet_fns: dict[int, tuple[Callable, list[tuple[int, ...]]]] = {}
+        self._series_fn: Callable | None = None
         self._guard_fns: list[tuple[str, Callable]] | None = None
 
     # -- evaluation ---------------------------------------------------------
@@ -225,82 +233,83 @@ class ImmersionChart:
             return np.stack(cols, axis=1)
         return np.asarray(self._eval_fn(U), dtype=float)
 
-    def _jet_fn(self, order: int) -> tuple[Callable, list[tuple[int, ...]]]:
-        """One cse-lambdified function returning every multi-index derivative
-        up to `order`; shared subexpressions make this far cheaper than
-        per-index evaluation on composed charts."""
-        cached = self._jet_fns.get(order)
-        if cached is not None:
-            return cached
-        alphas = _multi_indices(self.m, order)
-        flat: list[sp.Expr] = []
-        for alpha in alphas:
-            d = self.exprs
-            for ax, k in enumerate(alpha):
-                if k:
-                    d = sp.diff(d, self.syms[ax], k)
-            flat.extend(list(d))
-        fn = sp.lambdify(self.syms, flat, "numpy", cse=True)
-        self._jet_fns[order] = (fn, alphas)
-        return fn, alphas
+    def _taylor_fn(self) -> Callable:
+        """The expressions lambdified once over truncated Taylor series."""
+        if self._series_fn is None:
+            for f in sorted(self.exprs.atoms(sp.core.function.Application), key=str):
+                if type(f).__name__ not in taylor.FUNCTIONS:
+                    raise ValidationError(
+                        f"chart {self.name!r}: Taylor jets do not support the function "
+                        f"{type(f).__name__!r}; use FD jets for this chart"
+                    )
+            for p in self.exprs.atoms(sp.Pow):
+                if not p.exp.is_number and not p.base.is_number:
+                    raise ValidationError(
+                        f"chart {self.name!r}: Taylor jets do not support the power {p}"
+                    )
+            self._series_fn = sp.lambdify(
+                self.syms, list(self.exprs), modules=[taylor.FUNCTIONS, "numpy"], cse=True
+            )
+        return self._series_fn
 
-    def _eval_jet_all(self, U: np.ndarray, order: int) -> dict[tuple[int, ...], np.ndarray]:
-        fn, alphas = self._jet_fn(order)
-        out = fn(*[U[:, i] for i in range(self.m)])
-        c = self.n_comps
-        result: dict[tuple[int, ...], np.ndarray] = {}
-        for idx, alpha in enumerate(alphas):
-            cols = [
-                np.broadcast_to(np.asarray(v, dtype=float), (U.shape[0],))
-                for v in out[idx * c : (idx + 1) * c]
-            ]
-            result[alpha] = np.stack(cols, axis=1)
-        return result
+    def _taylor_series(self, U: np.ndarray, order: int) -> taylor.Series:
+        """Taylor series of x around each point of U, shape (N, comps)."""
+        N = U.shape[0]
+        out = self._taylor_fn()(*taylor.Series.variables(U, order))
+        comps = [
+            v if isinstance(v, taylor.Series)
+            else taylor.Series.constant(np.broadcast_to(np.asarray(v, float), (N,)), self.m, order)
+            for v in out
+        ]
+        return taylor.stack(comps)
 
     def fd_margin(self, order: int) -> float:
-        """Parameter-space reach of the FD jet stencils up to `order`."""
+        """Parameter-space reach of the FD jet stencils up to `order`.
+
+        A partial of total order r steps step_for(r) along each axis with
+        stencils of derivative order <= r, whose half-width grows with r.
+        At least three steps are allowed, the reach the sample grids of FD
+        charts are laid out for.
+        """
         if self.jet_mode != "fd":
             return 0.0
         reach = 0.0
         for r in range(1, order + 1):
-            h = self.fd.step_for(r, scale=self.domain.scale())
-            reach = max(reach, 3.0 * h)
+            half = (len(stencil(r, self.fd.order)[0]) - 1) // 2
+            reach = max(reach, max(3, half) * self.fd.step_for(r, scale=self.domain.scale()))
         return reach
 
     # -- jets ---------------------------------------------------------------
 
     def jet(self, U: np.ndarray, order: int) -> Jet:
-        """Partial derivatives of x up to `order` (<= 4)."""
-        if not (0 <= order <= 4):
-            raise ValidationError(f"jet order must be within 0..4, got {order}")
+        """Partial derivatives of x up to `order` (<= 5).
+
+        Symbolic charts in analytic mode return exact Taylor-series jets;
+        the rest take central differences of the evaluator.
+        """
+        if not (0 <= order <= 5):
+            raise ValidationError(f"jet order must be within 0..5, got {order}")
         U = np.atleast_2d(np.asarray(U, dtype=float))
+        if self.jet_mode == "analytic":
+            self._check_guards(U)
+            return Jet(series=self._taylor_series(U, order))
         N = U.shape[0]
         m, c = self.m, self.n_comps
+        margin = self.fd_margin(order)
+        if not self.domain.contains(U, margin=margin):
+            raise DomainError(
+                f"chart {self.name!r}: FD jet of order {order} needs margin "
+                f"{margin:.3e} inside the domain"
+            )
         orders: dict[int, np.ndarray] = {}
         for r in range(order + 1):
             orders[r] = np.zeros((N, c) + (m,) * r)
-        use_fd = self.jet_mode == "fd" or self.exprs is None
-        if use_fd:
-            lo, hi = self.domain.arrays()
-            margin = self.fd_margin(order)
-            if not self.domain.contains(U, margin=margin):
-                raise DomainError(
-                    f"chart {self.name!r}: FD jet of order {order} needs margin "
-                    f"{margin:.3e} inside the domain"
-                )
-        all_vals: dict[tuple[int, ...], np.ndarray] | None = None
-        if not use_fd:
-            self._check_guards(U)
-            all_vals = self._eval_jet_all(U, order)
         for alpha in _multi_indices(m, order):
             r = sum(alpha)
-            if use_fd:
-                if r > 0:
-                    vals = fd_partial(self.eval, U, alpha, self.fd, scale=self.domain.scale())
-                else:
-                    vals = self.eval(U)
+            if r > 0:
+                vals = fd_partial(self.eval, U, alpha, self.fd, scale=self.domain.scale())
             else:
-                vals = all_vals[alpha]
+                vals = self.eval(U)
             idx = tuple(ax for ax, k in enumerate(alpha) for _ in range(k))
             for perm in set(itertools.permutations(idx)):
                 orders[r][(slice(None), slice(None)) + perm] = vals
@@ -452,7 +461,18 @@ def shape_batch(
     negate while rho and the metric are unchanged.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    jet = chart.jet(U, 2)
+    return shape_from_jet(chart, U, chart.jet(U, 2), cfg, normal_sign, check_regular)
+
+
+def shape_from_jet(
+    chart: ImmersionChart,
+    U: np.ndarray,
+    jet: Jet,
+    cfg: NumericsConfig = DEFAULT,
+    normal_sign: float = 1.0,
+    check_regular: bool = True,
+) -> ShapeBatch:
+    """shape_batch from an already evaluated jet of order >= 2."""
     x, dx, d2x = jet[0], jet[1], jet[2]
     signs = chart.ambient.signature.signs
     g0 = np.einsum("nci,c,ncj->nij", dx, signs, dx)
@@ -626,7 +646,7 @@ def chart_from_dict(data: dict) -> ImmersionChart:
         )
     chart = builder(m=m, **params)
     box = Box(tuple(float(v) for v in dom["lo"]), tuple(float(v) for v in dom["hi"]))
-    fd = FDConfig(order=int(fd_data.get("order", 4)), step=fd_data.get("step"))
+    fd = FDConfig(order=fd_data.get("order", 4), step=fd_data.get("step"))
     out = ImmersionChart(
         chart.name,
         chart.m,

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ValidationError
+
 EPS = float(np.finfo(float).eps)
 
 
@@ -26,8 +28,9 @@ STEP_FACTOR = 2.0
 class FDConfig:
     """Finite-difference policy for jets and field derivatives.
 
-    Central stencils of accuracy `order`; derivative orders 3 and 4 are
-    refined by one Richardson step when `richardson` is set.  The step for
+    Central stencils of accuracy `order` (an integer >= 1); derivative
+    orders 3 and up are refined by one Richardson step when `richardson` is
+    set.  The step for
     derivative order r is  STEP_FACTOR * eps^(1/(p_eff + r)) scaled by
     max(1, |u|_inf), where p_eff includes the Richardson gain: it balances
     truncation against the roundoff of fields that are exact per point.
@@ -37,6 +40,10 @@ class FDConfig:
     order: int = 4
     richardson: bool = True
     step: float | None = None
+
+    def __post_init__(self):
+        if isinstance(self.order, bool) or not isinstance(self.order, (int, np.integer)) or self.order < 1:
+            raise ValidationError(f"FD accuracy order must be an integer >= 1, got {self.order!r}")
 
     def step_for(self, deriv_order: int, scale: float = 1.0) -> float:
         if self.step is not None and self.step > 0:

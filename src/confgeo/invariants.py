@@ -17,24 +17,32 @@ Two independent computation routes:
   A_ij = -<Y_ij, N>, B_ij = -<Y_ij, xi>, which works in any of the three
   space-form pictures and doubles as the internal consistency check.
 
-Derived fields (rho, H, the conformal metric) are exact per point; their
-parameter derivatives come from shared central stencils, so one pass per
-batch supplies the Hessian of log rho, the metric jets for the curvature
-tensor, and the Christoffel symbols for covariant derivatives.
+The two routes differentiate with different engines.  On analytic charts
+the closed formulas run once over truncated Taylor series (taylor.py): one
+order-5 jet of the immersion per point gives rho, H, the conformal metric
+with two derivatives and the partials of A, B and Phi at the points
+themselves, exact up to roundoff.  FD charts, and the frame route on every
+chart, take parameter derivatives of the derived fields from shared
+central stencils: one pass per batch supplies the Hessian of log rho, the
+metric jets and the Christoffel symbols, and an outer stencil of the
+component fields gives the covariant derivatives on FD charts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
+from . import taylor
 from .chart import (
     DE_SITTER,
+    LORENTZ_FLAT,
     ImmersionChart,
     ShapeBatch,
     ShapeData,
     shape_batch,
+    shape_from_jet,
 )
 from .config import DEFAULT, EPS, NumericsConfig
 from .conformal_atlas import sigma_rep_batch
@@ -48,18 +56,21 @@ from .pseudo_linalg import (
     pseudo_dot,
     triangular_frame,
 )
+from .taylor import einsum
 
 
 # ---------------------------------------------------------------------------
 # shared stencil pass over derived fields
 # ---------------------------------------------------------------------------
 
-def _derived_jets(fn, U: np.ndarray, cfg: NumericsConfig):
-    """First and second parameter derivatives of a dict-valued field.
+def _derived_jets(fn, U: np.ndarray, cfg: NumericsConfig, second: tuple[str, ...] = ()):
+    """First parameter derivatives of a dict-valued field, and second
+    derivatives of the keys in `second`.
 
     fn maps a batch (N, m) to {key: array(N, ...)}.  Returns (center, d1,
     d2) with the derivative axes appended last.  All fields share stencil
-    evaluations: one fn call per offset covers every key.
+    evaluations: one fn call per offset covers every key, and the centre
+    points come first in that call.
     """
     m = U.shape[1]
     N = U.shape[0]
@@ -125,58 +136,58 @@ def _derived_jets(fn, U: np.ndarray, cfg: NumericsConfig):
         for idx, w in contribs:
             for k in stacked:
                 d1[k][..., a] += stacked[k][idx] * w
-    d2 = {k: np.zeros(center[k].shape + (m, m)) for k in stacked}
+    d2 = {k: np.zeros(center[k].shape + (m, m)) for k in second}
     for (a, b), contribs in plans_d2:
         for idx, w in contribs:
-            for k in stacked:
+            for k in second:
                 d2[k][..., a, b] += stacked[k][idx] * w
         if b != a:
-            for k in stacked:
+            for k in second:
                 d2[k][..., b, a] = d2[k][..., a, b]
     return center, d1, d2
 
 
-def christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Christoffel symbols from metric jets.
+def christoffel(ginv, dg):
+    """Christoffel symbols from metric jets (arrays or Taylor series).
 
     dg[n, i, j, k] = d_k g_ij; output Gam[n, g, j, k] = Gamma^g_{jk}.
     """
-    t1 = np.transpose(dg, (0, 1, 3, 2))  # d_j g_lk
-    t2 = dg                              # d_k g_lj
+    t1 = dg.transpose((0, 1, 3, 2))  # d_j g_lk
+    t2 = dg                          # d_k g_lj
     return 0.5 * (
-        np.einsum("ngl,nljk->ngjk", ginv, t1 + t2) - np.einsum("ngl,njkl->ngjk", ginv, dg)
+        einsum("ngl,nljk->ngjk", ginv, t1 + t2) - einsum("ngl,njkl->ngjk", ginv, dg)
     )
 
 
 def _outer_step(chart: ImmersionChart, cfg: NumericsConfig, scale: float) -> float:
-    """Step of the covariant-derivative stencil around the field stencils.
+    """Step of the covariant-derivative stencil of FD charts.
 
     It balances truncation against the white part of the component fields:
-    roundoff amplified through the inner second-derivative stencils (and,
-    for FD charts, through the jet stencils first).
+    roundoff amplified through the jet stencils and then through the inner
+    second-derivative stencils.
     """
     h2 = cfg.fd.step_for(2, scale=scale)
-    source_white = EPS
-    if chart.jet_mode != "analytic":
-        hj2 = chart.fd.step_for(2, scale=scale)
-        source_white = 6.0 * EPS / hj2**2
+    hj2 = chart.fd.step_for(2, scale=scale)
+    source_white = 6.0 * EPS / hj2**2
     return (3.0 * (source_white * 6.0 / h2**2)) ** (1.0 / 3.0) * scale
 
 
 def required_margin(chart: ImmersionChart, cfg: NumericsConfig = DEFAULT) -> float:
-    """Distance to the domain boundary consumed by all nested stencils.
+    """Distance to the domain boundary consumed by the stencils of a field
+    evaluation.
 
-    Field stencils reach two steps of the second-derivative spacing per
-    axis, the covariant-derivative pass adds its outer step, and FD-jet
-    charts nest their own jet stencils inside every evaluation.
+    Field stencils (the frame route, and the main route of FD charts) reach
+    two steps of the second-derivative spacing per axis.  FD-jet charts add
+    the covariant-derivative pass around them and nest their own jet
+    stencils inside every evaluation.  The Taylor-series main route of
+    analytic charts needs no margin.
     """
     scale = chart.domain.scale()
     reach = 2.0 * max(cfg.fd.step_for(1, scale=scale), cfg.fd.step_for(2, scale=scale))
-    outer_offsets = 1.0
     if chart.jet_mode != "analytic":
         reach += chart.fd_margin(2)
-        outer_offsets = 2.0
-    return 1.15 * (reach + outer_offsets * _outer_step(chart, cfg, scale))
+        reach += 2.0 * _outer_step(chart, cfg, scale)
+    return 1.15 * reach
 
 
 def grid_margin(chart: ImmersionChart, cfg: NumericsConfig = DEFAULT) -> float:
@@ -202,46 +213,114 @@ class _CoordData:
     d2g: np.ndarray
     dlogrho: np.ndarray
     dH: np.ndarray
+    # partials of A, B, Phi (derivative axis last) when the route supplies them
+    partials: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
-def _coord_invariants(chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig) -> _CoordData:
+def _closed_formulas(h, H, g0, g0inv, rho, dlr, d2lr, dg0, dH):
+    """Coordinate components of A, B and Phi from the shape data.
+
+    Works on arrays and on Taylor series alike: d2lr are the plain second
+    partials of log rho and dg0[n,i,j,k] = d_k g0_ij.
+    """
+    gam0 = christoffel(g0inv, dg0)
+    hess = d2lr - einsum("ngab,ng->nab", gam0, dlr)
+    grad2 = einsum("na,nab,nb->n", dlr, g0inv, dlr)
+    A = -(hess - einsum("na,nb->nab", dlr, dlr) + H[:, None, None] * h) - 0.5 * (
+        grad2 - H**2 - 1.0
+    )[:, None, None] * g0
+    B = rho[:, None, None] * (h - H[:, None, None] * g0)
+    hmH = h - H[:, None, None] * g0
+    Phi = -(1.0 / rho)[:, None] * (einsum("nab,nbc,nc->na", hmH, g0inv, dlr) + dH)
+    return A, B, Phi
+
+
+def _coord_invariants(
+    chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig, derivatives: bool = False
+) -> _CoordData:
     if chart.ambient.kind != DE_SITTER or abs(chart.ambient.radius - 1.0) > 1e-12:
         raise ValidationError(
             "conformal invariants are computed in the unit de Sitter picture; "
             f"lift chart {chart.name!r} first (conformal_atlas.lift_chart)"
         )
-    sb = shape_batch(chart, U, cfg)
+    if chart.jet_mode == "analytic":
+        return _series_invariants(chart, U, cfg, derivatives)
+    return _stencil_invariants(chart, U, cfg)
+
+
+def _series_invariants(
+    chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig, derivatives: bool
+) -> _CoordData:
+    """The closed formulas over Taylor series from one jet per point.
+
+    Each derivative costs one order.  From a jet of order K the shape data
+    (h needs the second jet of x) carry order K - 2, log rho's Hessian and
+    with it A order K - 4, and every series is cut to the order its result
+    needs: K = 5 gives the partials of A, B, Phi and K = 4 the values.
+    """
+    m = chart.m
+    K = 5 if derivatives else 4
+    jet = chart.jet(U, K)
+    sb = shape_from_jet(chart, U, jet, cfg)
+    signs = sb.signs
+    x = jet.series.truncate(K - 2)
+    dx = jet.series.grad()
+    d2x = dx.grad()
+    dx = dx.truncate(K - 2)
+    g0 = einsum("nci,c,ncj->nij", dx, signs, dx)
+    rows = dx.transpose((0, 2, 1))
+    if chart.ambient.kind != LORENTZ_FLAT:
+        rows = taylor.concatenate([rows, x[:, None, :]], axis=1)
+    n = taylor.normal(rows, signs, sb.normal)
+    h = -einsum("nc,c,ncab->nab", n, signs, d2x)
+    g0inv = taylor.inv(g0)
+    H = einsum("nab,nab->n", g0inv, h) / m
+    h2 = einsum("nab,nag,nbd,ngd->n", h, g0inv, g0inv, h)
+    rho2 = m / (m - 1) * (h2 - m * H**2)
+    dlr = (0.5 * taylor.log(rho2)).grad()
+    dH = H.grad()
+    k = K - 4  # the order of A, B and Phi
+    A, B, Phi = _closed_formulas(
+        h.truncate(k), H.truncate(k), g0.truncate(k), g0inv.truncate(k),
+        taylor.sqrt(rho2.truncate(k)), dlr.truncate(k), dlr.grad(), g0.grad().truncate(k),
+        dH.truncate(k),
+    )
+    g = rho2.truncate(2)[:, None, None] * g0.truncate(2)  # curvature needs two derivatives
+    dg = g.grad()
+    partials = (A.grad().value, B.grad().value, Phi.grad().value) if derivatives else None
+    return _CoordData(
+        sb, A.value, B.value, Phi.value, g.value, np.linalg.inv(g.value), dg.value,
+        dg.grad().value, dlr.value, dH.value, partials,
+    )
+
+
+def _stencil_invariants(chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig) -> _CoordData:
+    """The closed formulas with derived-field derivatives from one stencil pass."""
+    N = U.shape[0]
+    cloud: list[ShapeBatch] = []
 
     def derived(V: np.ndarray) -> dict[str, np.ndarray]:
         s = shape_batch(chart, V, cfg)
+        cloud.append(s)
         return {
             "logrho": np.log(s.rho),
             "H": s.H,
             "g": s.rho[:, None, None] ** 2 * s.metric,
         }
 
-    center, d1, d2 = _derived_jets(derived, U, cfg)
+    center, d1, d2 = _derived_jets(derived, U, cfg, second=("logrho", "g"))
+    # the centre points lead the stencil cloud: copies of its first N rows
+    sb = ShapeBatch(chart, U, *(getattr(cloud[0], f.name)[:N].copy() for f in fields(ShapeBatch)[2:]))
     dlr, d2lr = d1["logrho"], d2["logrho"]
     dH = d1["H"]
     g, dg, d2g = center["g"], d1["g"], d2["g"]
 
-    # induced-metric Christoffels from exact jets: d_k g0_ij = <d2x_ki, dx_j> + <dx_i, d2x_kj>
+    # induced-metric jets from exact 2-jets: d_k g0_ij = <d2x_ki, dx_j> + <dx_i, d2x_kj>
     signs = sb.signs
     dg0 = np.einsum("ncik,c,ncj->nijk", sb.d2x, signs, sb.dx) + np.einsum(
         "nci,c,ncjk->nijk", sb.dx, signs, sb.d2x
     )
-    gam0 = christoffel(sb.metric_inv, dg0)
-    hess = d2lr - np.einsum("ngab,ng->nab", gam0, dlr)
-    grad2 = np.einsum("na,nab,nb->n", dlr, sb.metric_inv, dlr)
-    H, h, g0 = sb.H, sb.h, sb.metric
-    A = -(hess - np.einsum("na,nb->nab", dlr, dlr) + H[:, None, None] * h) - 0.5 * (
-        grad2 - H**2 - 1.0
-    )[:, None, None] * g0
-    B = sb.rho[:, None, None] * (h - H[:, None, None] * g0)
-    hmH = h - H[:, None, None] * g0
-    Phi = -(1.0 / sb.rho)[:, None] * (
-        np.einsum("nab,nbc,nc->na", hmH, sb.metric_inv, dlr) + dH
-    )
+    A, B, Phi = _closed_formulas(sb.h, sb.H, sb.metric, sb.metric_inv, sb.rho, dlr, d2lr, dg0, dH)
     ginv = np.linalg.inv(g)
     return _CoordData(sb, A, B, Phi, g, ginv, dg, d2g, dlr, dH)
 
@@ -343,7 +422,7 @@ def evaluate_field(
     """Full invariant computation over a batch of parameter points."""
     U = np.atleast_2d(np.asarray(U, dtype=float))
     m = chart.m
-    cd = _coord_invariants(chart, U, cfg)
+    cd = _coord_invariants(chart, U, cfg, derivatives)
     Fg, A, B, Phi = _frame_components(cd)
     fieldv = InvariantField(
         chart=chart,
@@ -371,7 +450,8 @@ def evaluate_field(
         scal = np.einsum("nii->n", ric)
         fieldv.kappa = scal / (m * (m - 1))
     if derivatives:
-        dA_c, dB_c, dPhi_c = _coord_derivatives(chart, U, cfg, cd, Gam)
+        partials = cd.partials if cd.partials is not None else _stencil_partials(chart, U, cfg)
+        dA_c, dB_c, dPhi_c = _coord_derivatives(cd, Gam, *partials)
         fieldv.dA = np.einsum("nabc,nai,nbj,nck->nijk", dA_c, Fg, Fg, Fg)
         fieldv.dB = np.einsum("nabc,nai,nbj,nck->nijk", dB_c, Fg, Fg, Fg)
         fieldv.dPhi = np.einsum("nac,nai,ncj->nij", dPhi_c, Fg, Fg)
@@ -381,27 +461,19 @@ def evaluate_field(
     return fieldv
 
 
-def _coord_derivatives(
-    chart: ImmersionChart,
-    U: np.ndarray,
-    cfg: NumericsConfig,
-    cd: _CoordData,
-    Gam: np.ndarray,
+def _stencil_partials(
+    chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Covariant derivatives of A, B, Phi in coordinates.
+    """Plain partials of the coordinate components of A, B, Phi on FD charts.
 
-    Plain partials of the coordinate component fields by second-order
-    central differences (the component fields are smooth and exact up to the
-    inner-stencil error), then the connection correction with the conformal
-    Christoffels at the centers.
+    Fourth-order central differences of the stencil route at the outer
+    step: the component fields are smooth and exact up to the inner-stencil
+    error, and the larger step keeps the truncation of the deep compositions
+    below the residual tier.
     """
     m = chart.m
     h = _outer_step(chart, cfg, max(1.0, float(np.max(np.abs(U)))))
-    # analytic charts sit at a tiny outer step where second order suffices;
-    # FD charts need a larger step and a fourth-order stencil to keep the
-    # truncation of the deep compositions below the residual tier
-    acc = 2 if chart.jet_mode == "analytic" else 4
-    offs, wts = stencil(1, acc)
+    offs, wts = stencil(1, 4)
     N = U.shape[0]
     pA = np.zeros((N, m, m, m))
     pB = np.zeros((N, m, m, m))
@@ -412,11 +484,19 @@ def _coord_derivatives(
                 continue
             V = U.copy()
             V[:, a] += o * h
-            cdo = _coord_invariants(chart, V, cfg)
+            cdo = _stencil_invariants(chart, V, cfg)
             w = w0 / h
             pA[..., a] += w * cdo.A
             pB[..., a] += w * cdo.B
             pPhi[..., a] += w * cdo.Phi
+    return pA, pB, pPhi
+
+
+def _coord_derivatives(
+    cd: _CoordData, Gam: np.ndarray, pA: np.ndarray, pB: np.ndarray, pPhi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Covariant derivatives of A, B, Phi in coordinates: the plain partials
+    corrected with the conformal Christoffels at the points."""
     corrA = np.einsum("ndca,ndb->nabc", Gam, cd.A) + np.einsum("ndcb,nad->nabc", Gam, cd.A)
     corrB = np.einsum("ndca,ndb->nabc", Gam, cd.B) + np.einsum("ndcb,nad->nabc", Gam, cd.B)
     corrPhi = np.einsum("ndca,nd->nac", Gam, cd.Phi)
@@ -534,7 +614,7 @@ def frame_route(
             out["xi"] = np.concatenate([-s.H[:, None], -s.H[:, None] * s.x + s.normal], axis=1)
         return out
 
-    center, d1, d2 = _derived_jets(derived, U, cfg)
+    center, d1, d2 = _derived_jets(derived, U, cfg, second=("Y",))
     Y = center["Y"]
     g = center["g"]
     F = center["F"]

@@ -75,9 +75,34 @@ class TestJets:
         with pytest.raises(DomainError):
             chart.jet(np.array([[0.01, 0.5]]), 4)
 
+    @pytest.mark.parametrize("accuracy,order", [(4, 2), (4, 4), (4, 5), (8, 2), (8, 4), (2, 3)])
+    def test_fd_jet_taps_stay_in_domain(self, accuracy, order):
+        # points on the edge of the declared margin: every evaluation the FD
+        # stencils make must still land inside the domain
+        taps = []
+
+        def recording(U):
+            taps.append(U.copy())
+            return np.stack([U[:, 0] * U[:, 1], U[:, 0], U[:, 1]], axis=1)
+
+        chart = fd_chart_from(
+            recording, 2, AmbientForm("lorentz_flat", 3), Box((-1, -1), (1, 1)), order=accuracy
+        )
+        margin = chart.fd_margin(order)
+        chart.jet(np.array([[margin - 1.0, 1.0 - margin], [0.0, 0.0]]), order)
+        points = np.concatenate(taps)
+        assert np.all(np.abs(points) <= 1.0)
+
+    def test_fd_margin_of_accuracy_four_unchanged(self):
+        # three steps of the widest step in use, the reach FD grids are laid out for
+        chart = fd_chart_from(lambda U: U, 2, AmbientForm("lorentz_flat", 3), Box((0, 0), (1, 1)))
+        for order in range(1, 5):
+            h = max(chart.fd.step_for(r) for r in range(1, order + 1))
+            assert chart.fd_margin(order) == 3 * h
+
     def test_jet_order_bounds(self, sxh_chart):
         with pytest.raises(ValidationError):
-            sxh_chart.jet(np.array([[0.5, 1.2, 0.6]]), 5)
+            sxh_chart.jet(np.array([[0.5, 1.2, 0.6]]), 6)
 
 
 class TestShapeData:
@@ -196,6 +221,13 @@ class TestChartFiles:
         assert d["fd"] == {"order": 2, "step": 1e-3}
         rebuilt = chart_from_dict(json.loads(json.dumps(d)))
         assert chart_to_dict(rebuilt) == d
+
+    @pytest.mark.parametrize("order", [0, -2, 2.5, "4"])
+    def test_invalid_fd_order_rejected(self, sxh_chart, order):
+        d = chart_to_dict(sxh_chart.with_jet_mode("fd"))
+        d["fd"]["order"] = order
+        with pytest.raises(ValidationError, match="FD accuracy order"):
+            chart_from_dict(d)
 
     def test_unknown_template_rejected(self):
         with pytest.raises(ValidationError):

@@ -93,6 +93,17 @@ class TestAnalyzeCommand:
         data = json.loads(out)
         assert data["pass"] is True
 
+    def test_chart_file_with_invalid_fd_order(self, capsys, tmp_path, sxh_chart):
+        path = tmp_path / "chart.json"
+        save_chart(sxh_chart.with_jet_mode("fd"), path)
+        data = json.loads(path.read_text())
+        for order in (0, -2):
+            data["fd"]["order"] = order
+            path.write_text(json.dumps(data))
+            code, _, err = run_cli(capsys, "residuals", "--chart-file", str(path))
+            assert code == 1
+            assert err.startswith("error:") and "FD accuracy order" in err
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(capsys, "analyze")
         assert code == 1

@@ -138,16 +138,16 @@ class TestInvariantTensors:
 
 class TestCurvature:
     def test_product_scalar_curvatures(self, sxh_field, wp_field, ex33_field):
-        assert np.allclose(sxh_field.kappa, 1 / 3, atol=1e-8)
-        assert np.allclose(wp_field.kappa, -2 / 17, atol=1e-8)
-        assert np.allclose(ex33_field.kappa, 1 / 16, atol=1e-8)
+        assert np.allclose(sxh_field.kappa, 1 / 3, rtol=0, atol=1e-12)
+        assert np.allclose(wp_field.kappa, -2 / 17, rtol=0, atol=1e-12)
+        assert np.allclose(ex33_field.kappa, 1 / 16, rtol=0, atol=1e-12)
 
     def test_flat_catalog_block(self, hxr_chart):
         # H^1 x R^2 lifts with unit conformal factor: the conformal metric is flat
         lifted = lift_chart(hxr_chart, "psi1")
         R, ric, kappa = curvature_of_g(lifted, np.array([0.6, 0.9, 0.9]))
-        assert abs(kappa) <= 1e-8
-        assert np.max(np.abs(R)) <= 1e-7
+        assert abs(kappa) <= 1e-11
+        assert np.max(np.abs(R)) <= 1e-11
 
     def test_sphere_block_sectional_curvature(self, ex33_field):
         # round factor of radius r: sectional curvature 1/r^2 = 3/8 in the
@@ -155,23 +155,23 @@ class TestCurvature:
         R = ex33_field.riemann
         # frame ordering puts the sphere directions last (triangular frame)
         K = R[:, 2, 3, 3, 2]
-        assert np.allclose(K, 3 / 8, atol=1e-6)
+        assert np.allclose(K, 3 / 8, rtol=0, atol=1e-12)
 
     def test_gauss_identity_residual(self, sxh_field, wp_field, ex33_field):
         for f in (sxh_field, wp_field, ex33_field):
-            assert f.residuals["gauss_conformal"] <= 1e-5
+            assert f.residuals["gauss_conformal"] <= 1e-11
 
 
 class TestCovariantDerivatives:
     def test_parallel_tensors_on_wp(self, wp_field):
-        assert np.abs(wp_field.dA).max() <= 1e-5
-        assert np.abs(wp_field.dB).max() <= 1e-5
+        assert np.abs(wp_field.dA).max() <= 1e-11
+        assert np.abs(wp_field.dB).max() <= 1e-11
 
     def test_codazzi_symmetry_residuals(self, sxh_field, ex33_field):
         for f in (sxh_field, ex33_field):
-            assert f.residuals["b_codazzi"] <= 1e-5
-            assert f.residuals["blaschke_codazzi"] <= 1e-5
-            assert f.residuals["phi_codazzi_commutator"] <= 1e-5
+            assert f.residuals["b_codazzi"] <= 1e-11
+            assert f.residuals["blaschke_codazzi"] <= 1e-11
+            assert f.residuals["phi_codazzi_commutator"] <= 1e-11
 
     def test_wrapper_returns_components(self, ex33_chart):
         U = grid_points(ex33_chart.domain, [3], margin=0.06)[:2]
@@ -200,7 +200,7 @@ class TestIdentityResiduals:
             "norm_b",
             "trace_a_scalar",
         ):
-            assert res[key] <= 1e-5, (key, res[key])
+            assert res[key] <= 1e-11, (key, res[key])
 
     def test_fd_tier(self, sxh_chart):
         from confgeo.invariants import required_margin

@@ -1,0 +1,154 @@
+"""Taylor-series arithmetic and the analytic chart jets built on it.
+
+The reference jets differentiate the chart expressions with sympy, the
+route the library took before its jets moved onto truncated series.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+import sympy as sp
+
+from confgeo import taylor
+from confgeo.catalog import build_instance
+from confgeo.chart import AmbientForm, Box, ImmersionChart, grid_points
+from confgeo.conformal_atlas import lift_chart
+from confgeo.errors import ValidationError
+from confgeo.pseudo_linalg import batched_normal, form_signs
+
+
+def _reference_jet(chart, U, order):
+    """Derivative stacks by sympy differentiation, one cse'd function."""
+    m, c, N = chart.m, chart.n_comps, U.shape[0]
+    alphas = [a for a in itertools.product(range(order + 1), repeat=m) if sum(a) <= order]
+    flat = []
+    for alpha in alphas:
+        d = chart.exprs
+        for ax, k in enumerate(alpha):
+            if k:
+                d = sp.diff(d, chart.syms[ax], k)
+        flat.extend(list(d))
+    vals = sp.lambdify(chart.syms, flat, "numpy", cse=True)(*U.T)
+    stacks = {r: np.zeros((N, c) + (m,) * r) for r in range(order + 1)}
+    for i, alpha in enumerate(alphas):
+        block = np.stack(
+            [np.broadcast_to(np.asarray(v, float), (N,)) for v in vals[i * c:(i + 1) * c]], axis=1
+        )
+        idx = tuple(ax for ax, k in enumerate(alpha) for _ in range(k))
+        for perm in set(itertools.permutations(idx)):
+            stacks[len(idx)][(slice(None), slice(None)) + perm] = block
+    return stacks
+
+
+def _chart(name, lift=None):
+    chart = build_instance(name)
+    return lift_chart(chart, lift) if lift else chart
+
+
+# order 5 of wp@psi1 takes sympy about 17 s to differentiate, so it is
+# checked at order 2 only
+@pytest.mark.parametrize(
+    "name,lift,order",
+    [("sxh", None, 5), ("ex33", None, 5), ("wp", None, 5), ("hxr", "psi1", 5), ("wp", "psi1", 2)],
+)
+def test_series_jets_match_sympy_derivatives(name, lift, order):
+    chart = _chart(name, lift)
+    U = grid_points(chart.domain, [3], margin=0.05)[::5]
+    jet = chart.jet(U, order)
+    ref = _reference_jet(chart, U, order)
+    for r in range(order + 1):
+        scale = max(1.0, float(np.max(np.abs(ref[r]))))
+        assert np.max(np.abs(jet[r] - ref[r])) <= 1e-12 * scale, (r, np.max(np.abs(jet[r] - ref[r])))
+
+
+UNIVARIATE = [
+    ("sin", taylor.sin, sp.sin),
+    ("cos", taylor.cos, sp.cos),
+    ("sinh", taylor.sinh, sp.sinh),
+    ("cosh", taylor.cosh, sp.cosh),
+    ("exp", taylor.exp, sp.exp),
+    ("log", taylor.log, sp.log),
+    ("sqrt", taylor.sqrt, sp.sqrt),
+    ("pow 1.5", lambda s: s**1.5, lambda e: e**sp.Rational(3, 2)),
+    ("pow -1.0", lambda s: s**-1.0, lambda e: 1 / e),
+    ("pow -3", lambda s: s**-3, lambda e: e**-3),
+    ("pow 3", lambda s: s**3, lambda e: e**3),
+    ("rdiv", lambda s: 2.0 / s, lambda e: 2 / e),
+    ("rpow", lambda s: 2.0**s, lambda e: sp.exp(sp.Float(math.log(2.0), 30) * e)),
+]
+
+
+@pytest.mark.parametrize("label,series_fn,sympy_fn", UNIVARIATE, ids=[u[0] for u in UNIVARIATE])
+def test_univariate_matches_sympy_series(label, series_fn, sympy_fn):
+    K = 5
+    a0 = np.array([0.3, 1.7])
+    (s,) = taylor.Series.variables(a0[:, None], K)
+    out = series_fn(s)
+    t = sp.Symbol("t")
+    for n, a in enumerate(a0):
+        ser = sp.series(sympy_fn(sp.Float(a, 30) + t), t, 0, K + 1).removeO()
+        expected = [float(ser.coeff(t, k)) for k in range(K + 1)]
+        assert np.allclose(out.c[:, n], expected, rtol=1e-13, atol=1e-14), label
+
+
+def test_scalar_arguments_fall_through_to_numpy():
+    assert taylor.cos(0.5) == np.cos(0.5)
+    assert np.array_equal(taylor.sqrt(np.array([4.0, 9.0])), [2.0, 3.0])
+
+
+def test_unsupported_function_rejected():
+    u, v = sp.symbols("u v")
+    chart = ImmersionChart(
+        "tan-graph",
+        2,
+        AmbientForm("lorentz_flat", 3),
+        Box((0.1, 0.1), (0.5, 0.5)),
+        exprs=sp.Matrix([sp.tan(u) * v, u, v]),
+        syms=(u, v),
+    )
+    with pytest.raises(ValidationError, match="tan"):
+        chart.jet(np.array([[0.2, 0.3]]), 2)
+
+
+def test_gradient_and_products_of_series():
+    # d/du (u^2 v^3) = 2 u v^3 at every order that survives the shift
+    U = np.array([[0.4, -1.3], [2.0, 0.5]])
+    u, v = taylor.Series.variables(U, 4)
+    f = u**2 * v**3
+    g = f.grad()
+    assert g.order == 3
+    assert np.allclose(g.value[:, 0], 2 * U[:, 0] * U[:, 1] ** 3)
+    assert np.allclose(g.value[:, 1], 3 * U[:, 0] ** 2 * U[:, 1] ** 2)
+    assert np.allclose(g.grad().value[:, 0, 1], 6 * U[:, 0] * U[:, 1] ** 2)
+
+
+def test_inverse_and_normal_series():
+    U = np.array([[0.3, 0.2], [0.7, -0.4]])
+    u, v = taylor.Series.variables(U, 4)
+    M = taylor.stack([taylor.stack([2.0 + u * v, taylor.sin(v)]), taylor.stack([u, 3.0 + taylor.cos(u)])])
+    eye = taylor.einsum("nab,nbc->nac", M, taylor.inv(M))
+    assert np.max(np.abs(eye.c[0] - np.eye(2))) <= 1e-14
+    assert np.max(np.abs(eye.c[1:])) <= 1e-13
+    # a space-like graph in Lorentz 3-space: rows are its tangent vectors
+    x = taylor.stack([0.3 * u * v, u, v + 0.2 * u**2])
+    rows = x.grad().transpose((0, 2, 1))
+    signs = form_signs(1, 3)
+    n = taylor.normal(rows, signs, batched_normal(rows.value, signs))
+    tangency = taylor.einsum("nkc,c,nc->nk", rows, signs, n)
+    unit = taylor.einsum("nc,c,nc->n", n, signs, n)
+    assert np.max(np.abs(tangency.c)) <= 1e-13
+    assert np.max(np.abs(unit.c[0] + 1.0)) <= 1e-14
+    assert np.max(np.abs(unit.c[1:])) <= 1e-13
+
+
+def test_derivative_stack_is_symmetric():
+    U = np.array([[0.3, 0.2, 0.1]])
+    u, v, w = taylor.Series.variables(U, 3)
+    d3 = (taylor.exp(u * v) * w).derivative_stack(3)
+    assert d3.shape == (1, 3, 3, 3)
+    for perm in itertools.permutations(range(3)):
+        assert np.array_equal(d3, np.transpose(d3, (0,) + tuple(p + 1 for p in perm)))
+    # d_u d_v d_w of exp(uv) w = (1 + uv) exp(uv)
+    assert d3[0, 0, 1, 2] == pytest.approx((1 + 0.06) * math.exp(0.06), rel=1e-14)
