@@ -443,7 +443,8 @@ def _second_fundamental(
     except np.linalg.LinAlgError as exc:
         raise RegularityError(f"induced metric singular: {exc}") from exc
     H = np.einsum("nab,nab->n", g0inv, h) / chart.m
-    h2 = np.einsum("nab,nag,nbd,ngd->n", h, g0inv, g0inv, h)
+    P = np.einsum("nab,nbc->nac", g0inv, h)  # |h|^2 = tr(g0^-1 h g0^-1 h)
+    h2 = np.einsum("nab,nba->n", P, P)
     rho2 = chart.m / (chart.m - 1) * (h2 - chart.m * H**2)
     return n, h, g0inv, H, rho2
 

@@ -17,15 +17,19 @@ Two independent computation routes:
   A_ij = -<Y_ij, N>, B_ij = -<Y_ij, xi>, which works in any of the three
   space-form pictures and doubles as the internal consistency check.
 
-The two routes differentiate with different engines.  On analytic charts
-the closed formulas run once over truncated Taylor series (taylor.py): one
-order-5 jet of the immersion per point gives rho, H, the conformal metric
-with two derivatives and the partials of A, B and Phi at the points
-themselves, exact up to roundoff.  FD charts, and the frame route on every
-chart, take parameter derivatives of the derived fields from shared
+On analytic charts both routes run on truncated Taylor series (taylor.py)
+of one jet per point: the shape series (x, the normal, h, H, rho^2, g0)
+feed the closed formulas, which give rho, H, the conformal metric with two
+derivatives and the partials of A, B and Phi at the points themselves,
+and the same series give the frame route the lift Y to order 2 and g, its
+frame and xi to order 1.  evaluate_field(cross_check=True) therefore makes
+one order-5 jet call per batch (order 4 without covariant derivatives),
+and the cross-check compares the two formula routes, exact up to roundoff.
+FD charts take parameter derivatives of the derived fields from shared
 central stencils: one pass per batch supplies the Hessian of log rho, the
-metric jets and the Christoffel symbols, and an outer stencil of the
-component fields gives the covariant derivatives on FD charts.
+metric jets and the Christoffel symbols (another pass the frame route's
+inputs), and an outer stencil of the component fields gives the covariant
+derivatives.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .chart import (
     shape_from_jet,
 )
 from .config import DEFAULT, EPS, NumericsConfig
-from .conformal_atlas import sigma_rep_batch
+from .conformal_atlas import sigma_rep, sigma_rep_batch
 from .errors import ConsistencyError, ValidationError
 from .fd import stencil
 from .pseudo_linalg import (
@@ -176,23 +180,25 @@ def required_margin(chart: ImmersionChart, cfg: NumericsConfig = DEFAULT) -> flo
     """Distance to the domain boundary consumed by the stencils of a field
     evaluation.
 
-    Field stencils (the frame route, and the main route of FD charts) reach
-    two steps of the second-derivative spacing per axis.  FD-jet charts add
-    the covariant-derivative pass around them and nest their own jet
-    stencils inside every evaluation.  The Taylor-series main route of
-    analytic charts needs no margin.
+    Only FD charts run stencils.  Their derived-field passes (main route and
+    frame route) reach two steps of the second-derivative spacing per axis,
+    the covariant-derivative pass adds its outer stencil around them, and
+    the jet stencils nest inside every evaluation.  Analytic charts take
+    every derivative from Taylor series at the points themselves and need
+    no margin.
     """
+    if chart.jet_mode == "analytic":
+        return 0.0
     scale = chart.domain.scale()
     reach = 2.0 * max(cfg.fd.step_for(1, scale=scale), cfg.fd.step_for(2, scale=scale))
-    if chart.jet_mode != "analytic":
-        reach += chart.fd_margin(2)
-        reach += 2.0 * _outer_step(chart, cfg, scale)
+    reach += chart.fd_margin(2)
+    reach += 2.0 * _outer_step(chart, cfg, scale)
     return 1.15 * reach
 
 
 def grid_margin(chart: ImmersionChart, cfg: NumericsConfig = DEFAULT) -> float:
-    """Default inset of sample grids: the stencil reach, but at least 5% of
-    the narrowest side of the domain."""
+    """Default inset of sample grids: the stencil reach of FD charts, and
+    at least 5% of the narrowest side of the domain on every chart."""
     lo, hi = chart.domain.arrays()
     return max(required_margin(chart, cfg), 0.05 * float(np.min(hi - lo)))
 
@@ -215,6 +221,8 @@ class _CoordData:
     dH: np.ndarray
     # partials of A, B, Phi (derivative axis last) when the route supplies them
     partials: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    # the shape series of the Taylor route, which the cross-check reuses
+    shape: _ShapeSeries | None = None
 
 
 def _closed_formulas(h, H, g0, g0inv, rho, dlr, d2lr, dg0, dH):
@@ -248,25 +256,34 @@ def _coord_invariants(
     return _stencil_invariants(chart, U, cfg)
 
 
-def _series_invariants(
-    chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig, derivatives: bool
-) -> _CoordData:
-    """The closed formulas over Taylor series from one jet per point.
+@dataclass
+class _ShapeSeries:
+    """Shape data as Taylor series around the points, all of one order."""
 
-    Each derivative costs one order.  From a jet of order K the shape data
-    (h needs the second jet of x) carry order K - 2, log rho's Hessian and
-    with it A order K - 4, and every series is cut to the order its result
-    needs: K = 5 gives the partials of A, B, Phi and K = 4 the values.
+    sb: ShapeBatch          # the checked centre values
+    x: taylor.Series
+    g0: taylor.Series
+    n: taylor.Series
+    h: taylor.Series
+    g0inv: taylor.Series
+    H: taylor.Series
+    rho2: taylor.Series
+
+
+def _shape_series(chart: ImmersionChart, U: np.ndarray, jet, cfg: NumericsConfig) -> _ShapeSeries:
+    """Shape data of any ambient form from a jet of order K >= 2.
+
+    h needs the second jet of x, so every series carries order K - 2.  The
+    centre values go through shape_from_jet and keep all of its checks.
     """
-    m = chart.m
-    K = 5 if derivatives else 4
-    jet = chart.jet(U, K)
     sb = shape_from_jet(chart, U, jet, cfg)
     signs = sb.signs
-    x = jet.series.truncate(K - 2)
+    m = chart.m
+    k = jet.series.order - 2
+    x = jet.series.truncate(k)
     dx = jet.series.grad()
     d2x = dx.grad()
-    dx = dx.truncate(K - 2)
+    dx = dx.truncate(k)
     g0 = einsum("nci,c,ncj->nij", dx, signs, dx)
     rows = dx.transpose((0, 2, 1))
     if chart.ambient.kind != LORENTZ_FLAT:
@@ -277,20 +294,35 @@ def _series_invariants(
     H = einsum("nab,nab->n", g0inv, h) / m
     h2 = einsum("nab,nag,nbd,ngd->n", h, g0inv, g0inv, h)
     rho2 = m / (m - 1) * (h2 - m * H**2)
-    dlr = (0.5 * taylor.log(rho2)).grad()
-    dH = H.grad()
+    return _ShapeSeries(sb, x, g0, n, h, g0inv, H, rho2)
+
+
+def _series_invariants(
+    chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig, derivatives: bool
+) -> _CoordData:
+    """The closed formulas over Taylor series from one jet per point.
+
+    Each derivative costs one order.  From a jet of order K the shape data
+    carry order K - 2, log rho's Hessian and with it A order K - 4, and
+    every series is cut to the order its result needs: K = 5 gives the
+    partials of A, B, Phi and K = 4 the values.
+    """
+    K = 5 if derivatives else 4
+    s = _shape_series(chart, U, chart.jet(U, K), cfg)
+    dlr = (0.5 * taylor.log(s.rho2)).grad()
+    dH = s.H.grad()
     k = K - 4  # the order of A, B and Phi
     A, B, Phi = _closed_formulas(
-        h.truncate(k), H.truncate(k), g0.truncate(k), g0inv.truncate(k),
-        taylor.sqrt(rho2.truncate(k)), dlr.truncate(k), dlr.grad(), g0.grad().truncate(k),
+        s.h.truncate(k), s.H.truncate(k), s.g0.truncate(k), s.g0inv.truncate(k),
+        taylor.sqrt(s.rho2.truncate(k)), dlr.truncate(k), dlr.grad(), s.g0.grad().truncate(k),
         dH.truncate(k),
     )
-    g = rho2.truncate(2)[:, None, None] * g0.truncate(2)  # curvature needs two derivatives
+    g = s.rho2.truncate(2)[:, None, None] * s.g0.truncate(2)  # curvature needs two derivatives
     dg = g.grad()
     partials = (A.grad().value, B.grad().value, Phi.grad().value) if derivatives else None
     return _CoordData(
-        sb, A.value, B.value, Phi.value, g.value, np.linalg.inv(g.value), dg.value,
-        dg.grad().value, dlr.value, dH.value, partials,
+        s.sb, A.value, B.value, Phi.value, g.value, np.linalg.inv(g.value), dg.value,
+        dg.grad().value, dlr.value, dH.value, partials, s,
     )
 
 
@@ -403,12 +435,21 @@ class InvariantField:
         return np.sqrt(np.sum(dT**2, axis=axes))
 
 
+def _in_frame(T: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Frame components T(E_i, E_j, ...) of a coordinate tensor T (N, m, ..., m).
+
+    One pairwise contraction per axis: each contracts the leading tensor
+    axis with the frame and appends the frame index last, so after all of
+    them the axes are back in their order.
+    """
+    for _ in range(T.ndim - 1):
+        T = np.einsum("na...,nai->n...i", T, F)
+    return T
+
+
 def _frame_components(cd: _CoordData) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     Fg = triangular_frame(cd.g)
-    A = np.einsum("nai,nab,nbj->nij", Fg, cd.A, Fg)
-    B = np.einsum("nai,nab,nbj->nij", Fg, cd.B, Fg)
-    Phi = np.einsum("nai,na->ni", Fg, cd.Phi)
-    return Fg, A, B, Phi
+    return Fg, _in_frame(cd.A, Fg), _in_frame(cd.B, Fg), _in_frame(cd.Phi, Fg)
 
 
 def evaluate_field(
@@ -443,7 +484,7 @@ def evaluate_field(
     if curvature or derivatives:
         R_low, Gam = _riemann_coords(cd)
     if curvature:
-        Rf = np.einsum("nabcd,nai,nbj,nck,ndl->nijkl", R_low, Fg, Fg, Fg, Fg)
+        Rf = _in_frame(R_low, Fg)
         fieldv.riemann = Rf
         ric = np.einsum("nkijk->nij", Rf)
         fieldv.ricci = ric
@@ -452,12 +493,12 @@ def evaluate_field(
     if derivatives:
         partials = cd.partials if cd.partials is not None else _stencil_partials(chart, U, cfg)
         dA_c, dB_c, dPhi_c = _coord_derivatives(cd, Gam, *partials)
-        fieldv.dA = np.einsum("nabc,nai,nbj,nck->nijk", dA_c, Fg, Fg, Fg)
-        fieldv.dB = np.einsum("nabc,nai,nbj,nck->nijk", dB_c, Fg, Fg, Fg)
-        fieldv.dPhi = np.einsum("nac,nai,ncj->nij", dPhi_c, Fg, Fg)
+        fieldv.dA = _in_frame(dA_c, Fg)
+        fieldv.dB = _in_frame(dB_c, Fg)
+        fieldv.dPhi = _in_frame(dPhi_c, Fg)
     _attach_residuals(fieldv)
     if cross_check:
-        run_cross_check(fieldv)
+        run_cross_check(fieldv, cd.shape)
     return fieldv
 
 
@@ -572,6 +613,24 @@ def gauss_residual_with_b(f: InvariantField, B: np.ndarray) -> float:
 # moving-frame route
 # ---------------------------------------------------------------------------
 
+def _frame_series_jets(kind: str, s: _ShapeSeries):
+    """The frame route's inputs from shape series of order >= 2, as
+    (center, d1, d2) in the layout of _derived_jets: the lift Y = rho Z(x)
+    to order 2; the conformal metric g, its triangular frame F and, on de
+    Sitter charts, xi = -H (1, x) + (0, n) to order 1."""
+    x = s.x.truncate(2)
+    Z = taylor.stack(sigma_rep(kind, [x[:, i] for i in range(x.shape[1])], isometric=True))
+    Y = taylor.sqrt(s.rho2.truncate(2))[:, None] * Z
+    g = s.rho2.truncate(1)[:, None, None] * s.g0.truncate(1)
+    fields = {"Y": Y, "g": g, "F": taylor.triangular_frame(g, triangular_frame(g.value))}
+    if kind == DE_SITTER:
+        H = s.H.truncate(1)[:, None]
+        fields["xi"] = taylor.concatenate([-H, -H * x.truncate(1) + s.n.truncate(1)], axis=1)
+    center = {k: v.value for k, v in fields.items()}
+    d1 = {k: v.derivative_stack(1) for k, v in fields.items()}
+    return center, d1, {"Y": Y.derivative_stack(2)}
+
+
 @dataclass
 class FrameRoute:
     """Structure-equation computation through the light-cone lift."""
@@ -587,13 +646,19 @@ class FrameRoute:
 
 
 def frame_route(
-    chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig = DEFAULT
+    chart: ImmersionChart,
+    U: np.ndarray,
+    cfg: NumericsConfig = DEFAULT,
+    shape: _ShapeSeries | None = None,
 ) -> FrameRoute:
     """A and B from the frame equations of the light-cone lift.
 
     Works in the native picture of the chart (any of the three space forms,
     unit radius for the quadrics); the conformal-space machinery is shared,
-    only the homogeneous representative differs.
+    only the homogeneous representative differs.  Analytic charts take the
+    derivatives of the lift from the shape series of an order-4 jet, or of
+    `shape` when the caller already holds them; FD charts from one stencil
+    pass over the derived fields.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     m = chart.m
@@ -602,19 +667,24 @@ def frame_route(
         raise ValidationError("frame route expects unit-radius quadric ambients")
     signs2 = form_signs(2, m + 3)
 
-    def derived(V: np.ndarray) -> dict[str, np.ndarray]:
-        s = shape_batch(chart, V, cfg)
-        Z = sigma_rep_batch(kind, s.x, isometric=True)
-        Y = s.rho[:, None] * Z
-        g = s.rho[:, None, None] ** 2 * s.metric
-        F = triangular_frame(g)
-        out = {"Y": Y, "g": g, "F": F}
-        if kind == DE_SITTER:
-            # xi = -H (1, x) + (0, n); its first derivatives give Phi
-            out["xi"] = np.concatenate([-s.H[:, None], -s.H[:, None] * s.x + s.normal], axis=1)
-        return out
+    if chart.jet_mode == "analytic":
+        if shape is None:
+            shape = _shape_series(chart, U, chart.jet(U, 4), cfg)
+        center, d1, d2 = _frame_series_jets(kind, shape)
+    else:
+        def derived(V: np.ndarray) -> dict[str, np.ndarray]:
+            s = shape_batch(chart, V, cfg)
+            Z = sigma_rep_batch(kind, s.x, isometric=True)
+            Y = s.rho[:, None] * Z
+            g = s.rho[:, None, None] ** 2 * s.metric
+            F = triangular_frame(g)
+            out = {"Y": Y, "g": g, "F": F}
+            if kind == DE_SITTER:
+                # xi = -H (1, x) + (0, n); its first derivatives give Phi
+                out["xi"] = np.concatenate([-s.H[:, None], -s.H[:, None] * s.x + s.normal], axis=1)
+            return out
 
-    center, d1, d2 = _derived_jets(derived, U, cfg, second=("Y",))
+        center, d1, d2 = _derived_jets(derived, U, cfg, second=("Y",))
     Y = center["Y"]
     g = center["g"]
     F = center["F"]
@@ -670,13 +740,15 @@ def frame_route(
     return FrameRoute(Y, N_vec, xi, Y_i, A, B, Phi, rel)
 
 
-def run_cross_check(f: InvariantField) -> dict[str, float]:
+def run_cross_check(f: InvariantField, shape: _ShapeSeries | None = None) -> dict[str, float]:
     """Compare the closed-formula route against the frame route.
 
-    Raises ConsistencyError when the disagreement exceeds crosscheck_factor
-    times the tier tolerance (signals insufficient jet accuracy).
+    `shape` passes the Taylor route's shape series on to the frame route,
+    which otherwise takes its own jet.  Raises ConsistencyError when the
+    disagreement exceeds crosscheck_factor times the tier tolerance
+    (signals insufficient jet accuracy).
     """
-    fr = frame_route(f.chart, f.U, f.cfg)
+    fr = frame_route(f.chart, f.U, f.cfg, shape)
     scaleA = 1.0 + float(np.max(np.abs(f.A)))
     scaleB = 1.0 + float(np.max(np.abs(f.B)))
     diff = {

@@ -18,7 +18,9 @@ Derivatives* (2nd ed., ch. 13):
 * d/du_a shifts the coefficients down one degree, so it costs one order;
 * a univariate function is f(a0 + t) = sum_k f^(k)(a0)/k! t^k over the
   nilpotent part t, summed by Horner's rule;
-* a matrix inverse is the Neumann series around the centre value.
+* a matrix inverse is the Neumann series around the centre value, and the
+  normal and the triangular frame are fixed degree by degree from their
+  centre values.
 
 The value axes behave like a numpy array of shape (N, *shape): indexing,
 `transpose` and broadcasting act on them, and `einsum` takes numpy's
@@ -338,8 +340,15 @@ def concatenate(items: list[Series], axis: int) -> Series:
     return Series(c, items[0].m, order)
 
 
-def stack(items: list[Series]) -> Series:
-    """numpy.stack of series along a new last value axis."""
+def stack(items: list) -> Series:
+    """numpy.stack of series along a new last value axis; items that are not
+    series are constants broadcast to the value shape of the first series."""
+    ref = next(s for s in items if isinstance(s, Series))
+    items = [
+        s if isinstance(s, Series)
+        else Series.constant(np.broadcast_to(np.asarray(s, dtype=float), ref.shape), ref.m, ref.order)
+        for s in items
+    ]
     return concatenate([s[..., None] for s in items], -1)
 
 
@@ -478,3 +487,22 @@ def normal(rows: Series, signs: np.ndarray, n0: np.ndarray) -> Series:
         )
         n = n - einsum("nij,nj->ni", M0inv, resid)
     return n
+
+
+def triangular_frame(g: Series, F0: np.ndarray) -> Series:
+    """Upper-triangular frame F with F^T g F = I around the centre frame F0.
+
+    g: (N, k, k) positive definite; F0 = pseudo_linalg.triangular_frame of
+    its centre value.  Each step F <- F - F Phi(F^T g F - I), with
+    Phi(S) = triu(S, 1) + diag(S)/2 the upper-triangular half of a symmetric
+    S, fixes at least one more degree and keeps F upper triangular.  The
+    centre of F^T g F - I is zero up to roundoff and is dropped, so the
+    centre of F stays F0.
+    """
+    k = g.shape[-1]
+    half = np.triu(np.ones((k, k)), 1) + 0.5 * np.eye(k)
+    F = Series.constant(F0, g.m, g.order)
+    for _ in range(g.order):
+        S = einsum("nai,nab,nbj->nij", F, g, F).nilpotent()
+        F = F - einsum("nai,nij->naj", F, S * half)
+    return F

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from confgeo.catalog import build_instance
 from confgeo.chart import grid_points, shape_batch, shape_data
 from confgeo.config import DEFAULT
 from confgeo.conformal_atlas import lift_chart
@@ -121,8 +122,25 @@ class TestInvariantTensors:
 
     def test_cross_check_routes_agree(self, sxh_field):
         diff = run_cross_check(sxh_field)
-        assert diff["cross_a"] <= 1e-6
-        assert diff["cross_b"] <= 1e-6
+        assert diff["cross_a"] <= 1e-12
+        assert diff["cross_b"] <= 1e-12
+
+    @pytest.mark.parametrize("derivatives", [True, False])
+    def test_cross_check_reuses_the_jet(self, derivatives):
+        # one jet call of the batch's points feeds both routes
+        chart = build_instance("sxh")
+        calls = []
+        jet = chart.jet
+
+        def recording(U, order):
+            calls.append((np.atleast_2d(U).shape[0], order))
+            return jet(U, order)
+
+        chart.jet = recording
+        U = grid_points(chart.domain, [3], margin=0.06)[:5]
+        f = evaluate_field(chart, U, derivatives=derivatives, curvature=True, cross_check=True)
+        assert calls == [(5, 5 if derivatives else 4)]
+        assert f.residuals["cross_a"] <= 1e-12
 
     def test_cross_check_flags_route_disagreement(self, sxh_chart):
         U = grid_points(sxh_chart.domain, [3], margin=0.06)[:2]
@@ -239,7 +257,7 @@ class TestFrameRoute:
     def test_frame_relations_analytic(self, sxh_chart):
         U = grid_points(sxh_chart.domain, [3], margin=0.06)[:4]
         fr = frame_route(sxh_chart, U)
-        assert max(fr.relations.values()) <= 1e-8
+        assert max(fr.relations.values()) <= 1e-12
 
     def test_frame_relations_fd_tier(self, sxh_chart):
         from confgeo.invariants import required_margin
@@ -253,7 +271,7 @@ class TestFrameRoute:
         cf = conformal_frame(sxh_chart, np.array([0.5, 1.2, 0.6]))
         sig = cf.Y.sig
         assert sig == Signature(2, 6)
-        assert max(cf.relations.values()) <= 1e-8
+        assert max(cf.relations.values()) <= 1e-12
 
     def test_native_picture_matches_lifted_computation(self, hxr_chart):
         # invariants computed in the flat picture agree with the lifted ones
@@ -262,9 +280,21 @@ class TestFrameRoute:
         lifted = lift_chart(hxr_chart, "psi1")
         f = evaluate_field(lifted, U, derivatives=False, curvature=False)
         wA_native = np.sort(np.linalg.eigvalsh(fr.A), axis=1)
-        assert np.allclose(wA_native, f.A_eigs(), atol=1e-5)
+        assert np.allclose(wA_native, f.A_eigs(), rtol=0, atol=1e-11)
         wB_native = np.sort(np.abs(np.linalg.eigvalsh(fr.B)), axis=1)
-        assert np.allclose(wB_native, np.sort(np.abs(f.B_eigs()), axis=1), atol=1e-5)
+        assert np.allclose(wB_native, np.sort(np.abs(f.B_eigs()), axis=1), rtol=0, atol=1e-11)
+
+    def test_series_route_matches_stencil_route(self, sxh_chart):
+        # the frame route of analytic charts runs on Taylor series, that of
+        # FD charts on stencils of FD jets: the two engines agree at the FD tier
+        from confgeo.invariants import required_margin
+
+        fd_chart = sxh_chart.with_jet_mode("fd")
+        U = grid_points(fd_chart.domain, [3], margin=required_margin(fd_chart))
+        series, stencils = frame_route(sxh_chart, U), frame_route(fd_chart, U)
+        tol = DEFAULT.tier(False)
+        for key in ("A", "B", "Phi", "N_vec", "xi"):
+            assert np.max(np.abs(getattr(series, key) - getattr(stencils, key))) <= tol, key
 
 
 class TestReports:

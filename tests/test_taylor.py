@@ -16,7 +16,7 @@ from confgeo.catalog import build_instance
 from confgeo.chart import AmbientForm, Box, ImmersionChart, grid_points
 from confgeo.conformal_atlas import lift_chart
 from confgeo.errors import ValidationError
-from confgeo.pseudo_linalg import batched_normal, form_signs
+from confgeo.pseudo_linalg import batched_normal, form_signs, triangular_frame
 
 
 def _reference_jet(chart, U, order):
@@ -152,3 +152,22 @@ def test_derivative_stack_is_symmetric():
         assert np.array_equal(d3, np.transpose(d3, (0,) + tuple(p + 1 for p in perm)))
     # d_u d_v d_w of exp(uv) w = (1 + uv) exp(uv)
     assert d3[0, 0, 1, 2] == pytest.approx((1 + 0.06) * math.exp(0.06), rel=1e-14)
+
+
+def test_triangular_frame_series():
+    U = np.array([[0.3, 0.2, 0.1], [-0.5, 0.4, 0.9]])
+    u, v, w = taylor.Series.variables(U, 3)
+    J = taylor.stack([
+        taylor.stack([1.5 + u * v, taylor.sin(w), 0.2]),
+        taylor.stack([u, 2.0 + taylor.cos(u * w), v]),
+        taylor.stack([0.3 * w, v**2, 1.0 + taylor.exp(u)]),
+    ])
+    g = taylor.einsum("nca,ncb->nab", J, J)
+    F0 = triangular_frame(g.value)
+    F = taylor.triangular_frame(g, F0)
+    assert F.order == 3
+    assert np.array_equal(F.value, F0)
+    below = np.tril_indices(3, -1)
+    assert np.all(F.c[:, :, below[0], below[1]] == 0.0)  # upper triangular at every degree
+    S = taylor.einsum("nai,nab,nbj->nij", F, g, F) - np.eye(3)
+    assert np.max(np.abs(S.c)) <= 1e-13
