@@ -440,27 +440,27 @@ def make_product(family: str, m: int, k: int, a: float | None = None) -> Immersi
     raise ValidationError(f"unknown product family {family!r}; use hxr, sxh or hxh")
 
 
-def _tmpl_hxr(m, k=1, lift=None):
+def _tmpl_hxr(m, k=1):
     return make_hxr(m, k)
 
 
-def _tmpl_sxh(m, k=1, a=math.sqrt(2.0), lift=None):
+def _tmpl_sxh(m, k=1, a=math.sqrt(2.0)):
     return make_sxh(m, k, a)
 
 
-def _tmpl_hxh(m, k=1, a=0.6, lift=None):
+def _tmpl_hxh(m, k=1, a=0.6):
     return make_hxh(m, k, a)
 
 
-def _tmpl_wp(m, p=1, q=1, a=2.0, lift=None):
+def _tmpl_wp(m, p=1, q=1, a=2.0):
     return make_wp(m, p, q, a)
 
 
-def _tmpl_ex32(m, K=2, split=1, r=None, lift=None):
+def _tmpl_ex32(m, K=2, split=1, r=None):
     return make_example("ex32", m, K, split, r)
 
 
-def _tmpl_ex33(m, K=2, split=1, r=None, lift=None):
+def _tmpl_ex33(m, K=2, split=1, r=None):
     return make_example("ex33", m, K, split, r)
 
 

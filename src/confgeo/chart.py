@@ -1,8 +1,10 @@
 """Parametrized hypersurface patches and their first/second fundamental data.
 
 A chart is a map x: D subset R^m -> ambient space form, either symbolic
-(sympy expressions, exact jets) or a bare evaluator (jets by central
-differences).  Shape data follows the conventions:
+(sympy expressions, exact Taylor-series jets) or a bare evaluator (jets by
+central differences); conformal_atlas.LiftedChart composes a chart with a
+coordinate map of the conformal space.  Every jet is a truncated Taylor
+series.  Shape data follows the conventions:
 
     h(X, Y) = <D_X n, Y>  = -<n, D_X D_Y x>      (time-like unit normal n)
     H       = (1/m) tr_{g0} h
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -121,41 +124,27 @@ class Box:
 
 
 class Jet:
-    """Derivative stacks of a chart: orders[r] has shape (N, comps) + (m,)*r.
+    """Taylor series of a chart around a batch of points; jet[r] is the stack
+    of order-r partials, shape (N, comps) + (m,)*r, formed on first access."""
 
-    A jet built from a Taylor series keeps it as `series` and forms each
-    stack on first access.
-    """
-
-    def __init__(self, orders: dict[int, np.ndarray] | None = None, series: taylor.Series | None = None):
-        self.orders = dict(orders or {})
+    def __init__(self, series: taylor.Series):
         self.series = series
+        self._stacks: dict[int, np.ndarray] = {}
 
     def __getitem__(self, r: int) -> np.ndarray:
-        if r not in self.orders and self.series is not None and 0 <= r <= self.series.order:
-            self.orders[r] = self.series.derivative_stack(r)
-        return self.orders[r]
-
-    @property
-    def max_order(self) -> int:
-        return self.series.order if self.series is not None else max(self.orders)
-
-
-def _multi_indices(m: int, order: int) -> list[tuple[int, ...]]:
-    out = []
-    for alpha in itertools.product(range(order + 1), repeat=m):
-        if sum(alpha) <= order:
-            out.append(alpha)
-    return out
+        if r not in self._stacks:
+            self._stacks[r] = self.series.derivative_stack(r)
+        return self._stacks[r]
 
 
 class ImmersionChart:
     """A hypersurface patch with derivative-jet access.
 
-    Symbolic charts carry sympy expressions and give exact jets; evaluator
-    charts fall back to finite differences of the declared order.  Instances
-    are immutable by convention; internal lambdify caches are the only
-    mutable state and are safe to rebuild.
+    Symbolic charts carry sympy expressions and give exact Taylor-series
+    jets; evaluator charts, and symbolic charts switched to FD jets, take
+    finite differences of the declared order and write them as the same
+    series.  Instances are immutable by convention; internal lambdify caches
+    are the only mutable state and are safe to rebuild.
     """
 
     def __init__(
@@ -282,38 +271,31 @@ class ImmersionChart:
     # -- jets ---------------------------------------------------------------
 
     def jet(self, U: np.ndarray, order: int) -> Jet:
-        """Partial derivatives of x up to `order` (<= 5).
+        """Taylor series of x up to `order` (<= 5) around each point of U.
 
-        Symbolic charts in analytic mode return exact Taylor-series jets;
-        the rest take central differences of the evaluator.
+        Symbolic charts in analytic mode lambdify their expressions over
+        series; FD charts write the central-difference partial D^alpha x,
+        divided by alpha!, as the coefficient of each monomial alpha.
         """
         if not (0 <= order <= 5):
             raise ValidationError(f"jet order must be within 0..5, got {order}")
         U = np.atleast_2d(np.asarray(U, dtype=float))
         if self.jet_mode == "analytic":
             self._check_guards(U)
-            return Jet(series=self._taylor_series(U, order))
-        N = U.shape[0]
-        m, c = self.m, self.n_comps
+            return Jet(self._taylor_series(U, order))
         margin = self.fd_margin(order)
         if not self.domain.contains(U, margin=margin):
             raise DomainError(
                 f"chart {self.name!r}: FD jet of order {order} needs margin "
                 f"{margin:.3e} inside the domain"
             )
-        orders: dict[int, np.ndarray] = {}
-        for r in range(order + 1):
-            orders[r] = np.zeros((N, c) + (m,) * r)
-        for alpha in _multi_indices(m, order):
-            r = sum(alpha)
-            if r > 0:
-                vals = fd_partial(self.eval, U, alpha, self.fd, scale=self.domain.scale())
-            else:
-                vals = self.eval(U)
-            idx = tuple(ax for ax, k in enumerate(alpha) for _ in range(k))
-            for perm in set(itertools.permutations(idx)):
-                orders[r][(slice(None), slice(None)) + perm] = vals
-        return Jet(orders)
+        scale = self.domain.scale()
+        coeffs = [
+            fd_partial(self.eval, U, tuple(alpha), self.fd, scale=scale)
+            / math.prod(math.factorial(k) for k in alpha)
+            for alpha in taylor.monomials(self.m, order).tolist()
+        ]
+        return Jet(taylor.Series(np.stack(coeffs), self.m, order))
 
     # -- transforms ---------------------------------------------------------
 
@@ -340,35 +322,22 @@ class ImmersionChart:
         corners = np.array(list(itertools.product(*zip(lo, hi))))
         pre = (corners - b) @ Ainv.T
         dom = Box(tuple(pre.min(axis=0)), tuple(pre.max(axis=0)))
-        return ImmersionChart(
-            name or f"{self.name}~affine",
-            self.m,
-            self.ambient,
-            dom,
-            exprs=sp.Matrix(exprs),
-            syms=v,
-            jet_mode=self.jet_mode,
-            fd=self.fd,
-            params=dict(self.params),
-            template=self.template,
-            guards=guards,
+        return self._replace(
+            name=name or f"{self.name}~affine", domain=dom, exprs=sp.Matrix(exprs), syms=v,
+            eval_fn=None, guards=guards,
         )
 
     def with_jet_mode(self, jet_mode: str, fd: FDConfig | None = None) -> "ImmersionChart":
-        return ImmersionChart(
-            self.name,
-            self.m,
-            self.ambient,
-            self.domain,
-            exprs=self.exprs,
-            syms=self.syms,
-            eval_fn=self._eval_fn,
-            jet_mode=jet_mode,
-            fd=fd or self.fd,
-            params=dict(self.params),
-            template=self.template,
-            guards=list(self.guards),
+        return self._replace(jet_mode=jet_mode, fd=fd or self.fd)
+
+    def _replace(self, **changes) -> "ImmersionChart":
+        """The chart rebuilt with some constructor arguments changed."""
+        args = dict(
+            name=self.name, m=self.m, ambient=self.ambient, domain=self.domain, exprs=self.exprs,
+            syms=self.syms, eval_fn=self._eval_fn, jet_mode=self.jet_mode, fd=self.fd,
+            params=self.params, template=self.template, guards=self.guards,
         )
+        return ImmersionChart(**{**args, **changes})
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +600,7 @@ def chart_to_dict(chart: ImmersionChart) -> dict:
 
 
 def chart_from_dict(data: dict) -> ImmersionChart:
+    """Chart from its file form; `params.lift` lifts the template's chart."""
     try:
         name = data["name"]
         m = int(data["m"])
@@ -645,23 +615,15 @@ def chart_from_dict(data: dict) -> ImmersionChart:
         raise ValidationError(
             f"unknown chart template {name!r}; available: {sorted(TEMPLATES)}"
         )
+    lift = params.pop("lift", None)
     chart = builder(m=m, **params)
     box = Box(tuple(float(v) for v in dom["lo"]), tuple(float(v) for v in dom["hi"]))
     fd = FDConfig(order=fd_data.get("order", 4), step=fd_data.get("step"))
-    out = ImmersionChart(
-        chart.name,
-        chart.m,
-        chart.ambient,
-        box,
-        exprs=chart.exprs,
-        syms=chart.syms,
-        eval_fn=chart._eval_fn,
-        jet_mode=jet_mode,
-        fd=fd,
-        params=chart.params,
-        template=chart.template,
-        guards=chart.guards,
-    )
+    out = chart._replace(domain=box, jet_mode=jet_mode, fd=fd)
+    if lift is not None:
+        from .conformal_atlas import lift_chart
+
+        out = lift_chart(out, lift)
     declared = data.get("ambient")
     if declared:
         if declared.get("kind") != out.ambient.kind:

@@ -24,18 +24,20 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import sympy as sp
 
+from . import taylor
 from .chart import (
     ANTI_DE_SITTER,
     DE_SITTER,
     LORENTZ_FLAT,
     AmbientForm,
     ImmersionChart,
+    Jet,
 )
-from .config import DEFAULT, NumericsConfig
+from .config import DEFAULT, FDConfig, NumericsConfig
 from .errors import ChartDomainError, DimensionMismatchError, InputError, ValidationError
 from .pseudo_linalg import PseudoVector, Signature, form_signs, pseudo_dot
+from .taylor import einsum
 
 CONFORMAL_TIME_SLOTS = 2
 
@@ -93,7 +95,8 @@ def in_pi(p: ProjectivePoint, tol: float = 1e-12) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# homogeneous representatives (work on numbers, arrays and sympy expressions)
+# homogeneous representatives (work on numbers, arrays, Taylor series and
+# sympy expressions)
 # ---------------------------------------------------------------------------
 
 def _lorentz_square(x: Sequence) -> object:
@@ -201,16 +204,18 @@ def psi(alpha: int, p: ProjectivePoint, tol: float = 1e-12) -> PseudoVector:
     return PseudoVector(out, Signature(1, out.shape[0]))
 
 
-def psi_batch(alpha: int, reps: np.ndarray, name: str = "") -> np.ndarray:
-    """Vectorized psi on representatives (N, m+3); raises on vanishing divisor."""
-    div = reps[:, alpha - 1]
-    norms = np.linalg.norm(reps, axis=1)
-    if np.any(np.abs(div) <= 1e-12 * norms):
+def psi_batch(alpha: int, reps, name: str = ""):
+    """Vectorized psi on representatives (N, m+3), arrays or Taylor series;
+    raises when the divisor (its centre value, for series) vanishes."""
+    series = isinstance(reps, taylor.Series)
+    centre = reps.value if series else reps
+    if np.any(np.abs(centre[:, alpha - 1]) <= 1e-12 * np.linalg.norm(centre, axis=1)):
         raise ChartDomainError(
             f"psi{alpha}{' of ' + name if name else ''}: dividing slot vanishes at a point"
         )
     keep = reps[:, 1] if alpha == 1 else reps[:, 0]
-    return np.concatenate([keep[:, None], reps[:, 2:]], axis=1) / div[:, None]
+    join = taylor.concatenate if series else np.concatenate
+    return join([keep[:, None], reps[:, 2:]], axis=1) / reps[:, alpha - 1][:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +333,67 @@ _LIFT_ALIASES = {
 }
 
 
-def lift_chart(chart: ImmersionChart, which: str) -> ImmersionChart:
+class LiftedChart(ImmersionChart):
+    """A chart composed with x -> psi_alpha(M sigma_rep(kind, x)) into the
+    unit de Sitter picture, kind being the base chart's ambient.
+
+    Values and jets are the base chart's pushed through that map: a jet is
+    the base jet's Taylor series composed exactly, so its accuracy is the
+    base chart's, analytic or FD in the base's own picture.  The divisor is
+    checked by psi_batch's rule, on the centre values of a series.
+    """
+
+    def __init__(self, base: ImmersionChart, M: np.ndarray, alpha: int):
+        lift = f"psi{alpha}"
+        super().__init__(
+            f"{base.name}@{lift}",
+            base.m,
+            AmbientForm(DE_SITTER, base.m + 1, 1.0),
+            base.domain,
+            eval_fn=self.eval,
+            jet_mode="fd",
+            fd=base.fd,
+            params={**base.params, "lift": lift},
+            template=base.template,
+        )
+        # the evaluator above only satisfies the constructor: values and jets
+        # come from the base chart, in its jet mode
+        self.jet_mode = base.jet_mode
+        self.base = base
+        self.M = np.asarray(M, dtype=float)
+        self.alpha = alpha
+
+    def _lift(self, x):
+        """The map of points x (N, d), given as an array or a Taylor series."""
+        kind = self.base.ambient.kind
+        comps = sigma_rep(kind, [x[:, i] for i in range(x.shape[1])])
+        reps = taylor.stack(comps) if isinstance(x, taylor.Series) else sigma_rep_batch(kind, x)
+        return psi_batch(self.alpha, einsum("nj,ij->ni", reps, self.M), self.name)
+
+    def eval(self, U: np.ndarray) -> np.ndarray:
+        return self._lift(self.base.eval(U))
+
+    def jet(self, U: np.ndarray, order: int) -> Jet:
+        return Jet(self._lift(self.base.jet(U, order).series))
+
+    def fd_margin(self, order: int) -> float:
+        return self.base.fd_margin(order)
+
+    def with_jet_mode(self, jet_mode: str, fd: FDConfig | None = None) -> "LiftedChart":
+        return LiftedChart(self.base.with_jet_mode(jet_mode, fd), self.M, self.alpha)
+
+    def reparametrized(self, A: np.ndarray, b: np.ndarray, name: str | None = None) -> "LiftedChart":
+        return LiftedChart(self.base.reparametrized(A, b, name), self.M, self.alpha)
+
+
+def lift_chart(chart: ImmersionChart, which: str) -> LiftedChart:
     """Compose a chart with psi_alpha o sigma into the unit de Sitter picture.
 
     `which` is psi1/psi2 (sigma chosen by the chart's ambient) or one of the
-    explicit composite names, which must match the ambient.  Symbolic charts
-    stay symbolic (jets by the chain rule through the composed expressions);
-    evaluator charts compose numerically.
+    explicit composite names, which must match the ambient.  The lifted
+    chart keeps the base chart and the slot permutation of its composite;
+    its jets are the base chart's Taylor series pushed through the
+    composite (see LiftedChart).
     """
     if which not in _LIFT_ALIASES:
         raise ValidationError(f"unknown lift {which!r}")
@@ -353,53 +412,7 @@ def lift_chart(chart: ImmersionChart, which: str) -> ImmersionChart:
         P = _perm_flat(m)
     else:
         P = _perm_ads(m)
-    target = AmbientForm(DE_SITTER, m + 1, 1.0)
-    lift_name = f"psi{alpha}"
-    params = dict(chart.params)
-    params["lift"] = lift_name
-
-    if chart.exprs is not None:
-        comps = list(chart.exprs)
-        rep = sigma_rep(kind, comps)
-        rep = [sum(sp.nsimplify(P[i, j]) * rep[j] for j in range(len(rep)) if P[i, j] != 0)
-               for i in range(len(rep))]
-        div = rep[alpha - 1]
-        keep = rep[1] if alpha == 1 else rep[0]
-        out = sp.Matrix([keep, *rep[2:]]) / div
-        guards = list(chart.guards)
-        guards.append((f"{lift_name} denominator", sp.simplify(div)))
-        return ImmersionChart(
-            f"{chart.name}@{lift_name}",
-            m,
-            target,
-            chart.domain,
-            exprs=sp.Matrix(out),
-            syms=chart.syms,
-            jet_mode=chart.jet_mode,
-            fd=chart.fd,
-            params=params,
-            template=chart.template,
-            guards=guards,
-        )
-
-    base_eval = chart.eval
-
-    def lifted_eval(U: np.ndarray) -> np.ndarray:
-        X = base_eval(U)
-        reps = sigma_rep_batch(kind, X) @ P.T
-        return psi_batch(alpha, reps, name=lift_name)
-
-    return ImmersionChart(
-        f"{chart.name}@{lift_name}",
-        m,
-        target,
-        chart.domain,
-        eval_fn=lifted_eval,
-        jet_mode="fd",
-        fd=chart.fd,
-        params=params,
-        template=chart.template,
-    )
+    return LiftedChart(chart, P, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -705,9 +705,11 @@ def frame_route(
 
     Phi = None
     if kind == DE_SITTER:
+        # dN = sum_i psi_i Y_i + Phi xi with <xi, xi> = -1, and <N, xi> = 0:
+        # Phi_i = -<E_i N, xi> = <N, E_i xi>
         xi = center["xi"]
         Exi = np.einsum("nai,nca->nci", F, d1["xi"])
-        Phi = -np.einsum("nc,c,nci->ni", N_vec, signs2, Exi)
+        Phi = np.einsum("nc,c,nci->ni", N_vec, signs2, Exi)
     else:
         rows = np.concatenate(
             [Y[:, None, :], N_vec[:, None, :], np.swapaxes(Y_i, 1, 2)], axis=1
@@ -744,22 +746,20 @@ def run_cross_check(f: InvariantField, shape: _ShapeSeries | None = None) -> dic
     """Compare the closed-formula route against the frame route.
 
     `shape` passes the Taylor route's shape series on to the frame route,
-    which otherwise takes its own jet.  Raises ConsistencyError when the
-    disagreement exceeds crosscheck_factor times the tier tolerance
-    (signals insufficient jet accuracy).
+    which otherwise takes its own jet.  Each of A, B and (on de Sitter
+    charts) Phi is compared relative to 1 + its largest closed-route entry;
+    raises ConsistencyError when one of them exceeds crosscheck_factor times
+    the tier tolerance (signals insufficient jet accuracy).
     """
     fr = frame_route(f.chart, f.U, f.cfg, shape)
-    scaleA = 1.0 + float(np.max(np.abs(f.A)))
-    scaleB = 1.0 + float(np.max(np.abs(f.B)))
     diff = {
-        "cross_a": float(np.max(np.abs(fr.A - f.A))) / scaleA,
-        "cross_b": float(np.max(np.abs(fr.B - f.B))) / scaleB,
-        "cross_frame_relations": max(fr.relations.values()),
+        f"cross_{key}": float(np.max(np.abs(frame - closed))) / (1.0 + float(np.max(np.abs(closed))))
+        for key, frame, closed in (("a", fr.A, f.A), ("b", fr.B, f.B), ("phi", fr.Phi, f.Phi))
+        if frame is not None
     }
-    if fr.Phi is not None:
-        diff["cross_phi"] = float(np.max(np.abs(fr.Phi - f.Phi)))
+    worst = max(diff.values())
+    diff["cross_frame_relations"] = max(fr.relations.values())
     tier = f.cfg.tier(f.chart.jet_mode == "analytic")
-    worst = max(diff["cross_a"], diff["cross_b"])
     if worst > f.cfg.crosscheck_factor * tier:
         raise ConsistencyError(
             f"invariant routes disagree by {worst:.3e} "

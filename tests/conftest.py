@@ -3,9 +3,10 @@ build (symbolic jets, stencil passes), so they are session-scoped."""
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from confgeo.catalog import build_instance
-from confgeo.chart import grid_points
+from confgeo.chart import LORENTZ_FLAT, AmbientForm, Box, ImmersionChart, grid_points
 from confgeo.conformal_atlas import lift_chart
 from confgeo.invariants import evaluate_field
 
@@ -38,6 +39,27 @@ def ex33_chart():
 @pytest.fixture(scope="session")
 def wp_lifted(wp_chart):
     return lift_chart(wp_chart, "psi1")
+
+
+@pytest.fixture(scope="session")
+def graph_chart():
+    """A generic space-like graph in R^4_1, off the catalog: its invariants
+    have Phi != 0, [A, B] != 0 and no parallel tensor."""
+    u = sp.symbols("u0:3")
+    t = u[0] ** 2 / 5 + u[1] ** 3 / 7 - u[0] * u[2] / 9 + u[2] ** 2 * u[1] / 11
+    return ImmersionChart(
+        "graph",
+        3,
+        AmbientForm(LORENTZ_FLAT, 4),
+        Box((-0.5,) * 3, (0.5,) * 3),
+        exprs=sp.Matrix([t, *u]),
+        syms=u,
+    )
+
+
+@pytest.fixture(scope="session")
+def graph_lifted(graph_chart):
+    return lift_chart(graph_chart, "psi1")
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from confgeo.catalog import sphere_components
+from confgeo.catalog import build_instance, sphere_components
 from confgeo.chart import (
     AmbientForm,
     Box,
@@ -20,6 +20,7 @@ from confgeo.chart import (
     validate_regularity,
 )
 from confgeo.config import FDConfig
+from confgeo.conformal_atlas import lift_chart
 from confgeo.errors import DomainError, RegularityError, ValidationError
 
 
@@ -148,12 +149,18 @@ class TestShapeData:
         assert np.max(ex33_chart.ambient.quadric_residual(x)) <= 1e-9
 
     def test_reparametrization_invariance(self, sxh_chart, rng):
+        self._check_reparametrization(sxh_chart, np.array([0.55, 1.25, 0.65]), rng)
+
+    def test_reparametrization_of_lifted_chart(self, hxr_chart, rng):
+        self._check_reparametrization(lift_chart(hxr_chart, "psi1"), np.array([0.55, 1.05, 0.95]), rng)
+
+    @staticmethod
+    def _check_reparametrization(chart, u, rng):
         A = np.eye(3) + 0.15 * rng.normal(size=(3, 3))
         b = 0.05 * rng.normal(size=3)
-        re = sxh_chart.reparametrized(A, b)
-        u = np.array([0.55, 1.25, 0.65])
+        re = chart.reparametrized(A, b)
         v = np.linalg.solve(A, u - b)
-        s1 = shape_data(sxh_chart, u)
+        s1 = shape_data(chart, u)
         s2 = shape_data(re, v)
         assert s1.rho == pytest.approx(s2.rho, rel=1e-6)
         assert abs(s1.H) == pytest.approx(abs(s2.H), rel=1e-6)
@@ -228,6 +235,21 @@ class TestChartFiles:
         d["fd"]["order"] = order
         with pytest.raises(ValidationError, match="FD accuracy order"):
             chart_from_dict(d)
+
+    @pytest.mark.parametrize("name", ["wp", "hxr", "hxh"])
+    @pytest.mark.parametrize("jet_mode", ["analytic", "fd"])
+    def test_round_trip_lifted(self, tmp_path, name, jet_mode):
+        lifted = lift_chart(build_instance(name), "psi1").with_jet_mode(jet_mode)
+        path = tmp_path / "chart.json"
+        save_chart(lifted, path)
+        loaded = load_chart(path)
+        assert chart_to_dict(loaded) == chart_to_dict(lifted)
+        assert loaded.name == lifted.name and loaded.jet_mode == jet_mode
+        U = grid_points(lifted.domain, [3], margin=0.1)[::4]
+        assert np.array_equal(loaded.eval(U), lifted.eval(U))
+        j0, j1 = lifted.jet(U, 2), loaded.jet(U, 2)
+        for r in range(3):
+            assert np.array_equal(j0[r], j1[r])
 
     def test_unknown_template_rejected(self):
         with pytest.raises(ValidationError):

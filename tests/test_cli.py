@@ -1,9 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+from confgeo.catalog import build_instance
 from confgeo.chart import save_chart
 from confgeo.cli import main
+from confgeo.conformal_atlas import lift_chart
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +101,16 @@ class TestAnalyzeCommand:
         data = json.loads(out)
         assert data["pass"] is True
 
+    @pytest.mark.parametrize("jet_mode", ["analytic", "fd"])
+    def test_lifted_chart_file_source(self, capsys, tmp_path, jet_mode):
+        path = tmp_path / "chart.json"
+        save_chart(lift_chart(build_instance("hxr"), "psi1").with_jet_mode(jet_mode), path)
+        code, out, _ = run_cli(capsys, "analyze", "--chart-file", str(path), "--grid", "3")
+        assert code == 0
+        data = json.loads(out)
+        assert data["chart"] == "hxr(m=3,k=1)@psi1"
+        assert data["jet_mode"] == jet_mode
+
     def test_chart_file_with_invalid_fd_order(self, capsys, tmp_path, sxh_chart):
         path = tmp_path / "chart.json"
         save_chart(sxh_chart.with_jet_mode("fd"), path)
@@ -122,8 +140,13 @@ class TestVerifyCatalog:
 
 
 def test_console_script_help():
+    # the subprocess finds the package in src, installed or not
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "confgeo.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "confgeo.cli", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "verify-catalog" in proc.stdout

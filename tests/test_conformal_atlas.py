@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from confgeo.catalog import build_instance
 from confgeo.chart import grid_points, shape_batch
 from confgeo.conformal_atlas import (
     MAP_TAGS,
@@ -247,6 +248,21 @@ class TestLiftChart:
     def test_wrong_composite_for_ambient(self, hxr_chart):
         with pytest.raises(ValidationError):
             lift_chart(hxr_chart, "tau^1")
+
+    @pytest.mark.parametrize("name", ["hxr", "wp", "hxh"])
+    def test_fd_lift_differences_the_base(self, name, rng):
+        # FD jets of the base chart in its own picture, composed exactly:
+        # within 1e-8 of the analytic lifted jets up to order 4
+        lifted = lift_chart(build_instance(name), "psi1")
+        fd = lifted.with_jet_mode("fd")
+        assert fd.jet_mode == "fd" and fd.base.jet_mode == "fd" and fd.exprs is None
+        lo, hi = lifted.domain.arrays()
+        margin = fd.fd_margin(4) + 0.01
+        U = rng.uniform(lo + margin, hi - margin, size=(10, lifted.m))
+        an, fj = lifted.jet(U, 4), fd.jet(U, 4)
+        for r in range(5):
+            scale = 1.0 + np.max(np.abs(an[r]))
+            assert np.max(np.abs(an[r] - fj[r])) <= 1e-8 * scale, r
 
     def test_domain_violation_reported(self, hxr_chart):
         lifted = lift_chart(hxr_chart, "psi1")

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from confgeo.catalog import build_instance
 from confgeo.chart import grid_points, shape_batch, shape_data
 from confgeo.config import DEFAULT
-from confgeo.conformal_atlas import lift_chart
+from confgeo.conformal_atlas import LiftedChart, lift_chart
 from confgeo.errors import ConsistencyError, ValidationError
 from confgeo.invariants import (
     blaschke_and_b,
@@ -146,6 +149,13 @@ class TestInvariantTensors:
         U = grid_points(sxh_chart.domain, [3], margin=0.06)[:2]
         f = evaluate_field(sxh_chart, U, derivatives=False, curvature=False)
         f.A = f.A + 0.05  # simulate a broken formula route
+        with pytest.raises(ConsistencyError, match="routes disagree"):
+            run_cross_check(f)
+
+    def test_cross_check_flags_phi_disagreement(self, graph_lifted):
+        U = grid_points(graph_lifted.domain, [3], margin=0.05)[:2]
+        f = evaluate_field(graph_lifted, U, derivatives=False, curvature=False)
+        f.Phi = -f.Phi  # Phi in the opposite sign convention
         with pytest.raises(ConsistencyError, match="routes disagree"):
             run_cross_check(f)
 
@@ -295,6 +305,82 @@ class TestFrameRoute:
         tol = DEFAULT.tier(False)
         for key in ("A", "B", "Phi", "N_vec", "xi"):
             assert np.max(np.abs(getattr(series, key) - getattr(stencils, key))) <= tol, key
+
+
+class TestOffCatalog:
+    """The graph chart has Phi != 0 and non-commuting A, B, so the identities
+    and the cross-check are tested with non-zero right-hand sides."""
+
+    def test_identities_with_nonzero_phi(self, graph_lifted):
+        U = grid_points(graph_lifted.domain, [3], margin=0.05)
+        f = evaluate_field(graph_lifted, U, derivatives=True, curvature=True, cross_check=True)
+        assert np.max(f.phi_norm()) > 1.0
+        assert np.max(np.abs(np.einsum("nik,nkj->nij", f.A, f.B) - np.einsum("nik,nkj->nij", f.B, f.A))) > 1.0
+        assert "cross_phi" in f.residuals
+        for key, value in f.residuals.items():
+            assert value <= 1e-12, key
+
+
+def _rotation(d: int, i: int, j: int, angle: float) -> np.ndarray:
+    T = np.eye(d)
+    T[[i, j], [i, j]] = math.cos(angle)
+    T[i, j], T[j, i] = -math.sin(angle), math.sin(angle)
+    return T
+
+
+def _boost(d: int, i: int, j: int, rapidity: float) -> np.ndarray:
+    T = np.eye(d)
+    T[[i, j], [i, j]] = math.cosh(rapidity)
+    T[i, j] = T[j, i] = math.sinh(rapidity)
+    return T
+
+
+def _conformal_move(d, turn, rapidities, slots, spin) -> np.ndarray:
+    """An element of O(m+1, 2), time slots first: a rotation of the two time
+    slots, a boost of each time slot with a space slot and a rotation of two
+    space slots."""
+    space = [2 + k % (d - 2) for k in slots]
+    T = _rotation(d, 0, 1, turn) @ _boost(d, 0, space[0], rapidities[0])
+    T = T @ _boost(d, 1, space[1], rapidities[1])
+    return T @ _rotation(d, space[2], 2 + (space[2] - 1) % (d - 2), spin)
+
+
+class TestConformalInvariance:
+    """The conformal group O(m+1, 2) acts linearly on the light-cone lift:
+    the chart x -> psi1(T P sigma(x)) is conformally equivalent to
+    psi1(P sigma(x)), so g, A, grad A and, up to the orientation of the
+    normal, B and Phi agree in frame components."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        turn=st.floats(-0.2, 0.2),
+        rapidities=st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
+        slots=st.tuples(*[st.integers(0, 4)] * 3),
+        spin=st.floats(-math.pi, math.pi),
+        where=arrays(float, (2, 4), elements=st.floats(0.05, 0.95)),
+    )
+    def test_invariants_unchanged(self, sxh_chart, ex33_chart, graph_chart, turn, rapidities, slots, spin, where):
+        for chart in (sxh_chart, ex33_chart, graph_chart):
+            d = chart.m + 3
+            T = _conformal_move(d, turn, rapidities, slots, spin)
+            signs = np.diag(Signature(2, d).signs)
+            assert np.allclose(T.T @ signs @ T, signs, rtol=0, atol=1e-14)
+            ref = lift_chart(chart, "psi1")
+            moved = LiftedChart(chart, T @ ref.M, 1)
+            lo, hi = chart.domain.arrays()
+            U = lo + (hi - lo) * where[:, : chart.m]
+            f0 = evaluate_field(ref, U, derivatives=True, curvature=False)
+            f1 = evaluate_field(moved, U, derivatives=True, curvature=False)
+            orientation = np.sign(np.einsum("nij,nij->n", f0.B, f1.B))
+            pairs = {
+                "g": (f0.metric, f1.metric),
+                "A": (f0.A, f1.A),
+                "grad A": (f0.dA, f1.dA),
+                "B": (f0.B, orientation[:, None, None] * f1.B),
+                "Phi": (f0.Phi, orientation[:, None] * f1.Phi),
+            }
+            for key, (a, b) in pairs.items():
+                assert np.max(np.abs(a - b)) <= 1e-10 * (1.0 + np.max(np.abs(a))), (chart.name, key)
 
 
 class TestReports:

@@ -1,7 +1,9 @@
 """Taylor-series arithmetic and the analytic chart jets built on it.
 
 The reference jets differentiate the chart expressions with sympy, the
-route the library took before its jets moved onto truncated series.
+route the library took before its jets moved onto truncated series; for
+lifted charts the test composes the expressions with the coordinate map
+itself.
 """
 
 import itertools
@@ -14,23 +16,38 @@ import sympy as sp
 from confgeo import taylor
 from confgeo.catalog import build_instance
 from confgeo.chart import AmbientForm, Box, ImmersionChart, grid_points
-from confgeo.conformal_atlas import lift_chart
+from confgeo.conformal_atlas import LiftedChart, lift_chart, sigma_rep
 from confgeo.errors import ValidationError
 from confgeo.pseudo_linalg import batched_normal, form_signs, triangular_frame
+
+
+def _expressions(chart):
+    """(expressions, symbols) of a symbolic chart; a lifted chart's are its
+    base expressions composed with psi_alpha(M sigma_rep(kind, .))."""
+    if not isinstance(chart, LiftedChart):
+        return list(chart.exprs), chart.syms
+    base_exprs, syms = _expressions(chart.base)
+    rep = sigma_rep(chart.base.ambient.kind, base_exprs)
+    M = sp.Matrix(chart.M.shape[0], chart.M.shape[1], lambda i, j: sp.nsimplify(chart.M[i, j]))
+    rep = list(M * sp.Matrix(rep))
+    div = rep[chart.alpha - 1]
+    keep = rep[1] if chart.alpha == 1 else rep[0]
+    return [c / div for c in [keep, *rep[2:]]], syms
 
 
 def _reference_jet(chart, U, order):
     """Derivative stacks by sympy differentiation, one cse'd function."""
     m, c, N = chart.m, chart.n_comps, U.shape[0]
+    exprs, syms = _expressions(chart)
     alphas = [a for a in itertools.product(range(order + 1), repeat=m) if sum(a) <= order]
     flat = []
     for alpha in alphas:
-        d = chart.exprs
+        d = sp.Matrix(exprs)
         for ax, k in enumerate(alpha):
             if k:
-                d = sp.diff(d, chart.syms[ax], k)
+                d = sp.diff(d, syms[ax], k)
         flat.extend(list(d))
-    vals = sp.lambdify(chart.syms, flat, "numpy", cse=True)(*U.T)
+    vals = sp.lambdify(syms, flat, "numpy", cse=True)(*U.T)
     stacks = {r: np.zeros((N, c) + (m,) * r) for r in range(order + 1)}
     for i, alpha in enumerate(alphas):
         block = np.stack(
