@@ -2,8 +2,8 @@
 
 A chart is a map x: D subset R^m -> ambient space form, either symbolic
 (sympy expressions, exact Taylor-series jets) or a bare evaluator (jets by
-central differences); conformal_atlas.LiftedChart composes a chart with a
-coordinate map of the conformal space.  Every jet is a truncated Taylor
+least-squares polynomial fits, fd.py); conformal_atlas.LiftedChart
+composes a chart with a coordinate map of the conformal space.  Every jet is a truncated Taylor
 series.  Shape data follows the conventions:
 
     h(X, Y) = <D_X n, Y>  = -<n, D_X D_Y x>      (time-like unit normal n)
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -36,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from . import taylor
-from .fd import fd_partial, stencil
+from .fd import default_reach, fit_series
 from .pseudo_linalg import (
     Signature,
     batched_normal,
@@ -119,9 +118,6 @@ class Box:
         lo, hi = self.arrays()
         return bool(np.all(U >= lo + margin) and np.all(U <= hi - margin))
 
-    def scale(self) -> float:
-        return max(1.0, float(np.max(np.abs(np.concatenate(self.arrays())))))
-
 
 class Jet:
     """Taylor series of a chart around a batch of points; jet[r] is the stack
@@ -141,10 +137,11 @@ class ImmersionChart:
     """A hypersurface patch with derivative-jet access.
 
     Symbolic charts carry sympy expressions and give exact Taylor-series
-    jets; evaluator charts, and symbolic charts switched to FD jets, take
-    finite differences of the declared order and write them as the same
-    series.  Instances are immutable by convention; internal lambdify caches
-    are the only mutable state and are safe to rebuild.
+    jets; evaluator charts, and symbolic charts switched to FD jets, fit a
+    polynomial to one evaluation on a sample cloud around each point and
+    write its coefficients as the same series.  Instances are immutable by
+    convention; internal lambdify caches are the only mutable state and are
+    safe to rebuild.
     """
 
     def __init__(
@@ -252,21 +249,13 @@ class ImmersionChart:
         ]
         return taylor.stack(comps)
 
-    def fd_margin(self, order: int) -> float:
-        """Parameter-space reach of the FD jet stencils up to `order`.
-
-        A partial of total order r steps step_for(r) along each axis with
-        stencils of derivative order <= r, whose half-width grows with r.
-        At least three steps are allowed, the reach the sample grids of FD
-        charts are laid out for.
-        """
+    def fd_margin(self) -> float:
+        """Parameter-space reach of the FD sample cloud along each axis (0
+        for analytic jets)."""
         if self.jet_mode != "fd":
             return 0.0
-        reach = 0.0
-        for r in range(1, order + 1):
-            half = (len(stencil(r, self.fd.order)[0]) - 1) // 2
-            reach = max(reach, max(3, half) * self.fd.step_for(r, scale=self.domain.scale()))
-        return reach
+        step = self.fd.step
+        return step if step is not None and step > 0 else default_reach(self.m)
 
     # -- jets ---------------------------------------------------------------
 
@@ -274,8 +263,8 @@ class ImmersionChart:
         """Taylor series of x up to `order` (<= 5) around each point of U.
 
         Symbolic charts in analytic mode lambdify their expressions over
-        series; FD charts write the central-difference partial D^alpha x,
-        divided by alpha!, as the coefficient of each monomial alpha.
+        series; FD charts take the coefficients of the least-squares
+        polynomial fitted around each point (fd.fit_series).
         """
         if not (0 <= order <= 5):
             raise ValidationError(f"jet order must be within 0..5, got {order}")
@@ -283,19 +272,12 @@ class ImmersionChart:
         if self.jet_mode == "analytic":
             self._check_guards(U)
             return Jet(self._taylor_series(U, order))
-        margin = self.fd_margin(order)
+        margin = self.fd_margin()
         if not self.domain.contains(U, margin=margin):
             raise DomainError(
-                f"chart {self.name!r}: FD jet of order {order} needs margin "
-                f"{margin:.3e} inside the domain"
+                f"chart {self.name!r}: FD jets need margin {margin:.3e} inside the domain"
             )
-        scale = self.domain.scale()
-        coeffs = [
-            fd_partial(self.eval, U, tuple(alpha), self.fd, scale=scale)
-            / math.prod(math.factorial(k) for k in alpha)
-            for alpha in taylor.monomials(self.m, order).tolist()
-        ]
-        return Jet(taylor.Series(np.stack(coeffs), self.m, order))
+        return Jet(fit_series(self.eval, U, margin, order))
 
     # -- transforms ---------------------------------------------------------
 
@@ -532,11 +514,10 @@ def validate_regularity(
     except RegularityError:
         min_rho2 = 0.0
         normal_resid = np.inf
-    tol = cfg.tier(chart.jet_mode == "analytic") if chart.jet_mode == "fd" else cfg.ambient_tol
     regular = (
         min_rho2 > cfg.regularity_tol
         and min_eig > cfg.regularity_tol
-        and ambient <= max(tol, cfg.ambient_tol if chart.jet_mode == "analytic" else 1e-6)
+        and ambient <= (cfg.ambient_tol if chart.jet_mode == "analytic" else cfg.fd_tol)
     )
     return RegularityReport(
         chart=chart.name,
@@ -595,7 +576,7 @@ def chart_to_dict(chart: ImmersionChart) -> dict:
         "params": dict(chart.params),
         "domain": {"lo": list(chart.domain.lo), "hi": list(chart.domain.hi)},
         "jet": chart.jet_mode,
-        "fd": {"order": chart.fd.order, "step": chart.fd.step},
+        "fd": {"step": chart.fd.step},
     }
 
 
@@ -618,7 +599,8 @@ def chart_from_dict(data: dict) -> ImmersionChart:
     lift = params.pop("lift", None)
     chart = builder(m=m, **params)
     box = Box(tuple(float(v) for v in dom["lo"]), tuple(float(v) for v in dom["hi"]))
-    fd = FDConfig(order=fd_data.get("order", 4), step=fd_data.get("step"))
+    # older files also carry a stencil "order", which the fit does not read
+    fd = FDConfig(step=fd_data.get("step"))
     out = chart._replace(domain=box, jet_mode=jet_mode, fd=fd)
     if lift is not None:
         from .conformal_atlas import lift_chart

@@ -18,7 +18,7 @@ import numpy as np
 from . import catalog
 from .chart import DE_SITTER, grid_points, load_chart, validate_regularity
 from .classifier import classify
-from .config import DEFAULT, NumericsConfig
+from .config import CATALOG_CHECK_TOL, DEFAULT, NumericsConfig
 from .conformal_atlas import (
     MAP_TAGS,
     ProjectivePoint,
@@ -215,8 +215,8 @@ def _cmd_verify_catalog(args) -> int:
         gates, res_ok = _residual_gates(f, cfg, analytic)
         cross_ok = max(
             v for k, v in f.residuals.items() if k.startswith("cross_")
-        ) <= 1e-6
-        phi_ok = float(np.max(f.phi_norm())) <= 1e-6
+        ) <= CATALOG_CHECK_TOL
+        phi_ok = float(np.max(f.phi_norm())) <= CATALOG_CHECK_TOL
         ok = bool(reg.regular and res_ok and phi_ok and cross_ok)
         entry.update(
             {

@@ -376,8 +376,8 @@ class LiftedChart(ImmersionChart):
     def jet(self, U: np.ndarray, order: int) -> Jet:
         return Jet(self._lift(self.base.jet(U, order).series))
 
-    def fd_margin(self, order: int) -> float:
-        return self.base.fd_margin(order)
+    def fd_margin(self) -> float:
+        return self.base.fd_margin()
 
     def with_jet_mode(self, jet_mode: str, fd: FDConfig | None = None) -> "LiftedChart":
         return LiftedChart(self.base.with_jet_mode(jet_mode, fd), self.M, self.alpha)

@@ -17,24 +17,28 @@ Two independent computation routes:
   A_ij = -<Y_ij, N>, B_ij = -<Y_ij, xi>, which works in any of the three
   space-form pictures and doubles as the internal consistency check.
 
-On analytic charts both routes run on truncated Taylor series (taylor.py)
-of one jet per point: the shape series (x, the normal, h, H, rho^2, g0)
-feed the closed formulas, which give rho, H, the conformal metric with two
-derivatives and the partials of A, B and Phi at the points themselves,
-and the same series give the frame route the lift Y to order 2 and g, its
-frame and xi to order 1.  evaluate_field(cross_check=True) therefore makes
-one order-5 jet call per batch (order 4 without covariant derivatives),
-and the cross-check compares the two formula routes, exact up to roundoff.
-FD charts take parameter derivatives of the derived fields from shared
-central stencils: one pass per batch supplies the Hessian of log rho, the
-metric jets and the Christoffel symbols (another pass the frame route's
-inputs), and an outer stencil of the component fields gives the covariant
-derivatives.
+Both routes run on truncated Taylor series (taylor.py) of one jet per
+point, whatever the jet source: the exact series of symbolic charts or the
+least-squares fit of FD charts (fd.py).  The shape series (x, the normal,
+h, H, rho^2, g0) feed the closed formulas, which give rho, H, the
+conformal metric with two derivatives and the partials of A, B and Phi at
+the points themselves, and the same series give the frame route the lift
+Y to order 2 and g, its frame and xi to order 1.
+evaluate_field(cross_check=True) therefore makes one order-5 jet call per
+batch (order 4 without covariant derivatives), and the cross-check
+compares the two formula routes, exact up to roundoff.
+
+On FD charts the identities hold exactly on the fitted polynomial surface,
+so their residuals say nothing about the fit.  evaluate_field therefore
+also runs the closed formulas on a companion fit of COMPANION_REACH times
+the reach and records, per point, the largest difference of A, B, Phi,
+their covariant derivatives and the curvature as the residual
+FD_ESTIMATE, an estimate of the FD error gated at the FD residual tier.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -45,13 +49,11 @@ from .chart import (
     ImmersionChart,
     ShapeBatch,
     ShapeData,
-    shape_batch,
     shape_from_jet,
 )
-from .config import DEFAULT, EPS, NumericsConfig
-from .conformal_atlas import sigma_rep, sigma_rep_batch
+from .config import DEFAULT, FDConfig, NumericsConfig
+from .conformal_atlas import sigma_rep
 from .errors import ConsistencyError, ValidationError
-from .fd import stencil
 from .pseudo_linalg import (
     PseudoVector,
     Signature,
@@ -61,94 +63,6 @@ from .pseudo_linalg import (
     triangular_frame,
 )
 from .taylor import einsum
-
-
-# ---------------------------------------------------------------------------
-# shared stencil pass over derived fields
-# ---------------------------------------------------------------------------
-
-def _derived_jets(fn, U: np.ndarray, cfg: NumericsConfig, second: tuple[str, ...] = ()):
-    """First parameter derivatives of a dict-valued field, and second
-    derivatives of the keys in `second`.
-
-    fn maps a batch (N, m) to {key: array(N, ...)}.  Returns (center, d1,
-    d2) with the derivative axes appended last.  All fields share stencil
-    evaluations: one fn call per offset covers every key, and the centre
-    points come first in that call.
-    """
-    m = U.shape[1]
-    N = U.shape[0]
-    scale = max(1.0, float(np.max(np.abs(U))))
-    h1 = cfg.fd.step_for(1, scale=scale)
-    h2 = cfg.fd.step_for(2, scale=scale)
-    offs1, w1 = stencil(1, cfg.fd.order)
-    offs2, w2 = stencil(2, cfg.fd.order)
-
-    # deduplicated offset table; every target derivative is a weighted sum
-    # of field values at these offsets, evaluated in one stacked call
-    offset_index: dict[tuple[float, ...], int] = {}
-    offset_list: list[np.ndarray] = []
-
-    def oid(du: tuple[float, ...]) -> int:
-        idx = offset_index.get(du)
-        if idx is None:
-            idx = len(offset_list)
-            offset_index[du] = idx
-            offset_list.append(np.asarray(du))
-        return idx
-
-    center_id = oid((0.0,) * m)
-    plans_d1: list[tuple[int, list[tuple[int, float]]]] = []
-    for a in range(m):
-        contribs = []
-        for o, w in zip(offs1, w1):
-            if w == 0.0:
-                continue
-            du = [0.0] * m
-            du[a] = o * h1
-            contribs.append((oid(tuple(du)), w / h1))
-        plans_d1.append((a, contribs))
-    plans_d2: list[tuple[tuple[int, int], list[tuple[int, float]]]] = []
-    for a in range(m):
-        contribs = []
-        for o, w in zip(offs2, w2):
-            du = [0.0] * m
-            du[a] = o * h2
-            contribs.append((oid(tuple(du)), w / h2**2))
-        plans_d2.append(((a, a), contribs))
-    for a in range(m):
-        for b in range(a + 1, m):
-            contribs = []
-            for oa, wa in zip(offs1, w1):
-                if wa == 0.0:
-                    continue
-                for ob, wb in zip(offs1, w1):
-                    if wb == 0.0:
-                        continue
-                    du = [0.0] * m
-                    du[a] = oa * h2
-                    du[b] = ob * h2
-                    contribs.append((oid(tuple(du)), wa * wb / h2**2))
-            plans_d2.append(((a, b), contribs))
-
-    V_all = np.concatenate([U + off[None, :] for off in offset_list], axis=0)
-    vals_all = fn(V_all)
-    stacked = {k: v.reshape((len(offset_list), N) + v.shape[1:]) for k, v in vals_all.items()}
-    center = {k: v[center_id].copy() for k, v in stacked.items()}
-    d1 = {k: np.zeros(center[k].shape + (m,)) for k in stacked}
-    for a, contribs in plans_d1:
-        for idx, w in contribs:
-            for k in stacked:
-                d1[k][..., a] += stacked[k][idx] * w
-    d2 = {k: np.zeros(center[k].shape + (m, m)) for k in second}
-    for (a, b), contribs in plans_d2:
-        for idx, w in contribs:
-            for k in second:
-                d2[k][..., a, b] += stacked[k][idx] * w
-        if b != a:
-            for k in second:
-                d2[k][..., b, a] = d2[k][..., a, b]
-    return center, d1, d2
 
 
 def christoffel(ginv, dg):
@@ -163,41 +77,30 @@ def christoffel(ginv, dg):
     )
 
 
-def _outer_step(chart: ImmersionChart, cfg: NumericsConfig, scale: float) -> float:
-    """Step of the covariant-derivative stencil of FD charts.
+# ---------------------------------------------------------------------------
+# FD charts: sample margin and error estimate
+# ---------------------------------------------------------------------------
 
-    It balances truncation against the white part of the component fields:
-    roundoff amplified through the jet stencils and then through the inner
-    second-derivative stencils.
-    """
-    h2 = cfg.fd.step_for(2, scale=scale)
-    hj2 = chart.fd.step_for(2, scale=scale)
-    source_white = 6.0 * EPS / hj2**2
-    return (3.0 * (source_white * 6.0 / h2**2)) ** (1.0 / 3.0) * scale
+# reach of the companion fit of FD charts, relative to the chart's reach
+COMPANION_REACH = 0.7
+# residual key of the FD error estimate: it compares two fits, not two routes
+FD_ESTIMATE = "fd_error_estimate"
 
 
 def required_margin(chart: ImmersionChart, cfg: NumericsConfig = DEFAULT) -> float:
-    """Distance to the domain boundary consumed by the stencils of a field
-    evaluation.
+    """Distance to the domain boundary that a field evaluation samples.
 
-    Only FD charts run stencils.  Their derived-field passes (main route and
-    frame route) reach two steps of the second-derivative spacing per axis,
-    the covariant-derivative pass adds its outer stencil around them, and
-    the jet stencils nest inside every evaluation.  Analytic charts take
-    every derivative from Taylor series at the points themselves and need
-    no margin.
+    FD charts sample their fit's cloud, which reaches chart.fd_margin()
+    along each axis; 15% to spare keeps rounded grid points inside.
+    Analytic charts take every derivative from Taylor series at the points
+    themselves and need no margin.  `cfg` is unused and kept for callers
+    that pass it.
     """
-    if chart.jet_mode == "analytic":
-        return 0.0
-    scale = chart.domain.scale()
-    reach = 2.0 * max(cfg.fd.step_for(1, scale=scale), cfg.fd.step_for(2, scale=scale))
-    reach += chart.fd_margin(2)
-    reach += 2.0 * _outer_step(chart, cfg, scale)
-    return 1.15 * reach
+    return 1.15 * chart.fd_margin()
 
 
 def grid_margin(chart: ImmersionChart, cfg: NumericsConfig = DEFAULT) -> float:
-    """Default inset of sample grids: the stencil reach of FD charts, and
+    """Default inset of sample grids: the sampled reach of FD charts, and
     at least 5% of the narrowest side of the domain on every chart."""
     lo, hi = chart.domain.arrays()
     return max(required_margin(chart, cfg), 0.05 * float(np.min(hi - lo)))
@@ -219,10 +122,10 @@ class _CoordData:
     d2g: np.ndarray
     dlogrho: np.ndarray
     dH: np.ndarray
-    # partials of A, B, Phi (derivative axis last) when the route supplies them
-    partials: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    # the shape series of the Taylor route, which the cross-check reuses
-    shape: _ShapeSeries | None = None
+    # partials of A, B, Phi (derivative axis last), None without derivatives
+    partials: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    # the shape series, which the cross-check reuses
+    shape: _ShapeSeries
 
 
 def _closed_formulas(h, H, g0, g0inv, rho, dlr, d2lr, dg0, dH):
@@ -251,9 +154,7 @@ def _coord_invariants(
             "conformal invariants are computed in the unit de Sitter picture; "
             f"lift chart {chart.name!r} first (conformal_atlas.lift_chart)"
         )
-    if chart.jet_mode == "analytic":
-        return _series_invariants(chart, U, cfg, derivatives)
-    return _stencil_invariants(chart, U, cfg)
+    return _series_invariants(chart, U, cfg, derivatives)
 
 
 @dataclass
@@ -324,37 +225,6 @@ def _series_invariants(
         s.sb, A.value, B.value, Phi.value, g.value, np.linalg.inv(g.value), dg.value,
         dg.grad().value, dlr.value, dH.value, partials, s,
     )
-
-
-def _stencil_invariants(chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig) -> _CoordData:
-    """The closed formulas with derived-field derivatives from one stencil pass."""
-    N = U.shape[0]
-    cloud: list[ShapeBatch] = []
-
-    def derived(V: np.ndarray) -> dict[str, np.ndarray]:
-        s = shape_batch(chart, V, cfg)
-        cloud.append(s)
-        return {
-            "logrho": np.log(s.rho),
-            "H": s.H,
-            "g": s.rho[:, None, None] ** 2 * s.metric,
-        }
-
-    center, d1, d2 = _derived_jets(derived, U, cfg, second=("logrho", "g"))
-    # the centre points lead the stencil cloud: copies of its first N rows
-    sb = ShapeBatch(chart, U, *(getattr(cloud[0], f.name)[:N].copy() for f in fields(ShapeBatch)[2:]))
-    dlr, d2lr = d1["logrho"], d2["logrho"]
-    dH = d1["H"]
-    g, dg, d2g = center["g"], d1["g"], d2["g"]
-
-    # induced-metric jets from exact 2-jets: d_k g0_ij = <d2x_ki, dx_j> + <dx_i, d2x_kj>
-    signs = sb.signs
-    dg0 = np.einsum("ncik,c,ncj->nijk", sb.d2x, signs, sb.dx) + np.einsum(
-        "nci,c,ncjk->nijk", sb.dx, signs, sb.d2x
-    )
-    A, B, Phi = _closed_formulas(sb.h, sb.H, sb.metric, sb.metric_inv, sb.rho, dlr, d2lr, dg0, dH)
-    ginv = np.linalg.inv(g)
-    return _CoordData(sb, A, B, Phi, g, ginv, dg, d2g, dlr, dH)
 
 
 def _riemann_coords(cd: _CoordData) -> tuple[np.ndarray, np.ndarray]:
@@ -460,8 +330,27 @@ def evaluate_field(
     curvature: bool = True,
     cross_check: bool = False,
 ) -> InvariantField:
-    """Full invariant computation over a batch of parameter points."""
+    """Full invariant computation over a batch of parameter points.
+
+    FD charts also get the residual FD_ESTIMATE from a companion fit (see
+    the module docstring).
+    """
     U = np.atleast_2d(np.asarray(U, dtype=float))
+    fieldv, shape = _invariant_field(chart, U, cfg, derivatives, curvature)
+    _attach_residuals(fieldv)
+    if chart.jet_mode == "fd":
+        companion = chart.with_jet_mode("fd", FDConfig(step=COMPANION_REACH * chart.fd_margin()))
+        _attach_fd_estimate(fieldv, _invariant_field(companion, U, cfg, derivatives, curvature)[0])
+    if cross_check:
+        run_cross_check(fieldv, shape)
+    return fieldv
+
+
+def _invariant_field(
+    chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig, derivatives: bool, curvature: bool
+) -> tuple[InvariantField, _ShapeSeries]:
+    """The invariants in frame components, without residuals, and the shape
+    series they came from."""
     m = chart.m
     cd = _coord_invariants(chart, U, cfg, derivatives)
     Fg, A, B, Phi = _frame_components(cd)
@@ -491,46 +380,11 @@ def evaluate_field(
         scal = np.einsum("nii->n", ric)
         fieldv.kappa = scal / (m * (m - 1))
     if derivatives:
-        partials = cd.partials if cd.partials is not None else _stencil_partials(chart, U, cfg)
-        dA_c, dB_c, dPhi_c = _coord_derivatives(cd, Gam, *partials)
+        dA_c, dB_c, dPhi_c = _coord_derivatives(cd, Gam, *cd.partials)
         fieldv.dA = _in_frame(dA_c, Fg)
         fieldv.dB = _in_frame(dB_c, Fg)
         fieldv.dPhi = _in_frame(dPhi_c, Fg)
-    _attach_residuals(fieldv)
-    if cross_check:
-        run_cross_check(fieldv, cd.shape)
-    return fieldv
-
-
-def _stencil_partials(
-    chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plain partials of the coordinate components of A, B, Phi on FD charts.
-
-    Fourth-order central differences of the stencil route at the outer
-    step: the component fields are smooth and exact up to the inner-stencil
-    error, and the larger step keeps the truncation of the deep compositions
-    below the residual tier.
-    """
-    m = chart.m
-    h = _outer_step(chart, cfg, max(1.0, float(np.max(np.abs(U)))))
-    offs, wts = stencil(1, 4)
-    N = U.shape[0]
-    pA = np.zeros((N, m, m, m))
-    pB = np.zeros((N, m, m, m))
-    pPhi = np.zeros((N, m, m))
-    for a in range(m):
-        for o, w0 in zip(offs, wts):
-            if w0 == 0.0:
-                continue
-            V = U.copy()
-            V[:, a] += o * h
-            cdo = _stencil_invariants(chart, V, cfg)
-            w = w0 / h
-            pA[..., a] += w * cdo.A
-            pB[..., a] += w * cdo.B
-            pPhi[..., a] += w * cdo.Phi
-    return pA, pB, pPhi
+    return fieldv, cd.shape
 
 
 def _coord_derivatives(
@@ -587,6 +441,20 @@ def _attach_residuals(f: InvariantField) -> None:
     f.residuals = {k: float(np.max(v)) for k, v in res_fields.items()}
 
 
+def _attach_fd_estimate(f: InvariantField, companion: InvariantField) -> None:
+    """FD_ESTIMATE per point: the largest absolute difference between the
+    field of the chart's fit and that of its companion fit, over A, B, Phi,
+    their covariant derivatives and the curvature tensor."""
+    diffs = [
+        np.abs(getattr(f, key) - getattr(companion, key)).reshape(f.U.shape[0], -1)
+        for key in ("A", "B", "Phi", "dA", "dB", "dPhi", "riemann")
+        if getattr(f, key) is not None
+    ]
+    estimate = np.max(np.concatenate(diffs, axis=1), axis=1)
+    f.residual_fields[FD_ESTIMATE] = estimate
+    f.residuals[FD_ESTIMATE] = float(np.max(estimate))
+
+
 def identity_residuals(
     chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig = DEFAULT
 ) -> dict[str, float]:
@@ -615,7 +483,7 @@ def gauss_residual_with_b(f: InvariantField, B: np.ndarray) -> float:
 
 def _frame_series_jets(kind: str, s: _ShapeSeries):
     """The frame route's inputs from shape series of order >= 2, as
-    (center, d1, d2) in the layout of _derived_jets: the lift Y = rho Z(x)
+    (center, d1, d2) with the derivative axes last: the lift Y = rho Z(x)
     to order 2; the conformal metric g, its triangular frame F and, on de
     Sitter charts, xi = -H (1, x) + (0, n) to order 1."""
     x = s.x.truncate(2)
@@ -655,10 +523,9 @@ def frame_route(
 
     Works in the native picture of the chart (any of the three space forms,
     unit radius for the quadrics); the conformal-space machinery is shared,
-    only the homogeneous representative differs.  Analytic charts take the
-    derivatives of the lift from the shape series of an order-4 jet, or of
-    `shape` when the caller already holds them; FD charts from one stencil
-    pass over the derived fields.
+    only the homogeneous representative differs.  The derivatives of the
+    lift come from the shape series of an order-4 jet, or of `shape` when
+    the caller already holds them.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     m = chart.m
@@ -666,25 +533,9 @@ def frame_route(
     if kind != "lorentz_flat" and abs(chart.ambient.radius - 1.0) > 1e-12:
         raise ValidationError("frame route expects unit-radius quadric ambients")
     signs2 = form_signs(2, m + 3)
-
-    if chart.jet_mode == "analytic":
-        if shape is None:
-            shape = _shape_series(chart, U, chart.jet(U, 4), cfg)
-        center, d1, d2 = _frame_series_jets(kind, shape)
-    else:
-        def derived(V: np.ndarray) -> dict[str, np.ndarray]:
-            s = shape_batch(chart, V, cfg)
-            Z = sigma_rep_batch(kind, s.x, isometric=True)
-            Y = s.rho[:, None] * Z
-            g = s.rho[:, None, None] ** 2 * s.metric
-            F = triangular_frame(g)
-            out = {"Y": Y, "g": g, "F": F}
-            if kind == DE_SITTER:
-                # xi = -H (1, x) + (0, n); its first derivatives give Phi
-                out["xi"] = np.concatenate([-s.H[:, None], -s.H[:, None] * s.x + s.normal], axis=1)
-            return out
-
-        center, d1, d2 = _derived_jets(derived, U, cfg, second=("Y",))
+    if shape is None:
+        shape = _shape_series(chart, U, chart.jet(U, 4), cfg)
+    center, d1, d2 = _frame_series_jets(kind, shape)
     Y = center["Y"]
     g = center["g"]
     F = center["F"]

@@ -1,5 +1,5 @@
 """Shared fixtures: catalog charts and invariant fields are expensive to
-build (symbolic jets, stencil passes), so they are session-scoped."""
+build (symbolic jets, lambdified series), so they are session-scoped."""
 
 import numpy as np
 import pytest
@@ -42,6 +42,16 @@ def wp_lifted(wp_chart):
 
 
 @pytest.fixture(scope="session")
+def hxr_lifted(hxr_chart):
+    return lift_chart(hxr_chart, "psi1")
+
+
+@pytest.fixture(scope="session")
+def hxh_lifted(hxh_chart):
+    return lift_chart(hxh_chart, "psi1")
+
+
+@pytest.fixture(scope="session")
 def graph_chart():
     """A generic space-like graph in R^4_1, off the catalog: its invariants
     have Phi != 0, [A, B] != 0 and no parallel tensor."""
@@ -78,6 +88,26 @@ def wp_field(wp_lifted):
 def ex33_field(ex33_chart):
     U = grid_points(ex33_chart.domain, [3], margin=0.06)
     return evaluate_field(ex33_chart, U, derivatives=True, curvature=True)
+
+
+@pytest.fixture
+def stencil_era_fd_chart_file(tmp_path):
+    """An FD sxh chart file as written while FD jets were stencils: its
+    "fd" entry carries the stencil order, which fits do not read."""
+    path = tmp_path / "stencil_era.json"
+    path.write_text(
+        """{
+  "ambient": {"a": 1.0, "kind": "de_sitter"},
+  "domain": {"hi": [0.95, 1.7, 1.05], "lo": [0.35, 0.9, 0.25]},
+  "fd": {"order": 4, "step": null},
+  "jet": "fd",
+  "m": 3,
+  "name": "sxh",
+  "params": {"a": 1.4142135623730951, "k": 1}
+}
+"""
+    )
+    return path
 
 
 @pytest.fixture

@@ -37,6 +37,7 @@ from confgeo.conformal_atlas import (
 )
 from confgeo.errors import ChartDomainError
 from confgeo.invariants import (
+    FD_ESTIMATE,
     evaluate_field,
     gauss_residual_with_b,
     required_margin,
@@ -112,9 +113,11 @@ def test_criterion_2_integrability_residuals_analytic(fields5):
 
 
 def test_criterion_2_integrability_residuals_fd(fd_fields):
+    # the identities hold exactly on the fitted surface: the FD error
+    # estimate is what measures the fit
     worst = 0.0
     for name, f in fd_fields.items():
-        for key in RESIDUAL_KEYS:
+        for key in RESIDUAL_KEYS + (FD_ESTIMATE,):
             worst = max(worst, f.residuals[key])
     _emit("2 integrability residuals (FD jets)", worst <= 1e-3, f"worst={worst:.2e}")
     assert worst <= 1e-3
@@ -348,7 +351,7 @@ def test_criterion_8_route_cross_checks(fields5, rng):
     wp = build_instance("wp")
     fd_version = wp.with_jet_mode("fd")
     lo, hi = wp.domain.arrays()
-    margin = fd_version.fd_margin(4) + 0.01
+    margin = fd_version.fd_margin() + 0.01
     U = rng.uniform(lo + margin, hi - margin, size=(10, wp.m))
     an = wp.jet(U, 4)
     fd = fd_version.jet(U, 4)

@@ -22,11 +22,12 @@ from confgeo.chart import (
 from confgeo.config import FDConfig
 from confgeo.conformal_atlas import lift_chart
 from confgeo.errors import DomainError, RegularityError, ValidationError
+from confgeo.fd import default_reach
 
 
-def fd_chart_from(fn, m, ambient, box, order=4):
+def fd_chart_from(fn, m, ambient, box, step=None):
     return ImmersionChart(
-        "fd-test", m, ambient, box, eval_fn=fn, jet_mode="fd", fd=FDConfig(order=order)
+        "fd-test", m, ambient, box, eval_fn=fn, jet_mode="fd", fd=FDConfig(step=step)
     )
 
 
@@ -57,7 +58,7 @@ class TestJets:
 
     def test_fd_versus_analytic_on_wp(self, wp_chart, rng):
         lo, hi = wp_chart.domain.arrays()
-        margin = wp_chart.with_jet_mode("fd").fd_margin(4) + 0.01
+        margin = wp_chart.with_jet_mode("fd").fd_margin() + 0.01
         U = rng.uniform(lo + margin, hi - margin, size=(10, wp_chart.m))
         fd_version = wp_chart.with_jet_mode("fd")
         an = wp_chart.jet(U, 4)
@@ -76,10 +77,11 @@ class TestJets:
         with pytest.raises(DomainError):
             chart.jet(np.array([[0.01, 0.5]]), 4)
 
-    @pytest.mark.parametrize("accuracy,order", [(4, 2), (4, 4), (4, 5), (8, 2), (8, 4), (2, 3)])
-    def test_fd_jet_taps_stay_in_domain(self, accuracy, order):
-        # points on the edge of the declared margin: every evaluation the FD
-        # stencils make must still land inside the domain
+    @pytest.mark.parametrize("step", [None, 0.3])
+    @pytest.mark.parametrize("order", [2, 5])
+    def test_fd_jet_taps_stay_in_domain(self, step, order):
+        # points on the edge of the declared margin: every evaluation of the
+        # fit's sample cloud must still land inside the domain
         taps = []
 
         def recording(U):
@@ -87,19 +89,17 @@ class TestJets:
             return np.stack([U[:, 0] * U[:, 1], U[:, 0], U[:, 1]], axis=1)
 
         chart = fd_chart_from(
-            recording, 2, AmbientForm("lorentz_flat", 3), Box((-1, -1), (1, 1)), order=accuracy
+            recording, 2, AmbientForm("lorentz_flat", 3), Box((-1, -1), (1, 1)), step=step
         )
-        margin = chart.fd_margin(order)
+        margin = chart.fd_margin()
         chart.jet(np.array([[margin - 1.0, 1.0 - margin], [0.0, 0.0]]), order)
         points = np.concatenate(taps)
         assert np.all(np.abs(points) <= 1.0)
 
-    def test_fd_margin_of_accuracy_four_unchanged(self):
-        # three steps of the widest step in use, the reach FD grids are laid out for
-        chart = fd_chart_from(lambda U: U, 2, AmbientForm("lorentz_flat", 3), Box((0, 0), (1, 1)))
-        for order in range(1, 5):
-            h = max(chart.fd.step_for(r) for r in range(1, order + 1))
-            assert chart.fd_margin(order) == 3 * h
+    def test_fd_margin_is_the_cloud_reach(self, sxh_chart):
+        assert sxh_chart.fd_margin() == 0.0
+        assert sxh_chart.with_jet_mode("fd").fd_margin() == default_reach(3) == 0.1
+        assert sxh_chart.with_jet_mode("fd", FDConfig(step=0.05)).fd_margin() == 0.05
 
     def test_jet_order_bounds(self, sxh_chart):
         with pytest.raises(ValidationError):
@@ -222,19 +222,18 @@ class TestChartFiles:
         assert np.allclose(sxh_chart.eval(u), loaded.eval(u))
 
     def test_round_trip_fd_fields(self, tmp_path, wp_chart):
-        fd_version = wp_chart.with_jet_mode("fd", FDConfig(order=2, step=1e-3))
+        fd_version = wp_chart.with_jet_mode("fd", FDConfig(step=0.05))
         d = chart_to_dict(fd_version)
         assert d["jet"] == "fd"
-        assert d["fd"] == {"order": 2, "step": 1e-3}
+        assert d["fd"] == {"step": 0.05}
         rebuilt = chart_from_dict(json.loads(json.dumps(d)))
         assert chart_to_dict(rebuilt) == d
 
-    @pytest.mark.parametrize("order", [0, -2, 2.5, "4"])
-    def test_invalid_fd_order_rejected(self, sxh_chart, order):
-        d = chart_to_dict(sxh_chart.with_jet_mode("fd"))
-        d["fd"]["order"] = order
-        with pytest.raises(ValidationError, match="FD accuracy order"):
-            chart_from_dict(d)
+    def test_stencil_era_fd_fields_load(self, stencil_era_fd_chart_file, sxh_chart):
+        loaded = load_chart(stencil_era_fd_chart_file)
+        assert loaded.jet_mode == "fd" and loaded.fd == FDConfig()
+        assert chart_to_dict(loaded) == chart_to_dict(sxh_chart.with_jet_mode("fd"))
+        assert chart_to_dict(loaded)["fd"] == {"step": None}
 
     @pytest.mark.parametrize("name", ["wp", "hxr", "hxh"])
     @pytest.mark.parametrize("jet_mode", ["analytic", "fd"])
@@ -245,7 +244,7 @@ class TestChartFiles:
         loaded = load_chart(path)
         assert chart_to_dict(loaded) == chart_to_dict(lifted)
         assert loaded.name == lifted.name and loaded.jet_mode == jet_mode
-        U = grid_points(lifted.domain, [3], margin=0.1)[::4]
+        U = grid_points(lifted.domain, [3], margin=max(0.1, lifted.fd_margin()))[::4]
         assert np.array_equal(loaded.eval(U), lifted.eval(U))
         j0, j1 = lifted.jet(U, 2), loaded.jet(U, 2)
         for r in range(3):

@@ -9,6 +9,7 @@ import pytest
 from confgeo.catalog import build_instance
 from confgeo.chart import save_chart
 from confgeo.cli import main
+from confgeo.config import DEFAULT
 from confgeo.conformal_atlas import lift_chart
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -111,16 +112,13 @@ class TestAnalyzeCommand:
         assert data["chart"] == "hxr(m=3,k=1)@psi1"
         assert data["jet_mode"] == jet_mode
 
-    def test_chart_file_with_invalid_fd_order(self, capsys, tmp_path, sxh_chart):
-        path = tmp_path / "chart.json"
-        save_chart(sxh_chart.with_jet_mode("fd"), path)
-        data = json.loads(path.read_text())
-        for order in (0, -2):
-            data["fd"]["order"] = order
-            path.write_text(json.dumps(data))
-            code, _, err = run_cli(capsys, "residuals", "--chart-file", str(path))
-            assert code == 1
-            assert err.startswith("error:") and "FD accuracy order" in err
+    def test_stencil_era_fd_chart_file(self, capsys, stencil_era_fd_chart_file):
+        # the FD residual report gates the fit's error estimate with the identities
+        code, out, _ = run_cli(capsys, "residuals", "--chart-file", str(stencil_era_fd_chart_file))
+        assert code == 0
+        data = json.loads(out)
+        assert data["jet_mode"] == "fd" and data["pass"] is True
+        assert data["gates"]["fd_error_estimate"]["tolerance"] == DEFAULT.residual_tol_fd
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(capsys, "analyze")

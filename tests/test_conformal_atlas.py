@@ -257,7 +257,7 @@ class TestLiftChart:
         fd = lifted.with_jet_mode("fd")
         assert fd.jet_mode == "fd" and fd.base.jet_mode == "fd" and fd.exprs is None
         lo, hi = lifted.domain.arrays()
-        margin = fd.fd_margin(4) + 0.01
+        margin = fd.fd_margin() + 0.01
         U = rng.uniform(lo + margin, hi - margin, size=(10, lifted.m))
         an, fj = lifted.jet(U, 4), fd.jet(U, 4)
         for r in range(5):

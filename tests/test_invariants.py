@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from confgeo.catalog import build_instance
 from confgeo.chart import grid_points, shape_batch, shape_data
-from confgeo.config import DEFAULT
+from confgeo.config import DEFAULT, FDConfig
 from confgeo.conformal_atlas import LiftedChart, lift_chart
 from confgeo.errors import ConsistencyError, ValidationError
 from confgeo.invariants import (
@@ -21,8 +21,10 @@ from confgeo.invariants import (
     evaluate_field,
     field_report,
     field_report_csv,
+    FD_ESTIMATE,
     frame_route,
     gauss_residual_with_b,
+    grid_margin,
     identity_residuals,
     run_cross_check,
 )
@@ -294,17 +296,17 @@ class TestFrameRoute:
         wB_native = np.sort(np.abs(np.linalg.eigvalsh(fr.B)), axis=1)
         assert np.allclose(wB_native, np.sort(np.abs(f.B_eigs()), axis=1), rtol=0, atol=1e-11)
 
-    def test_series_route_matches_stencil_route(self, sxh_chart):
-        # the frame route of analytic charts runs on Taylor series, that of
-        # FD charts on stencils of FD jets: the two engines agree at the FD tier
+    def test_fd_jets_match_analytic_jets(self, sxh_chart):
+        # the same frame route on the exact series and on the fitted ones
+        # agrees at the FD tier
         from confgeo.invariants import required_margin
 
         fd_chart = sxh_chart.with_jet_mode("fd")
         U = grid_points(fd_chart.domain, [3], margin=required_margin(fd_chart))
-        series, stencils = frame_route(sxh_chart, U), frame_route(fd_chart, U)
+        exact, fitted = frame_route(sxh_chart, U), frame_route(fd_chart, U)
         tol = DEFAULT.tier(False)
         for key in ("A", "B", "Phi", "N_vec", "xi"):
-            assert np.max(np.abs(getattr(series, key) - getattr(stencils, key))) <= tol, key
+            assert np.max(np.abs(getattr(exact, key) - getattr(fitted, key))) <= tol, key
 
 
 class TestOffCatalog:
@@ -319,6 +321,62 @@ class TestOffCatalog:
         assert "cross_phi" in f.residuals
         for key, value in f.residuals.items():
             assert value <= 1e-12, key
+
+
+FD_CHARTS = ("sxh_chart", "hxr_lifted", "hxh_lifted", "wp_lifted", "ex33_chart", "graph_lifted")
+FIELD_KEYS = ("A", "B", "Phi", "dA", "dB", "dPhi", "riemann")
+
+
+def _fd_grid(chart):
+    return grid_points(chart.domain, [3], margin=grid_margin(chart))
+
+
+class TestFDErrorEstimate:
+    """FD charts: the identities hold exactly on the fitted surface, so the
+    FD check rests on the two-fit error estimate."""
+
+    @pytest.mark.parametrize("name", FD_CHARTS)
+    def test_estimate_bounds_the_error(self, request, name):
+        chart = request.getfixturevalue(name)
+        fd = chart.with_jet_mode("fd")
+        U = _fd_grid(fd)
+        f, exact = evaluate_field(fd, U), evaluate_field(chart, U)
+        error = max(float(np.max(np.abs(getattr(f, k) - getattr(exact, k)))) for k in FIELD_KEYS)
+        assert f.residuals[FD_ESTIMATE] >= 0.5 * error
+        assert f.residual_fields[FD_ESTIMATE].shape == (U.shape[0],)
+        assert FD_ESTIMATE not in exact.residuals
+
+    @pytest.mark.parametrize("name", ["sxh_chart", "graph_lifted"])
+    def test_gate_catches_a_roundoff_bound_fit(self, request, name):
+        # at a reach of 0.01 the fit amplifies roundoff into errors of
+        # 0.01-1, while every identity still holds on the fitted surface
+        chart = request.getfixturevalue(name)
+        fd = chart.with_jet_mode("fd", FDConfig(step=0.01))
+        f = evaluate_field(fd, _fd_grid(chart.with_jet_mode("fd")))
+        assert f.residuals[FD_ESTIMATE] > DEFAULT.residual_tol_fd
+        for key, value in f.residuals.items():
+            if key != FD_ESTIMATE:
+                assert value <= 1e-8, key
+
+    def test_off_catalog_chart_meets_the_fd_tier(self, graph_lifted):
+        fd = graph_lifted.with_jet_mode("fd")
+        U = _fd_grid(fd)
+        f = evaluate_field(fd, U, cross_check=True)
+        cfg = DEFAULT
+        for key, value in f.residuals.items():
+            if key in ("trace_b", "norm_b"):
+                tol = cfg.fd_tol
+            elif key == "trace_a_scalar":
+                tol = max(cfg.trace_a_tol, cfg.fd_tol)
+            elif key.startswith("cross_"):
+                tol = cfg.crosscheck_factor * cfg.fd_tol
+            else:
+                tol = cfg.residual_tol_fd
+            assert value <= tol, key
+        # |grad A| reaches 136 here; measured FD - series error 1.3e-7
+        exact = evaluate_field(graph_lifted, U)
+        assert np.max(np.abs(exact.dA)) > 100.0
+        assert np.max(np.abs(f.dA - exact.dA)) <= 1e-6
 
 
 def _rotation(d: int, i: int, j: int, angle: float) -> np.ndarray:
