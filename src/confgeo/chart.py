@@ -599,7 +599,11 @@ def chart_from_dict(data: dict) -> ImmersionChart:
     lift = params.pop("lift", None)
     chart = builder(m=m, **params)
     box = Box(tuple(float(v) for v in dom["lo"]), tuple(float(v) for v in dom["hi"]))
-    # older files also carry a stencil "order", which the fit does not read
+    # older files also carry the stencil accuracy "order", which the fit does
+    # not read; it is still checked, so that a file refused then is refused now
+    order = fd_data.get("order", 4)
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+        raise ValidationError(f"FD accuracy order must be an integer >= 1, got {order!r}")
     fd = FDConfig(step=fd_data.get("step"))
     out = chart._replace(domain=box, jet_mode=jet_mode, fd=fd)
     if lift is not None:

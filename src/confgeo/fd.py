@@ -5,11 +5,14 @@ s running over the integer offsets in [-w, w]^m of l1 norm <= l, divided
 by w.  The polynomial of degree d fitted to these values by least squares
 is a local Taylor model, as in Savitzky & Golay (1964); its coefficients
 up to the requested order are the jet.  The fit is one precomputed linear
-map per m: the design is solved once by QR in the scaled offsets and its
-rows up to order 5 cached read-only on first use.  It is applied to the
-values minus the centre value, which it reproduces exactly in exact
-arithmetic; this keeps the roundoff of the constant part out of the higher
-coefficients (5x less error at order 4 on the warped product).
+map per m, a stencil on the cloud whose row alpha holds the weights of the
+coefficient of monomial alpha: the design is solved once by QR in the
+scaled offsets, each row made exactly even or odd across the symmetric
+cloud, as the exact fit is, and the rows up to order 5 cached read-only on
+first use.  It is applied to the values minus the centre value, which it
+reproduces exactly in exact arithmetic; this keeps the roundoff of the
+constant part out of the higher coefficients (5x less error at order 4 on
+the warped product).
 
 The error of an order-r coefficient is roundoff, growing like
 reach^-r, plus truncation, growing like reach^(d + 1 - r).  plan(m) gives
@@ -50,7 +53,9 @@ def design(m: int) -> tuple[np.ndarray, np.ndarray]:
     W (n_monomials(m, MAX_ORDER), P) of the fit that map values on the
     cloud to the coefficients of the monomials of taylor.monomials in the
     scaled offsets.  The cloud is symmetric and in lexicographic order, so
-    the centre is S[P // 2]."""
+    the centre is S[P // 2] and S[::-1] == -S.  Row alpha is exactly even
+    or odd under that reflection with |alpha|, its reflected roundoff
+    averaged out, so the centre weight of an odd row is 0."""
     degree, width, l1, _ = plan(m)
     grid = itertools.product(range(-width, width + 1), repeat=m)
     S = np.array([o for o in grid if sum(map(abs, o)) <= l1], dtype=float) / width
@@ -61,6 +66,8 @@ def design(m: int) -> tuple[np.ndarray, np.ndarray]:
     Q, R = np.linalg.qr(V)
     k = taylor.n_monomials(m, MAX_ORDER)
     W = np.linalg.inv(R)[:k] @ Q.T
+    parity = (-1.0) ** taylor.monomials(m, MAX_ORDER).sum(axis=1)
+    W = 0.5 * (W + parity[:, None] * W[:, ::-1])
     S.setflags(write=False)
     W.setflags(write=False)
     return S, W

@@ -77,24 +77,26 @@ class TestJets:
         with pytest.raises(DomainError):
             chart.jet(np.array([[0.01, 0.5]]), 4)
 
-    @pytest.mark.parametrize("step", [None, 0.3])
-    @pytest.mark.parametrize("order", [2, 5])
-    def test_fd_jet_taps_stay_in_domain(self, step, order):
-        # points on the edge of the declared margin: every evaluation of the
-        # fit's sample cloud must still land inside the domain
-        taps = []
+    @pytest.mark.parametrize("inverse_reach,order", [(4, 2), (4, 4), (4, 5), (8, 2), (8, 4), (2, 3)])
+    def test_fd_jet_taps_stay_in_domain(self, inverse_reach, order):
+        # points on the edge of the declared margin, at the default reach
+        # and at a reach of 1 / inverse_reach: every evaluation of the fit's
+        # sample cloud must still land inside the domain
+        for step in (None, 1.0 / inverse_reach):
+            taps = []
 
-        def recording(U):
-            taps.append(U.copy())
-            return np.stack([U[:, 0] * U[:, 1], U[:, 0], U[:, 1]], axis=1)
+            def recording(U):
+                taps.append(U.copy())
+                return np.stack([U[:, 0] * U[:, 1], U[:, 0], U[:, 1]], axis=1)
 
-        chart = fd_chart_from(
-            recording, 2, AmbientForm("lorentz_flat", 3), Box((-1, -1), (1, 1)), step=step
-        )
-        margin = chart.fd_margin()
-        chart.jet(np.array([[margin - 1.0, 1.0 - margin], [0.0, 0.0]]), order)
-        points = np.concatenate(taps)
-        assert np.all(np.abs(points) <= 1.0)
+            chart = fd_chart_from(
+                recording, 2, AmbientForm("lorentz_flat", 3), Box((-1, -1), (1, 1)), step=step
+            )
+            margin = chart.fd_margin()
+            chart.jet(np.array([[margin - 1.0, 1.0 - margin], [0.0, 0.0]]), order)
+            points = np.concatenate(taps)
+            assert np.all(np.abs(points) <= 1.0)
+            assert np.max(np.abs(points)) == 1.0
 
     def test_fd_margin_is_the_cloud_reach(self, sxh_chart):
         assert sxh_chart.fd_margin() == 0.0
@@ -234,6 +236,15 @@ class TestChartFiles:
         assert loaded.jet_mode == "fd" and loaded.fd == FDConfig()
         assert chart_to_dict(loaded) == chart_to_dict(sxh_chart.with_jet_mode("fd"))
         assert chart_to_dict(loaded)["fd"] == {"step": None}
+
+    @pytest.mark.parametrize("order", [0, -2, 2.5, "4"])
+    def test_invalid_fd_order_rejected(self, sxh_chart, order):
+        # files of the stencil era carry an accuracy order; the fit reads
+        # none, but a file whose order was refused then is refused still
+        d = chart_to_dict(sxh_chart.with_jet_mode("fd"))
+        d["fd"]["order"] = order
+        with pytest.raises(ValidationError, match="FD accuracy order"):
+            chart_from_dict(d)
 
     @pytest.mark.parametrize("name", ["wp", "hxr", "hxh"])
     @pytest.mark.parametrize("jet_mode", ["analytic", "fd"])
