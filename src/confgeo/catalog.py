@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
-from scipy.optimize import brentq, minimize_scalar
 
 from .chart import (
     ANTI_DE_SITTER,
@@ -243,32 +242,20 @@ class CoreHypersurface:
 def _ads_core(m: int, K: int, j: int, r: float | None, cfg: NumericsConfig) -> CoreHypersurface:
     """Maximal cylinder H^j x H^{K-j} inside the anti-de Sitter quadric of radius r.
 
-    Maximality fixes b1^2 = r^2 j/K, b2^2 = r^2 (K-j)/K; the quadric radius
-    is then root-solved so that |h|^2 = K/r^2 matches (m-1)/m.
+    Maximality fixes b1^2 = r^2 j/K, b2^2 = r^2 (K-j)/K; then |h|^2 = K/r^2,
+    and |h|^2 = (m-1)/m gives r = sqrt(m K / (m-1)).
     """
     target = (m - 1) / m
-
-    def h2_of(rr: float) -> float:
-        return K / rr**2 - target
-
+    solved = math.sqrt(m * K / (m - 1))
     if r is None:
-        lo, hi = 0.2, 5.0
-        while h2_of(lo) < 0:
-            lo /= 2
-            if lo < 1e-8:
-                raise ConstructionError("core radius bracket collapsed")
-        while h2_of(hi) > 0:
-            hi *= 2
-            if hi > 1e8:
-                raise ConstructionError("core radius bracket diverged")
-        r = float(brentq(h2_of, lo, hi, xtol=1e-12, rtol=8.9e-16))
+        r = solved
     else:
         r = float(r)
-        if abs(h2_of(r)) > cfg.fd_tol:
+        excess = K / r**2 - target
+        if abs(excess) > cfg.fd_tol:
             raise ValidationError(
                 f"core radius r={r} violates the squared-norm constraint "
-                f"|h|^2 = (m-1)/m by {h2_of(r):.3e}; solved value is "
-                f"{math.sqrt(m * K / (m - 1)):.12g}"
+                f"|h|^2 = (m-1)/m by {excess:.3e}; solved value is {solved:.12g}"
             )
     b1 = r * math.sqrt(j / K)
     b2 = r * math.sqrt((K - j) / K)
@@ -296,20 +283,18 @@ def _ds_core_obstruction(m: int, K: int, j: int) -> str:
     """Quantify why the de Sitter cylinder family is never maximal.
 
     Both principal-curvature groups of H^j x S^{K-j} inside a de Sitter
-    quadric carry the same sign, so K |H| r >= 2 sqrt(j (K-j)) > 0 for every
-    radius split; the minimum is reported.  For K = 2 no core of any shape
-    exists: the forced principal curvatures +-c are constant, the trace-free
-    Codazzi equations then make the induced metric flat, while the Gauss
-    equation demands curvature 1/r^2 + c^2 > 0.
+    quadric carry the same sign.  At r = 1 the radii satisfy b2^2 = 1 + b1^2,
+    so x = b2 / b1 > 1 and K |H| = j x + (K-j) / x.  Over the radius split
+    its infimum is 2 sqrt(j (K-j)) when j < K - j, attained at
+    x^2 = (K-j) / j, and K otherwise, approached as b1 -> infinity; the
+    note reports |H| = infimum / K.  For K = 2 no core of any shape exists: the
+    forced principal curvatures +-c are constant, the trace-free Codazzi
+    equations then make the induced metric flat, while the Gauss equation
+    demands curvature 1/r^2 + c^2 > 0.
     """
-    def mean_curv(lb1: float) -> float:
-        b1 = math.exp(lb1)
-        b2 = math.hypot(1.0, b1)  # r = 1 scale; |H| scales as 1/r
-        return (j * b2 / b1 + (K - j) * b1 / b2) / K
-
-    res = minimize_scalar(mean_curv, bounds=(-6, 6), method="bounded")
+    h_inf = 2 * math.sqrt(j * (K - j)) / K if j < K - j else 1.0
     note = (
-        f"minimal attainable |H| over the cylinder family is {res.fun:.6g} (at r=1 scale), "
+        f"minimal attainable |H| over the cylinder family is {h_inf:.6g} (at r=1 scale), "
         "never zero: both curvature groups share a sign inside a de Sitter quadric."
     )
     if K == 2:

@@ -195,8 +195,10 @@ class ImmersionChart:
         if not self.guards:
             return
         if self._guard_fns is None:
+            # lambdify gets the numpy module, not the name "numpy": the name
+            # runs `from numpy import *`, which imports numpy.testing and f2py
             self._guard_fns = [
-                (name, sp.lambdify(self.syms, expr, "numpy")) for name, expr in self.guards
+                (name, sp.lambdify(self.syms, expr, np)) for name, expr in self.guards
             ]
         for name, fn in self._guard_fns:
             vals = np.broadcast_to(np.asarray(fn(*[U[:, i] for i in range(self.m)]), float), (U.shape[0],))
@@ -213,7 +215,7 @@ class ImmersionChart:
         if self.exprs is not None:
             self._check_guards(U)
             if self._x_fn is None:
-                self._x_fn = sp.lambdify(self.syms, list(self.exprs), "numpy")
+                self._x_fn = sp.lambdify(self.syms, list(self.exprs), np)
             out = self._x_fn(*[U[:, i] for i in range(self.m)])
             cols = [np.broadcast_to(np.asarray(c, dtype=float), (U.shape[0],)) for c in out]
             return np.stack(cols, axis=1)
@@ -234,7 +236,7 @@ class ImmersionChart:
                         f"chart {self.name!r}: Taylor jets do not support the power {p}"
                     )
             self._series_fn = sp.lambdify(
-                self.syms, list(self.exprs), modules=[taylor.FUNCTIONS, "numpy"], cse=True
+                self.syms, list(self.exprs), modules=[taylor.FUNCTIONS, np], cse=True
             )
         return self._series_fn
 
@@ -495,7 +497,13 @@ def validate_regularity(
     nondegenerate tangent frame).
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    jet = chart.jet(U, 2)
+    return regularity_from_jet(chart, U, chart.jet(U, 2), cfg)
+
+
+def regularity_from_jet(
+    chart: ImmersionChart, U: np.ndarray, jet: Jet, cfg: NumericsConfig = DEFAULT
+) -> RegularityReport:
+    """validate_regularity from an already evaluated jet of order >= 2."""
     x, dx, d2x = jet[0], jet[1], jet[2]
     signs = chart.ambient.signature.signs
     g0 = np.einsum("nci,c,ncj->nij", dx, signs, dx)

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .chart import DE_SITTER, ImmersionChart, grid_points, validate_regularity
+from .chart import DE_SITTER, ImmersionChart, grid_points, regularity_from_jet
 from .config import DEFAULT, NumericsConfig
 from .conformal_atlas import lift_chart
 from .errors import ComputationError, ConsistencyError
-from .invariants import InvariantField, evaluate_field, grid_margin
+from .invariants import InvariantField, field_from_jet, grid_margin, jet_order
 from .pseudo_linalg import cluster_eigenvalues, sym_eigen
 
 BRANCH_ISOTROPIC = "Isotropic"
@@ -327,7 +327,8 @@ def classify(
 
     Charts in the flat or anti-de Sitter pictures are lifted (default
     through the first coordinate map) before the invariants are computed;
-    computation errors annotate the report instead of aborting.
+    computation errors annotate the report instead of aborting.  The
+    regularity check and the invariants share one jet per point.
     """
     work = chart
     notes: list[str] = []
@@ -338,7 +339,8 @@ def classify(
     if margin is None:
         margin = grid_margin(work, cfg)
     U = grid_points(work.domain, counts_list, margin=margin)
-    reg = validate_regularity(work, U, cfg)
+    jet = work.jet(U, jet_order(derivatives=True))
+    reg = regularity_from_jet(work, U, jet, cfg)
     if not reg.regular:
         rep = ClassificationReport(
             chart=chart.name,
@@ -353,7 +355,7 @@ def classify(
         )
         return rep
     try:
-        f = evaluate_field(work, U, cfg, derivatives=True, curvature=True)
+        f = field_from_jet(work, U, jet, cfg, derivatives=True, curvature=True)
     except ComputationError as exc:
         return ClassificationReport(
             chart=chart.name,

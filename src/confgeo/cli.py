@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from .chart import DE_SITTER, grid_points, load_chart, validate_regularity
+from .chart import DE_SITTER, grid_points, load_chart, regularity_from_jet
 from .classifier import classify
 from .config import CATALOG_CHECK_TOL, DEFAULT, NumericsConfig
 from .conformal_atlas import (
@@ -29,7 +29,14 @@ from .conformal_atlas import (
     t_swap,
 )
 from .errors import ComputationError, ConfGeoError, ConstructionError, InputError
-from .invariants import evaluate_field, field_report, field_report_csv, grid_margin
+from .invariants import (
+    evaluate_field,
+    field_from_jet,
+    field_report,
+    field_report_csv,
+    grid_margin,
+    jet_order,
+)
 from .pseudo_linalg import PseudoVector, Signature
 
 
@@ -209,8 +216,9 @@ def _cmd_verify_catalog(args) -> int:
             continue
         work = chart if chart.ambient.kind == DE_SITTER else lift_chart(chart, "psi1")
         U = grid_points(work.domain, args.grid, margin=grid_margin(work, cfg))
-        reg = validate_regularity(work, U, cfg)
-        f = evaluate_field(work, U, cfg, derivatives=True, curvature=True, cross_check=True)
+        jet = work.jet(U, jet_order(derivatives=True))
+        reg = regularity_from_jet(work, U, jet, cfg)
+        f = field_from_jet(work, U, jet, cfg, derivatives=True, curvature=True, cross_check=True)
         analytic = work.jet_mode == "analytic"
         gates, res_ok = _residual_gates(f, cfg, analytic)
         cross_ok = max(

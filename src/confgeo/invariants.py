@@ -47,6 +47,7 @@ from .chart import (
     DE_SITTER,
     LORENTZ_FLAT,
     ImmersionChart,
+    Jet,
     ShapeBatch,
     ShapeData,
     shape_from_jet,
@@ -146,15 +147,19 @@ def _closed_formulas(h, H, g0, g0inv, rho, dlr, d2lr, dg0, dH):
     return A, B, Phi
 
 
-def _coord_invariants(
-    chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig, derivatives: bool = False
-) -> _CoordData:
+def _check_picture(chart: ImmersionChart) -> None:
     if chart.ambient.kind != DE_SITTER or abs(chart.ambient.radius - 1.0) > 1e-12:
         raise ValidationError(
             "conformal invariants are computed in the unit de Sitter picture; "
             f"lift chart {chart.name!r} first (conformal_atlas.lift_chart)"
         )
-    return _series_invariants(chart, U, cfg, derivatives)
+
+
+def jet_order(derivatives: bool) -> int:
+    """Order of the jet a field evaluation takes: from a jet of order K the
+    shape data carry order K - 2 and A, B, Phi order K - 4, so K = 5 gives
+    their partials and K = 4 their values."""
+    return 5 if derivatives else 4
 
 
 @dataclass
@@ -199,17 +204,20 @@ def _shape_series(chart: ImmersionChart, U: np.ndarray, jet, cfg: NumericsConfig
 
 
 def _series_invariants(
-    chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig, derivatives: bool
+    chart: ImmersionChart, U: np.ndarray, jet: Jet, cfg: NumericsConfig, derivatives: bool
 ) -> _CoordData:
     """The closed formulas over Taylor series from one jet per point.
 
-    Each derivative costs one order.  From a jet of order K the shape data
-    carry order K - 2, log rho's Hessian and with it A order K - 4, and
-    every series is cut to the order its result needs: K = 5 gives the
-    partials of A, B, Phi and K = 4 the values.
+    Each derivative costs one order: log rho's Hessian and with it A carry
+    order K - 4 (see jet_order), and every series is cut to the order its
+    result needs.
     """
-    K = 5 if derivatives else 4
-    s = _shape_series(chart, U, chart.jet(U, K), cfg)
+    K = jet_order(derivatives)
+    if jet.series.order < K:
+        raise ValidationError(f"the field needs a jet of order {K}, got {jet.series.order}")
+    if jet.series.order > K:
+        jet = Jet(jet.series.truncate(K))
+    s = _shape_series(chart, U, jet, cfg)
     dlr = (0.5 * taylor.log(s.rho2)).grad()
     dH = s.H.grad()
     k = K - 4  # the order of A, B and Phi
@@ -336,23 +344,43 @@ def evaluate_field(
     the module docstring).
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    fieldv, shape = _invariant_field(chart, U, cfg, derivatives, curvature)
+    _check_picture(chart)
+    jet = chart.jet(U, jet_order(derivatives))
+    return field_from_jet(chart, U, jet, cfg, derivatives, curvature, cross_check)
+
+
+def field_from_jet(
+    chart: ImmersionChart,
+    U: np.ndarray,
+    jet: Jet,
+    cfg: NumericsConfig = DEFAULT,
+    derivatives: bool = True,
+    curvature: bool = True,
+    cross_check: bool = False,
+) -> InvariantField:
+    """evaluate_field from an already evaluated jet of order >=
+    jet_order(derivatives)."""
+    _check_picture(chart)
+    fieldv, shape = _invariant_field(chart, U, jet, cfg, derivatives, curvature)
     _attach_residuals(fieldv)
     if chart.jet_mode == "fd":
         companion = chart.with_jet_mode("fd", FDConfig(step=COMPANION_REACH * chart.fd_margin()))
-        _attach_fd_estimate(fieldv, _invariant_field(companion, U, cfg, derivatives, curvature)[0])
+        companion_jet = companion.jet(U, jet_order(derivatives))
+        _attach_fd_estimate(
+            fieldv, _invariant_field(companion, U, companion_jet, cfg, derivatives, curvature)[0]
+        )
     if cross_check:
         run_cross_check(fieldv, shape)
     return fieldv
 
 
 def _invariant_field(
-    chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig, derivatives: bool, curvature: bool
+    chart: ImmersionChart, U: np.ndarray, jet: Jet, cfg: NumericsConfig, derivatives: bool, curvature: bool
 ) -> tuple[InvariantField, _ShapeSeries]:
     """The invariants in frame components, without residuals, and the shape
     series they came from."""
     m = chart.m
-    cd = _coord_invariants(chart, U, cfg, derivatives)
+    cd = _series_invariants(chart, U, jet, cfg, derivatives)
     Fg, A, B, Phi = _frame_components(cd)
     fieldv = InvariantField(
         chart=chart,

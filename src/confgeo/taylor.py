@@ -13,8 +13,8 @@ Derivatives* (2nd ed., ch. 13):
 
 * a product gathers every coefficient pair (i, j) with deg i + deg j <=
   order from a cached pair table, multiplies (or, for tensor values,
-  contracts) the pairs in one call and sums those that land on the same
-  monomial with a sparse 0/1 matrix;
+  contracts) them in a few large calls and sums those that land on the same
+  monomial in table order, one rank of a rank-major layout at a time;
 * d/du_a shifts the coefficients down one degree, so it costs one order;
 * a univariate function is f(a0 + t) = sum_k f^(k)(a0)/k! t^k over the
   nilpotent part t, summed by Horner's rule;
@@ -122,39 +122,52 @@ def _pad(c: np.ndarray, ndim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pair_blocks(m: int, order: int, step: int) -> tuple:
-    """The pair table cut into blocks of whole product groups of about
-    `step` pairs: (first, last) product monomials, (lo, hi) pair range and
-    the 0/1 matrix that sums the block's pairs into its monomials."""
-    from scipy.sparse import csr_matrix
+def _pair_ranks(m: int, order: int, step: int) -> tuple:
+    """The pair table laid out rank-major and cut into slices of `step`
+    pairs: (rows, left, right, slices).
 
+    `rows` lists the product monomials by pair count, descending.  Rank j
+    holds the j-th pair of every monomial with more than j pairs, so its
+    monomials are a prefix of `rows`; left and right run through rank 0,
+    rank 1, ...  A slice is (lo, hi, adds): pairs lo:hi, and for each rank
+    that meets them the (accumulator, slice) ranges that add it.  Adding the
+    ranks in turn sums each monomial's pairs in table order.
+    """
     left, right, starts = _pairs(m, order)
-    bounds = np.append(starts, len(left))
-    blocks = []
-    g = 0
-    while g < len(starts):
-        h = g + 1
-        while h < len(starts) and bounds[h + 1] - bounds[g] <= step:
-            h += 1
-        lo, hi = int(bounds[g]), int(bounds[h])
-        rows = np.repeat(np.arange(h - g), np.diff(bounds[g:h + 1]))
-        summer = csr_matrix((np.ones(hi - lo), (rows, np.arange(hi - lo))), shape=(h - g, hi - lo))
-        blocks.append((g, h, lo, hi, summer))
-        g = h
-    return tuple(blocks)
+    counts = np.diff(np.append(starts, len(left)))
+    rows = np.argsort(-counts, kind="stable")
+    first, counts = starts[rows], counts[rows]
+    ranks = [first[counts > j] + j for j in range(int(counts[0]))]
+    bounds = list(itertools.accumulate([len(r) for r in ranks], initial=0))
+    idx = np.concatenate(ranks)
+    slices = []
+    for lo in range(0, len(idx), step):
+        hi = min(lo + step, len(idx))
+        adds = tuple(
+            (slice(max(r0, lo) - r0, min(r1, hi) - r0), slice(max(r0, lo) - lo, min(r1, hi) - lo))
+            for r0, r1 in zip(bounds, bounds[1:])
+            if r0 < hi and r1 > lo
+        )
+        slices.append((lo, hi, adds))
+    return _frozen(rows), _frozen(left[idx]), _frozen(right[idx]), tuple(slices)
 
 
-def _reduce_pairs(combine, ca: np.ndarray, cb: np.ndarray, m: int, order: int, per_pair: int) -> np.ndarray:
-    """Sum over the pair table of combine(ca[left], cb[right]) per product
-    monomial, in blocks that keep the gathered arrays near _CHUNK_BYTES."""
-    left, right, _ = _pairs(m, order)
+def _reduce_pairs(terms_of, m: int, order: int, per_pair: int) -> np.ndarray:
+    """Sum from 0.0 of terms_of(left, right), the terms of the coefficient
+    pairs with those indices, per product monomial over the pair table, each
+    monomial's pairs added in table order.  The pairs go to terms_of in
+    slices that keep the gathered arrays near _CHUNK_BYTES."""
     step = max(1, _CHUNK_BYTES // (8 * max(1, per_pair)))
-    out = None
-    for g, h, lo, hi, summer in _pair_blocks(m, order, min(step, len(left))):
-        terms = combine(ca[left[lo:hi]], cb[right[lo:hi]])
-        if out is None:
-            out = np.empty((n_monomials(m, order),) + terms.shape[1:])
-        out[g:h] = (summer @ terms.reshape(hi - lo, -1)).reshape((h - g,) + terms.shape[1:])
+    rows, left, right, slices = _pair_ranks(m, order, min(step, len(_pairs(m, order)[0])))
+    acc = None
+    for lo, hi, adds in slices:
+        terms = terms_of(left[lo:hi], right[lo:hi])
+        if acc is None:
+            acc = np.zeros((len(rows),) + terms.shape[1:])
+        for dst, src in adds:
+            acc[dst] += terms[src]
+    out = np.empty_like(acc)
+    out[rows] = acc
     return out
 
 
@@ -267,7 +280,10 @@ class Series:
         if isinstance(other, Series):
             ca, cb, k = self._pair(other)
             size = max(int(np.prod(ca.shape[1:])), int(np.prod(cb.shape[1:])))
-            return Series(_reduce_pairs(np.multiply, ca, cb, self.m, k, 3 * size), self.m, k)
+            # take gathers faster than indexing; its C-order result does not
+            # change an elementwise product
+            c = _reduce_pairs(lambda i, j: ca.take(i, 0) * cb.take(j, 0), self.m, k, 3 * size)
+            return Series(c, self.m, k)
         other = np.asarray(other, dtype=float)
         return Series(_pad(self.c, other.ndim) * other, self.m, self.order)
 
@@ -300,7 +316,9 @@ def _contract(ta: str, a, tb: str, b, tout: str):
         ca, cb = a.truncate(k).c, b.truncate(k).c
         sub = f"{_COEF}{ta},{_COEF}{tb}->{_COEF}{tout}"
         per = max(int(np.prod(ca.shape[1:])), int(np.prod(cb.shape[1:])))
-        c = _reduce_pairs(lambda x, y: np.einsum(sub, x, y), ca, cb, a.m, k, 2 * per)
+        # indexing keeps the operands' memory layout, on which einsum's
+        # summation order depends
+        c = _reduce_pairs(lambda i, j: np.einsum(sub, ca[i], cb[j]), a.m, k, 2 * per)
         return Series(c, a.m, k)
     if sa:
         return Series(np.einsum(f"{_COEF}{ta},{tb}->{_COEF}{tout}", a.c, b), a.m, a.order)

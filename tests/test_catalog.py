@@ -128,6 +128,17 @@ class TestAssembledExample:
         m, K = 4, 2
         assert ex33_chart.params["r"] == pytest.approx(math.sqrt(m * K / (m - 1)), abs=1e-10)
 
+    @pytest.mark.parametrize("m, K, j", [(4, 2, 1), (5, 3, 1), (5, 3, 2), (6, 4, 2)])
+    def test_core_radius_closed_form(self, m, K, j):
+        # the maximal cylinder has |h|^2 = K / r^2, which is (m-1)/m here
+        core = make_example("ex33", m, K, split=j).core
+        assert core.r == math.sqrt(m * K / (m - 1))
+        assert abs(K / core.r**2 - (m - 1) / m) <= 4 * np.finfo(float).eps
+
+    def test_core_h2_at_roundoff(self, ex33_chart):
+        assert ex33_chart.params["r"] == 1.632993161855452  # sqrt(8/3), correctly rounded
+        assert verify_core(ex33_chart.core).h2_deviation <= 1e-14
+
     def test_core_requirements(self, ex33_chart):
         rep = verify_core(ex33_chart.core)
         assert rep.mean_curvature_residual <= 1e-10
@@ -170,6 +181,31 @@ class TestAssembledExample:
     def test_ds_core_k2_obstruction_documented(self):
         with pytest.raises(ConstructionError, match="flat induced metric"):
             make_example("ex32", 4, 2)
+
+    def test_ds_core_k2_obstruction_note(self):
+        with pytest.raises(ConstructionError) as exc:
+            make_example("ex32", 4, 2)
+        assert str(exc.value) == (
+            "ex32 core construction infeasible: minimal attainable |H| over the "
+            "cylinder family is 1 (at r=1 scale), never zero: both curvature groups "
+            "share a sign inside a de Sitter quadric. For K=2 the required core cannot "
+            "exist at all: tr h = 0 and |h|^2 = (m-1)/m force constant principal "
+            "curvatures +-c, the Codazzi equations then force a flat induced metric, "
+            "and the Gauss equation gives the contradiction 1/r^2 + c^2 = 0."
+        )
+
+    @pytest.mark.parametrize("K, j", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2), (5, 3)])
+    def test_ds_core_obstruction_bound(self, K, j):
+        # |H| of H^j x S^{K-j} in the unit de Sitter quadric over a fine scan
+        # of the radius split, b2^2 = 1 + b1^2
+        b1 = np.exp(np.linspace(-12.0, 12.0, 240_001))
+        b2 = np.hypot(1.0, b1)
+        scan = float(np.min((j * b2 / b1 + (K - j) * b1 / b2) / K))
+        bound = 2 * math.sqrt(j * (K - j)) / K if j <= K - j else 1.0
+        assert bound - 1e-12 <= scan <= bound + 1e-7
+        with pytest.raises(ConstructionError) as exc:
+            make_example("ex32", K + 1, K, split=j)
+        assert f"over the cylinder family is {bound:.6g} (at r=1 scale)" in str(exc.value)
 
     def test_assembled_b_is_parallel_for_cylinder_cores(self, ex33_field):
         # the only closed-form cores are isoparametric cylinders, whose

@@ -17,6 +17,7 @@ from confgeo.chart import (
     save_chart,
     shape_batch,
     shape_data,
+    regularity_from_jet,
     validate_regularity,
 )
 from confgeo.config import FDConfig
@@ -190,6 +191,14 @@ class TestRegularity:
         assert rep.min_rho2 <= 1e-10
         with pytest.raises(RegularityError):
             shape_batch(chart, U)
+
+    @pytest.mark.parametrize("order", [2, 5])
+    def test_report_from_an_evaluated_jet(self, sxh_chart, order):
+        # the order-5 jet that classify shares with the field gives the
+        # report of validate_regularity's own order-2 jet
+        U = grid_points(sxh_chart.domain, [3], margin=0.05)
+        rep = regularity_from_jet(sxh_chart, U, sxh_chart.jet(U, order))
+        assert rep == validate_regularity(sxh_chart, U)
 
     def test_wp_regular(self, wp_chart):
         U = grid_points(wp_chart.domain, [3], margin=0.02)

@@ -213,6 +213,22 @@ class TestClassifyPipeline:
         assert rep.branch == BRANCH_INCONCLUSIVE
         assert rep.failing_gate == "regularity"
 
+    @pytest.mark.parametrize("name", ["sxh", "hxr"])
+    def test_one_jet_per_point(self, monkeypatch, name):
+        # regularity and the invariants share one jet; lifted charts take
+        # theirs through the base chart
+        calls = []
+        jet = ImmersionChart.jet
+
+        def counted(self, U, order):
+            calls.append((U.shape[0], order))
+            return jet(self, U, order)
+
+        monkeypatch.setattr(ImmersionChart, "jet", counted)
+        rep = classify(build_instance(name))
+        assert rep.branch == BRANCH_PARALLEL_B
+        assert calls == [(27, 5)]
+
     def test_grid_refinement_stability(self, sxh_chart):
         a = classify(sxh_chart, counts=3)
         b = classify(sxh_chart, counts=6)

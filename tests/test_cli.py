@@ -159,3 +159,27 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "verify-catalog" in proc.stdout
+
+
+def test_cold_classify_imports_no_scipy_or_numpy_test_tools(tmp_path):
+    # a fresh process that classifies one chart loads neither scipy nor the
+    # numpy.testing / f2py stack that `from numpy import *` pulls in
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    out = tmp_path / "report.json"
+    script = (
+        "import json, sys\n"
+        "import confgeo.cli\n"
+        f"code = confgeo.cli.main(['classify', '--catalog', 'sxh', '--grid', '3', '--out', {str(out)!r}])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'unittest')"
+        " or m == 'numpy.f2py' or m.startswith('numpy.f2py.'))))\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["branch"] == "ParallelB"
+    assert json.loads(proc.stdout) == []

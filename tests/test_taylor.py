@@ -141,6 +141,56 @@ def test_gradient_and_products_of_series():
     assert np.allclose(g.grad().value[:, 0, 1], 6 * U[:, 0] * U[:, 1] ** 2)
 
 
+def _table_order_sum(terms, m, order):
+    """Per product monomial, the sum from 0.0 of the terms of its pairs, one
+    term per row of the pair table, added in table order."""
+    _, _, starts = taylor._pairs(m, order)
+    bounds = list(starts) + [len(terms)]
+    out = []
+    for k in range(len(starts)):
+        acc = 0.0
+        for p in range(bounds[k], bounds[k + 1]):
+            acc = acc + terms[p]
+        out.append(acc)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", range(6))
+def test_product_sums_pairs_in_table_order(m, order):
+    rng = np.random.default_rng(10 * m + order)
+    n = taylor.n_monomials(m, order)
+    a = taylor.Series(rng.normal(size=(n, 5, 2)), m, order)
+    b = taylor.Series(rng.normal(size=(n, 2)), m, order)  # broadcast over the first value axis
+    left, right, _ = taylor._pairs(m, order)
+    assert np.array_equal((a * b).c, _table_order_sum(a.c[left] * b.c[right][:, None], m, order))
+
+
+def test_product_in_several_slices_sums_pairs_in_table_order():
+    m, order, shape = 4, 5, (40, 6, 6)
+    left, right, _ = taylor._pairs(m, order)
+    # a product gathers three operand-sized arrays per pair
+    assert 3 * 8 * math.prod(shape) * len(left) > 20 * taylor._CHUNK_BYTES
+    rng = np.random.default_rng(7)
+    n = taylor.n_monomials(m, order)
+    a = taylor.Series(rng.normal(size=(n, *shape)), m, order)
+    b = taylor.Series(rng.normal(size=(n, *shape)), m, order)
+    assert np.array_equal((a * b).c, _table_order_sum(a.c[left] * b.c[right], m, order))
+
+
+def test_contraction_sums_pairs_in_table_order():
+    m, order = 3, 3
+    left, right, _ = taylor._pairs(m, order)
+    rng = np.random.default_rng(8)
+    n = taylor.n_monomials(m, order)
+    a = taylor.Series(rng.normal(size=(n, 60, 4, 4)), m, order)
+    b = taylor.Series(rng.normal(size=(n, 60, 4, 4)), m, order)
+    assert 2 * 8 * 60 * 16 * len(left) > 2 * taylor._CHUNK_BYTES
+    terms = np.einsum("Qnab,Qnbc->Qnac", a.c[left], b.c[right])
+    got = taylor.einsum("nab,nbc->nac", a, b).c
+    assert np.array_equal(got, _table_order_sum(terms, m, order))
+
+
 def test_inverse_and_normal_series():
     U = np.array([[0.3, 0.2], [0.7, -0.4]])
     u, v = taylor.Series.variables(U, 4)
