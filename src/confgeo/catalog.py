@@ -12,8 +12,10 @@ Families:
           closed-form core family admits no maximal member, so construction
           reports the obstruction instead of a chart)
 
-All catalog charts are symbolic with exact jets.  Parameter orderings put
-the block structure of the invariants first-to-last in the frame.
+All catalog charts are plain formulas (see chart.ImmersionChart) with exact
+Taylor-series jets; building or evaluating them loads no sympy.  Parameter
+orderings put the block structure of the invariants first-to-last in the
+frame.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
+from . import taylor
 from .chart import (
     ANTI_DE_SITTER,
     DE_SITTER,
@@ -41,31 +43,41 @@ from .errors import ConstructionError, ValidationError
 
 
 # ---------------------------------------------------------------------------
-# symbolic factor parametrizations
+# factor parametrizations
 # ---------------------------------------------------------------------------
 
-def sphere_components(radius, angles: list[sp.Symbol]) -> list[sp.Expr]:
-    """S^p(radius) in R^{p+1}; nested angles, p = len(angles)."""
-    p = len(angles)
-    if p == 0:
-        return [sp.Float(radius) if not isinstance(radius, sp.Expr) else radius]
-    comps = []
-    running = sp.Integer(1)
-    for i, th in enumerate(angles):
-        comps.append(running * sp.cos(th))
-        running = running * sp.sin(th)
+def sphere_components(radius, angles) -> list:
+    """S^p(radius) in R^{p+1}; nested angles, p = len(angles).
+
+    Radius and angles may be numbers, numpy arrays, Taylor series or sympy
+    expressions: taylor's functions take all of them, so one formula gives
+    values, exact jets and symbolic components.
+    """
+    comps, running = [], radius
+    for th in angles:
+        comps.append(running * taylor.cos(th))
+        running = running * taylor.sin(th)
     comps.append(running)
-    return [radius * c for c in comps]
+    return comps
 
 
-def hyperbolic_components(radius, params: list[sp.Symbol]) -> list[sp.Expr]:
-    """H^k(-1/radius^2) in R^{k+1} with one leading time slot."""
-    k = len(params)
-    if k == 0:
-        return [radius if isinstance(radius, sp.Expr) else sp.Float(radius)]
+def hyperbolic_components(radius, params) -> list:
+    """H^k(-1/radius^2) in R^{k+1} with one leading time slot, k = len(params)."""
+    if not len(params):
+        return [radius]
     t0 = params[0]
-    rest = sphere_components(sp.Integer(1), list(params[1:]))
-    return [radius * sp.cosh(t0)] + [radius * sp.sinh(t0) * c for c in rest]
+    return [radius * taylor.cosh(t0)] + sphere_components(radius * taylor.sinh(t0), params[1:])
+
+
+def _two_hyperbolic(a: float, b: float, k: int):
+    """Formula of H^k(-1/a^2) x H^{m-k}(-1/b^2), the two time slots first."""
+
+    def formula(*u):
+        w = hyperbolic_components(a, u[:k])
+        z = hyperbolic_components(b, u[k:])
+        return [w[0], z[0], *w[1:], *z[1:]], {}
+
+    return formula
 
 
 def _angle_box(count: int, first_range=(0.9, 1.7), rest_range=(0.25, 1.05)):
@@ -100,9 +112,10 @@ def make_hxr(m: int, k: int) -> ImmersionChart:
     m, k = int(m), int(k)
     _check_range(m >= 2, f"hxr requires m >= 2, got m={m}")
     _check_range(1 <= k <= m - 1, f"hxr requires 1 <= k <= m-1, got k={k}, m={m}")
-    t = list(sp.symbols(f"t0:{k}"))
-    v = list(sp.symbols(f"v0:{m - k}"))
-    comps = hyperbolic_components(sp.Integer(1), t) + list(v)
+
+    def formula(*u):
+        return hyperbolic_components(1.0, u[:k]) + list(u[k:]), {}
+
     lo_t, hi_t = _hyper_box(k)
     # flat coordinates stay away from |v| = 0: the flat-form embedding is
     # singular there (1 + <u,u> = |v|^2 for this chart)
@@ -113,8 +126,7 @@ def make_hxr(m: int, k: int) -> ImmersionChart:
         m,
         AmbientForm(LORENTZ_FLAT, m + 1),
         Box(tuple(lo), tuple(hi)),
-        exprs=sp.Matrix(comps),
-        syms=tuple(t + v),
+        formula=formula,
         params={"k": k},
         template="hxr",
     )
@@ -126,10 +138,11 @@ def make_sxh(m: int, k: int, a: float) -> ImmersionChart:
     _check_range(m >= 2, f"sxh requires m >= 2, got m={m}")
     _check_range(1 <= k <= m - 1, f"sxh requires 1 <= k <= m-1, got k={k}, m={m}")
     _check_range(a > 1, f"sxh requires a > 1, got a={a}")
-    b = sp.sqrt(sp.Float(a) ** 2 - 1)
-    t = list(sp.symbols(f"t0:{k}"))
-    th = list(sp.symbols(f"th0:{m - k}"))
-    comps = hyperbolic_components(b, t) + sphere_components(sp.Float(a), th)
+    b = math.sqrt(a**2 - 1)
+
+    def formula(*u):
+        return hyperbolic_components(b, u[:k]) + sphere_components(a, u[k:]), {}
+
     lo_t, hi_t = _hyper_box(k)
     lo_s, hi_s = _angle_box(m - k)
     return ImmersionChart(
@@ -137,8 +150,7 @@ def make_sxh(m: int, k: int, a: float) -> ImmersionChart:
         m,
         AmbientForm(DE_SITTER, m + 1, 1.0),
         Box(tuple(lo_t + lo_s), tuple(hi_t + hi_s)),
-        exprs=sp.Matrix(comps),
-        syms=tuple(t + th),
+        formula=formula,
         params={"k": k, "a": float(a)},
         template="sxh",
     )
@@ -153,12 +165,6 @@ def make_hxh(m: int, k: int, a: float) -> ImmersionChart:
     _check_range(m >= 2, f"hxh requires m >= 2, got m={m}")
     _check_range(1 <= k <= m - 1, f"hxh requires 1 <= k <= m-1, got k={k}, m={m}")
     _check_range(0 < a < 1, f"hxh requires 0 < a < 1, got a={a}")
-    b = sp.sqrt(1 - sp.Float(a) ** 2)
-    s = list(sp.symbols(f"s0:{k}"))
-    t = list(sp.symbols(f"t0:{m - k}"))
-    w = hyperbolic_components(sp.Float(a), s)
-    z = hyperbolic_components(b, t)
-    comps = [w[0], z[0], *w[1:], *z[1:]]
     lo_w, hi_w = _hyper_box(k)
     lo_z, hi_z = _hyper_box(m - k)
     return ImmersionChart(
@@ -166,8 +172,7 @@ def make_hxh(m: int, k: int, a: float) -> ImmersionChart:
         m,
         AmbientForm(ANTI_DE_SITTER, m + 1, 1.0),
         Box(tuple(lo_w + lo_z), tuple(hi_w + hi_z)),
-        exprs=sp.Matrix(comps),
-        syms=tuple(s + t),
+        formula=_two_hyperbolic(a, math.sqrt(1 - a**2), k),
         params={"k": k, "a": float(a)},
         template="hxh",
     )
@@ -184,14 +189,14 @@ def make_wp(m: int, p: int, q: int, a: float) -> ImmersionChart:
     _check_range(p >= 1 and q >= 1, f"wp requires p, q >= 1, got p={p}, q={q}")
     _check_range(p + q < m, f"wp requires p + q < m, got p+q={p + q}, m={m}")
     _check_range(a > 1, f"wp requires a > 1, got a={a}")
-    b = sp.sqrt(sp.Float(a) ** 2 - 1)
-    s = list(sp.symbols(f"s0:{q}"))
-    th = list(sp.symbols(f"th0:{p}"))
-    tsym = sp.Symbol("t")
-    v = list(sp.symbols(f"v0:{m - p - q - 1}"))
-    up = hyperbolic_components(b, s)
-    upp = sphere_components(sp.Float(a), th)
-    comps = [tsym * c for c in up] + [tsym * c for c in upp] + list(v)
+    b = math.sqrt(a**2 - 1)
+
+    def formula(*u):
+        # coordinates: those of u', those of u'', t, those of the flat factor
+        t = u[q + p]
+        cone = hyperbolic_components(b, u[:q]) + sphere_components(a, u[q:q + p])
+        return [t * c for c in cone] + list(u[q + p + 1:]), {}
+
     lo_s, hi_s = _hyper_box(q, first_range=(0.1, 1.1))
     lo_p, hi_p = _angle_box(p, first_range=(0.2, 1.3))
     lo = lo_s + lo_p + [0.7] + [-0.55] * (m - p - q - 1)
@@ -201,8 +206,7 @@ def make_wp(m: int, p: int, q: int, a: float) -> ImmersionChart:
         m,
         AmbientForm(LORENTZ_FLAT, m + 1),
         Box(tuple(lo), tuple(hi)),
-        exprs=sp.Matrix(comps),
-        syms=tuple(s + th + [tsym] + v),
+        formula=formula,
         params={"p": p, "q": q, "a": float(a)},
         template="wp",
     )
@@ -239,6 +243,13 @@ class CoreHypersurface:
         return (-m * K * (K - 1) + (m - 1) * r**2) / (m * r**2)
 
 
+def _core_box(count: int):
+    """Box of one core factor H^count.  A 1-dimensional factor is a
+    hyperbola, regular through its vertex at 0; in higher dimension the first
+    coordinate is polar, and its box stays off the pole at 0."""
+    return _hyper_box(count, first_range=(-0.45, 0.45)) if count == 1 else _hyper_box(count)
+
+
 def _ads_core(m: int, K: int, j: int, r: float | None, cfg: NumericsConfig) -> CoreHypersurface:
     """Maximal cylinder H^j x H^{K-j} inside the anti-de Sitter quadric of radius r.
 
@@ -259,20 +270,14 @@ def _ads_core(m: int, K: int, j: int, r: float | None, cfg: NumericsConfig) -> C
             )
     b1 = r * math.sqrt(j / K)
     b2 = r * math.sqrt((K - j) / K)
-    s = list(sp.symbols(f"s0:{j}"))
-    t = list(sp.symbols(f"t0:{K - j}"))
-    w = hyperbolic_components(sp.Float(b1), s)
-    z = hyperbolic_components(sp.Float(b2), t)
-    comps = [w[0], z[0], *w[1:], *z[1:]]
-    lo_w, hi_w = _hyper_box(j, first_range=(-0.45, 0.45))
-    lo_z, hi_z = _hyper_box(K - j, first_range=(-0.45, 0.45))
+    lo_w, hi_w = _core_box(j)
+    lo_z, hi_z = _core_box(K - j)
     chart = ImmersionChart(
         f"core-ads(K={K},j={j},r={r:.6g})",
         K,
         AmbientForm(ANTI_DE_SITTER, K + 1, r),
         Box(tuple(lo_w + lo_z), tuple(hi_w + hi_z)),
-        exprs=sp.Matrix(comps),
-        syms=tuple(s + t),
+        formula=_two_hyperbolic(b1, b2, j),
         params={"j": j, "r": r},
         template=None,
     )
@@ -341,12 +346,16 @@ def make_example(
 
     core = _ads_core(m, K, j, r, cfg)
     rr = core.r
-    th = list(sp.symbols(f"th0:{m - K}"))
-    y2 = sphere_components(sp.Float(rr), th)
-    y = list(core.chart.exprs)  # canonical (w0, z0, w_vec, z_vec)
-    y0 = y[0]                   # leading time slot, = b1 cosh(s0) > 0
-    y1 = y[1:]                  # remaining core slots, one time slot first
-    comps = [c / y0 for c in y1] + [c / y0 for c in y2]
+    core_formula = _two_hyperbolic(core.b1, core.b2, j)
+
+    def formula(*u):
+        y, _ = core_formula(*u[:K])  # canonical (w0, z0, w_vec, z_vec)
+        y0 = y[0]                    # leading time slot, = b1 cosh(s0) > 0
+        inv = 1 / y0
+        # remaining core slots, one time slot first, then the round factor
+        comps = [c * inv for c in y[1:] + sphere_components(rr, u[K:])]
+        return comps, {"leading core coordinate": y0}
+
     lo = list(core.chart.domain.lo)
     hi = list(core.chart.domain.hi)
     lo_s, hi_s = _angle_box(m - K)
@@ -357,11 +366,9 @@ def make_example(
         m,
         AmbientForm(DE_SITTER, m + 1, 1.0),
         Box(tuple(lo), tuple(hi)),
-        exprs=sp.Matrix(comps),
-        syms=tuple(list(core.chart.syms) + th),
+        formula=formula,
         params={"K": K, "split": j, "r": rr},
         template="ex33",
-        guards=[("leading core coordinate", y0)],
     )
     chart.core = core  # attached for verify_core and reporting
     return chart

@@ -1,8 +1,9 @@
 """Parametrized hypersurface patches and their first/second fundamental data.
 
-A chart is a map x: D subset R^m -> ambient space form, either symbolic
-(sympy expressions, exact Taylor-series jets) or a bare evaluator (jets by
-least-squares polynomial fits, fd.py); conformal_atlas.LiftedChart
+A chart is a map x: D subset R^m -> ambient space form, either a formula
+(plain arithmetic over the coordinates, or sympy expressions compiled into
+one; exact Taylor-series jets) or a bare evaluator (jets by least-squares
+polynomial fits, fd.py); conformal_atlas.LiftedChart
 composes a chart with a coordinate map of the conformal space.  Every jet is a truncated Taylor
 series.  Shape data follows the conventions:
 
@@ -24,7 +25,6 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
-import sympy as sp
 
 from .config import FDConfig, NumericsConfig, DEFAULT
 from .errors import (
@@ -133,15 +133,85 @@ class Jet:
         return self._stacks[r]
 
 
+class ExprFormula:
+    """The formula of a chart given as sympy expressions (see ImmersionChart).
+
+    The expressions and guard denominators are lambdified together on the
+    first call into one function over numpy arrays and Taylor series (the
+    series versions of the elementary functions come first in its
+    namespace); sympy columns are substituted instead.  Copies of a chart
+    share this object, so the compile happens once per expression set.
+    """
+
+    def __init__(self, name: str, exprs, syms, guards):
+        self.name = name
+        self.exprs = exprs
+        self.syms = tuple(syms)
+        self.guards = list(guards or [])
+        self._fn: Callable | None = None
+        self._series_ok = False
+
+    def __call__(self, *cols) -> tuple[list, dict]:
+        if taylor.is_sympy(cols[0]):
+            subs = dict(zip(self.syms, cols))
+            return (
+                list(self.exprs.subs(subs, simultaneous=True)),
+                {name: g.subs(subs, simultaneous=True) for name, g in self.guards},
+            )
+        if isinstance(cols[0], taylor.Series):
+            self._check_series()
+        if self._fn is None:
+            import sympy as sp
+
+            # lambdify gets the numpy module, not the name "numpy": the name
+            # runs `from numpy import *`, which imports numpy.testing and f2py
+            self._fn = sp.lambdify(
+                self.syms,
+                [list(self.exprs), [g for _, g in self.guards]],
+                modules=[taylor.FUNCTIONS, np],
+                cse=True,
+            )
+        comps, vals = self._fn(*cols)
+        return comps, {name: v for (name, _), v in zip(self.guards, vals)}
+
+    def _check_series(self) -> None:
+        """Refuse expressions that Taylor series cannot evaluate."""
+        if self._series_ok:
+            return
+        import sympy as sp
+
+        exprs = [*self.exprs, *(g for _, g in self.guards)]
+        funcs = set().union(*(e.atoms(sp.core.function.Application) for e in exprs))
+        for f in sorted(funcs, key=str):
+            if type(f).__name__ not in taylor.FUNCTIONS:
+                raise ValidationError(
+                    f"chart {self.name!r}: Taylor jets do not support the function "
+                    f"{type(f).__name__!r}; use FD jets for this chart"
+                )
+        for p in set().union(*(e.atoms(sp.Pow) for e in exprs)):
+            if not p.exp.is_number and not p.base.is_number:
+                raise ValidationError(
+                    f"chart {self.name!r}: Taylor jets do not support the power {p}"
+                )
+        self._series_ok = True
+
+
 class ImmersionChart:
     """A hypersurface patch with derivative-jet access.
 
-    Symbolic charts carry sympy expressions and give exact Taylor-series
-    jets; evaluator charts, and symbolic charts switched to FD jets, fit a
-    polynomial to one evaluation on a sample cloud around each point and
-    write its coefficients as the same series.  Instances are immutable by
-    convention; internal lambdify caches are the only mutable state and are
-    safe to rebuild.
+    A chart is given by a formula, by sympy expressions or by a bare
+    evaluator.  A formula maps the m coordinate columns to (components,
+    guards): the list of ambient components and a dict that names each
+    denominator the chart divides by.  It is written with plain arithmetic
+    and taylor's elementary functions, so the same callable takes numpy
+    arrays (eval), Taylor series (exact analytic jets) and sympy symbols
+    (`exprs` and `syms`, formed on access).  Sympy expressions become
+    such a formula by lambdify on first use (ExprFormula); that and `exprs`
+    are the only places a chart imports sympy.  Evaluator charts, and
+    formula charts switched to FD jets, fit a polynomial to one evaluation
+    on a sample cloud around each point and write its coefficients as the
+    same series.  Instances are immutable by convention; the compiled form
+    of sympy expressions is a cache, shared by the copies of a chart.
     """
 
     def __init__(
@@ -150,14 +220,15 @@ class ImmersionChart:
         m: int,
         ambient: AmbientForm,
         domain: Box,
-        exprs: sp.Matrix | None = None,
-        syms: tuple[sp.Symbol, ...] | None = None,
+        exprs=None,
+        syms=None,
         eval_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         jet_mode: str = "analytic",
         fd: FDConfig | None = None,
         params: dict | None = None,
         template: str | None = None,
-        guards: list[tuple[str, sp.Expr]] | None = None,
+        guards: list | None = None,
+        formula: Callable[..., tuple[list, dict]] | None = None,
     ):
         if domain.dim != m:
             raise ValidationError(f"domain dimension {domain.dim} != m={m}")
@@ -165,25 +236,26 @@ class ImmersionChart:
             raise ValidationError(f"ambient dimension {ambient.dim} != m+1={m + 1}")
         if jet_mode not in ("analytic", "fd"):
             raise ValidationError(f"jet mode must be 'analytic' or 'fd', got {jet_mode!r}")
-        if exprs is None and eval_fn is None:
-            raise ValidationError("chart needs expressions or an evaluator")
-        if jet_mode == "analytic" and exprs is None:
-            raise ValidationError("analytic jets require symbolic expressions")
+        if exprs is not None:
+            if formula is not None:
+                raise ValidationError("chart takes expressions or a formula, not both")
+            if syms is None:
+                raise ValidationError("chart expressions need their symbols")
+            formula = ExprFormula(name, exprs, syms, guards)
+        if formula is None and eval_fn is None:
+            raise ValidationError("chart needs a formula, expressions or an evaluator")
+        if jet_mode == "analytic" and formula is None:
+            raise ValidationError("analytic jets require a formula or symbolic expressions")
         self.name = name
         self.m = m
         self.ambient = ambient
         self.domain = domain
-        self.exprs = exprs
-        self.syms = tuple(syms) if syms is not None else None
+        self._formula = formula
         self._eval_fn = eval_fn
         self.jet_mode = jet_mode
         self.fd = fd or FDConfig()
         self.params = dict(params or {})
         self.template = template
-        self.guards = list(guards or [])
-        self._x_fn: Callable | None = None
-        self._series_fn: Callable | None = None
-        self._guard_fns: list[tuple[str, Callable]] | None = None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -191,59 +263,53 @@ class ImmersionChart:
     def n_comps(self) -> int:
         return self.ambient.embedding_dim
 
-    def _check_guards(self, U: np.ndarray) -> None:
-        if not self.guards:
-            return
-        if self._guard_fns is None:
-            # lambdify gets the numpy module, not the name "numpy": the name
-            # runs `from numpy import *`, which imports numpy.testing and f2py
-            self._guard_fns = [
-                (name, sp.lambdify(self.syms, expr, np)) for name, expr in self.guards
-            ]
-        for name, fn in self._guard_fns:
-            vals = np.broadcast_to(np.asarray(fn(*[U[:, i] for i in range(self.m)]), float), (U.shape[0],))
-            if np.any(np.abs(vals) < 1e-12):
+    @property
+    def exprs(self):
+        """The components as a sympy Matrix; None for evaluator charts."""
+        return self._sympy_form()[0]
+
+    @property
+    def syms(self) -> tuple | None:
+        """The sympy symbols of the coordinates in `exprs`."""
+        return self._sympy_form()[1]
+
+    def _sympy_form(self) -> tuple:
+        """(exprs, syms); a plain formula is run on sympy symbols each time."""
+        if self._formula is None:
+            return None, None
+        if isinstance(self._formula, ExprFormula):
+            return self._formula.exprs, self._formula.syms
+        import sympy as sp
+
+        syms = sp.symbols(f"u0:{self.m}")
+        return sp.Matrix(self._formula(*syms)[0]), syms
+
+    def _components(self, cols: list) -> list:
+        """The formula's components at the columns; raises where a guard
+        denominator (its centre value, for series) vanishes."""
+        comps, guards = self._formula(*cols)
+        for name, g in guards.items():
+            centre = g.value if isinstance(g, taylor.Series) else g
+            if np.any(np.abs(np.asarray(centre, dtype=float)) < 1e-12):
                 raise ChartDomainError(
                     f"chart {self.name!r}: denominator {name!r} vanishes at a requested point"
                 )
+        return comps
 
     def eval(self, U: np.ndarray) -> np.ndarray:
         """Evaluate the immersion on a batch U (N, m) -> (N, comps)."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
         if U.shape[1] != self.m:
             raise DimensionMismatchError(f"points have {U.shape[1]} coords, chart expects {self.m}")
-        if self.exprs is not None:
-            self._check_guards(U)
-            if self._x_fn is None:
-                self._x_fn = sp.lambdify(self.syms, list(self.exprs), np)
-            out = self._x_fn(*[U[:, i] for i in range(self.m)])
-            cols = [np.broadcast_to(np.asarray(c, dtype=float), (U.shape[0],)) for c in out]
-            return np.stack(cols, axis=1)
-        return np.asarray(self._eval_fn(U), dtype=float)
-
-    def _taylor_fn(self) -> Callable:
-        """The expressions lambdified once over truncated Taylor series."""
-        if self._series_fn is None:
-            for f in sorted(self.exprs.atoms(sp.core.function.Application), key=str):
-                if type(f).__name__ not in taylor.FUNCTIONS:
-                    raise ValidationError(
-                        f"chart {self.name!r}: Taylor jets do not support the function "
-                        f"{type(f).__name__!r}; use FD jets for this chart"
-                    )
-            for p in self.exprs.atoms(sp.Pow):
-                if not p.exp.is_number and not p.base.is_number:
-                    raise ValidationError(
-                        f"chart {self.name!r}: Taylor jets do not support the power {p}"
-                    )
-            self._series_fn = sp.lambdify(
-                self.syms, list(self.exprs), modules=[taylor.FUNCTIONS, np], cse=True
-            )
-        return self._series_fn
+        if self._formula is None:
+            return np.asarray(self._eval_fn(U), dtype=float)
+        comps = self._components([U[:, i] for i in range(self.m)])
+        return np.stack([np.broadcast_to(np.asarray(c, dtype=float), (U.shape[0],)) for c in comps], axis=1)
 
     def _taylor_series(self, U: np.ndarray, order: int) -> taylor.Series:
         """Taylor series of x around each point of U, shape (N, comps)."""
         N = U.shape[0]
-        out = self._taylor_fn()(*taylor.Series.variables(U, order))
+        out = self._components(taylor.Series.variables(U, order))
         comps = [
             v if isinstance(v, taylor.Series)
             else taylor.Series.constant(np.broadcast_to(np.asarray(v, float), (N,)), self.m, order)
@@ -264,15 +330,14 @@ class ImmersionChart:
     def jet(self, U: np.ndarray, order: int) -> Jet:
         """Taylor series of x up to `order` (<= 5) around each point of U.
 
-        Symbolic charts in analytic mode lambdify their expressions over
-        series; FD charts take the coefficients of the least-squares
-        polynomial fitted around each point (fd.fit_series).
+        Analytic charts run their formula on series; FD charts take the
+        coefficients of the least-squares polynomial fitted around each
+        point (fd.fit_series).
         """
         if not (0 <= order <= 5):
             raise ValidationError(f"jet order must be within 0..5, got {order}")
         U = np.atleast_2d(np.asarray(U, dtype=float))
         if self.jet_mode == "analytic":
-            self._check_guards(U)
             return Jet(self._taylor_series(U, order))
         margin = self.fd_margin()
         if not self.domain.contains(U, margin=margin):
@@ -286,40 +351,38 @@ class ImmersionChart:
     def reparametrized(self, A: np.ndarray, b: np.ndarray, name: str | None = None) -> "ImmersionChart":
         """Chart composed with the affine parameter change u = A v + b.
 
-        Only symbolic charts support this.  The new domain is the bounding
-        box of the preimage of the old one (a parallelotope), so boundary
-        margins are advisory near the corners.
+        Only charts with a formula support this.  The new domain is the
+        bounding box of the preimage of the old one (a parallelotope), so
+        boundary margins are advisory near the corners.
         """
-        if self.exprs is None:
-            raise ValidationError("reparametrization requires a symbolic chart")
+        if self._formula is None:
+            raise ValidationError("reparametrization requires a formula or symbolic chart")
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
-        v = sp.symbols(f"v0:{self.m}")
-        subs = {
-            self.syms[i]: sum(sp.Float(A[i, j]) * v[j] for j in range(self.m)) + sp.Float(b[i])
-            for i in range(self.m)
-        }
-        exprs = self.exprs.subs(subs, simultaneous=True)
-        guards = [(gname, gexpr.subs(subs, simultaneous=True)) for gname, gexpr in self.guards]
+        base, rows, shift = self._formula, A.tolist(), b.tolist()
+
+        def formula(*v):
+            return base(*(sum((a * vj for a, vj in zip(row, v)), s) for row, s in zip(rows, shift)))
+
         Ainv = np.linalg.inv(A)
         lo, hi = self.domain.arrays()
         corners = np.array(list(itertools.product(*zip(lo, hi))))
         pre = (corners - b) @ Ainv.T
         dom = Box(tuple(pre.min(axis=0)), tuple(pre.max(axis=0)))
         return self._replace(
-            name=name or f"{self.name}~affine", domain=dom, exprs=sp.Matrix(exprs), syms=v,
-            eval_fn=None, guards=guards,
+            name=name or f"{self.name}~affine", domain=dom, formula=formula, eval_fn=None
         )
 
     def with_jet_mode(self, jet_mode: str, fd: FDConfig | None = None) -> "ImmersionChart":
         return self._replace(jet_mode=jet_mode, fd=fd or self.fd)
 
     def _replace(self, **changes) -> "ImmersionChart":
-        """The chart rebuilt with some constructor arguments changed."""
+        """The chart rebuilt with some constructor arguments changed; it
+        keeps the formula object, and with it any compiled form."""
         args = dict(
-            name=self.name, m=self.m, ambient=self.ambient, domain=self.domain, exprs=self.exprs,
-            syms=self.syms, eval_fn=self._eval_fn, jet_mode=self.jet_mode, fd=self.fd,
-            params=self.params, template=self.template, guards=self.guards,
+            name=self.name, m=self.m, ambient=self.ambient, domain=self.domain,
+            formula=self._formula, eval_fn=self._eval_fn, jet_mode=self.jet_mode, fd=self.fd,
+            params=self.params, template=self.template,
         )
         return ImmersionChart(**{**args, **changes})
 

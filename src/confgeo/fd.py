@@ -86,7 +86,10 @@ def fit_series(
     flat = values.reshape(P, -1)
     centre = flat[P // 2]
     k = taylor.n_monomials(m, order)
-    scale = reach ** -taylor.monomials(m, order).sum(axis=1).astype(float)
-    c = (W[:k] * scale[:, None]) @ (flat - centre)
+    scale = reach ** -taylor.monomials(m, MAX_ORDER).sum(axis=1).astype(float)
+    # every row goes through the product and the result is truncated after:
+    # BLAS rounds a product differently by its row count, and a jet must not
+    # depend on the order requested
+    c = ((W * scale[:, None]) @ (flat - centre))[:k]
     c[0] += centre
     return taylor.Series(c.reshape((k, N) + values.shape[1:]), m, order)

@@ -18,7 +18,7 @@ Two independent computation routes:
   space-form pictures and doubles as the internal consistency check.
 
 Both routes run on truncated Taylor series (taylor.py) of one jet per
-point, whatever the jet source: the exact series of symbolic charts or the
+point, whatever the jet source: the exact series of formula charts or the
 least-squares fit of FD charts (fd.py).  The shape series (x, the normal,
 h, H, rho^2, g0) feed the closed formulas, which give rho, H, the
 conformal metric with two derivatives and the partials of A, B and Phi at

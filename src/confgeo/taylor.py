@@ -24,7 +24,9 @@ Derivatives* (2nd ed., ch. 13):
 
 The value axes behave like a numpy array of shape (N, *shape): indexing,
 `transpose` and broadcasting act on them, and `einsum` takes numpy's
-subscripts.  Arguments that are not series fall through to numpy.  Tables
+subscripts.  Arguments that are not series fall through to numpy, except
+that the univariate functions hand sympy expressions to sympy's function of
+the same name, so one formula serves arrays, series and symbols.  Tables
 are built on first use and cached read-only.
 """
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -391,9 +394,19 @@ def _taylor_coeffs(cycle: list[np.ndarray], K: int) -> list[np.ndarray]:
     return [cycle[k % len(cycle)] / math.factorial(k) for k in range(K + 1)]
 
 
+def is_sympy(x) -> bool:
+    """Whether x is a sympy object; sympy is never imported to find out."""
+    sympy = sys.modules.get("sympy")
+    return sympy is not None and isinstance(x, sympy.Basic)
+
+
 def _univariate(np_fn, series_fn):
     def apply(x):
-        return series_fn(x) if isinstance(x, Series) else np_fn(x)
+        if isinstance(x, Series):
+            return series_fn(x)
+        if is_sympy(x):
+            return getattr(sys.modules["sympy"], np_fn.__name__)(x)
+        return np_fn(x)
 
     apply.__name__ = np_fn.__name__
     return apply

@@ -207,6 +207,19 @@ class TestAssembledExample:
             make_example("ex32", K + 1, K, split=j)
         assert f"over the cylinder family is {bound:.6g} (at r=1 scale)" in str(exc.value)
 
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_polar_core_factor_off_the_pole(self, j):
+        # at K = 3 one core factor is H^2, whose first coordinate is polar:
+        # its box leaves out the pole, where the core's metric degenerates
+        core = make_example("ex33", 5, 3, split=j).core
+        rep = verify_core(core)
+        assert rep.mean_curvature_residual <= 1e-10
+        assert rep.h2_deviation <= 1e-8
+
+    def test_hyperbola_core_factors_keep_their_box(self, ex33_chart):
+        assert ex33_chart.domain.lo[:2] == (-0.45, -0.45)
+        assert ex33_chart.domain.hi[:2] == (0.45, 0.45)
+
     def test_assembled_b_is_parallel_for_cylinder_cores(self, ex33_field):
         # the only closed-form cores are isoparametric cylinders, whose
         # assembled second fundamental form is parallel; exhibited, not hidden
@@ -223,6 +236,29 @@ class TestRegularityOfCatalog:
         work = chart if chart.ambient.kind == "de_sitter" else lift_chart(chart, "psi1")
         U = grid_points(work.domain, [3], margin=0.05)
         assert validate_regularity(work, U).regular
+
+
+class TestFormulas:
+    @pytest.mark.parametrize("name", ["hxr", "sxh", "hxh", "wp", "ex33"])
+    def test_eval_matches_symbolic_components(self, name):
+        # the on-demand expressions run the chart's formula on sympy
+        # symbols; lambdified to plain numpy they give the chart's values
+        chart = build_instance(name)
+        U = grid_points(chart.domain, [3])
+        ref = sp.lambdify(chart.syms, list(chart.exprs), "numpy")(*U.T)
+        ref = np.stack([np.broadcast_to(np.asarray(v, float), (len(U),)) for v in ref], axis=1)
+        assert np.max(np.abs(chart.eval(U) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_reparametrized_formula_composes_the_affine_map(self, sxh_chart, rng):
+        A = np.eye(3) + 0.15 * rng.normal(size=(3, 3))
+        b = 0.05 * rng.normal(size=3)
+        re = sxh_chart.reparametrized(A, b)
+        V = grid_points(re.domain, [3])
+        assert np.max(np.abs(re.eval(V) - sxh_chart.eval(V @ A.T + b))) <= 1e-14
+        u = sp.symbols("u0:3")
+        shifted = [sum(A[i, j] * u[j] for j in range(3)) + b[i] for i in range(3)]
+        expected = sxh_chart.exprs.subs(dict(zip(sxh_chart.syms, shifted)), simultaneous=True)
+        assert sp.simplify(re.exprs - expected) == sp.zeros(5, 1)
 
 
 class TestBuildInstance:

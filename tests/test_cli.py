@@ -31,6 +31,15 @@ class TestClassifyCommand:
         assert data["branch"] == "ParallelB"
         assert data["eigenstructure"]["t"] == 2
 
+    @pytest.mark.parametrize("split", ["1", "2"])
+    def test_assembled_chart_with_a_polar_core_factor(self, capsys, split):
+        code, out, _ = run_cli(
+            capsys, "classify", "--catalog", "ex33", "--m", "5", "--K", "3", "--split", split,
+            "--grid", "3",
+        )
+        assert code == 0
+        assert json.loads(out)["branch"] == "ParallelB"
+
     def test_infeasible_construction_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--catalog", "ex32", "--m", "4", "--K", "2")
         assert code == 2
@@ -183,3 +192,40 @@ def test_cold_classify_imports_no_scipy_or_numpy_test_tools(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["branch"] == "ParallelB"
     assert json.loads(proc.stdout) == []
+
+
+def test_catalog_classify_loads_no_sympy(tmp_path):
+    # catalog charts are plain formulas: importing confgeo and classifying
+    # every catalog family, and a catalog chart file, in a fresh process
+    # loads no sympy module
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    chart_file = tmp_path / "sxh-fd.json"
+    save_chart(build_instance("sxh").with_jet_mode("fd"), chart_file)
+    out = tmp_path / "report.json"
+    script = (
+        "import json, sys\n"
+        "def sympy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')\n"
+        "import confgeo\n"
+        "seen = {'import': sympy_modules()}\n"
+        "import confgeo.cli\n"
+        "runs = [['--catalog', name] for name in ('hxr', 'sxh', 'hxh', 'wp', 'ex33')]\n"
+        f"runs.append(['--chart-file', {str(chart_file)!r}])\n"
+        "for run in runs:\n"
+        f"    code = confgeo.cli.main(['classify', *run, '--grid', '3', '--out', {str(out)!r}])\n"
+        f"    branch = json.load(open({str(out)!r}))['branch']\n"
+        "    seen[' '.join(run)] = [code, branch, sympy_modules()]\n"
+        "print(json.dumps(seen))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen.pop("import") == []
+    assert len(seen) == 6
+    for run, result in seen.items():
+        assert result == [0, "ParallelB", []], run

@@ -358,6 +358,20 @@ class TestFDErrorEstimate:
             if key != FD_ESTIMATE:
                 assert value <= 1e-8, key
 
+    def test_warm_fd_field_compiles_nothing(self, graph_lifted, monkeypatch):
+        # the companion fit is a copy of the sympy-built graph chart with
+        # another reach; it keeps the chart's compiled formula
+        import sympy
+
+        fd = graph_lifted.with_jet_mode("fd")
+        U = _fd_grid(fd)
+        evaluate_field(fd, U)
+        calls = []
+        lambdify = sympy.lambdify
+        monkeypatch.setattr(sympy, "lambdify", lambda *a, **k: calls.append(a) or lambdify(*a, **k))
+        evaluate_field(fd, U)
+        assert calls == []
+
     def test_off_catalog_chart_meets_the_fd_tier(self, graph_lifted):
         fd = graph_lifted.with_jet_mode("fd")
         U = _fd_grid(fd)
