@@ -361,7 +361,7 @@ def make_example(
     lo_s, hi_s = _angle_box(m - K)
     lo += lo_s
     hi += hi_s
-    chart = ImmersionChart(
+    return ImmersionChart(
         f"ex33(m={m},K={K},j={j},r={rr:.6g})",
         m,
         AmbientForm(DE_SITTER, m + 1, 1.0),
@@ -369,9 +369,8 @@ def make_example(
         formula=formula,
         params={"K": K, "split": j, "r": rr},
         template="ex33",
+        core=core,
     )
-    chart.core = core  # attached for verify_core and reporting
-    return chart
 
 
 @dataclass

@@ -133,6 +133,22 @@ class Jet:
         return self._stacks[r]
 
 
+def _float_printer():
+    """The printer lambdify picks for ExprFormula, except that it writes a
+    sympy Float as the shortest repr of its double; sympy's own writes 15
+    significant digits and so rounds constants like Float(sqrt(2))."""
+    from sympy.printing.numpy import NumPyPrinter
+
+    class FloatPrinter(NumPyPrinter):
+        def _print_Float(self, expr):
+            return repr(float(expr))
+
+    return FloatPrinter({
+        "fully_qualified_modules": False, "inline": True, "allow_unknown_functions": True,
+        "user_functions": {name: name for name in taylor.FUNCTIONS},
+    })
+
+
 class ExprFormula:
     """The formula of a chart given as sympy expressions (see ImmersionChart).
 
@@ -169,6 +185,7 @@ class ExprFormula:
                 self.syms,
                 [list(self.exprs), [g for _, g in self.guards]],
                 modules=[taylor.FUNCTIONS, np],
+                printer=_float_printer(),
                 cse=True,
             )
         comps, vals = self._fn(*cols)
@@ -229,6 +246,7 @@ class ImmersionChart:
         template: str | None = None,
         guards: list | None = None,
         formula: Callable[..., tuple[list, dict]] | None = None,
+        core=None,
     ):
         if domain.dim != m:
             raise ValidationError(f"domain dimension {domain.dim} != m={m}")
@@ -256,6 +274,8 @@ class ImmersionChart:
         self.fd = fd or FDConfig()
         self.params = dict(params or {})
         self.template = template
+        # the maximal core of an assembled catalog example (catalog.make_example)
+        self.core = core
 
     # -- evaluation ---------------------------------------------------------
 
@@ -382,7 +402,7 @@ class ImmersionChart:
         args = dict(
             name=self.name, m=self.m, ambient=self.ambient, domain=self.domain,
             formula=self._formula, eval_fn=self._eval_fn, jet_mode=self.jet_mode, fd=self.fd,
-            params=self.params, template=self.template,
+            params=self.params, template=self.template, core=self.core,
         )
         return ImmersionChart(**{**args, **changes})
 

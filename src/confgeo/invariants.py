@@ -30,15 +30,17 @@ compares the two formula routes, exact up to roundoff.
 
 On FD charts the identities hold exactly on the fitted polynomial surface,
 so their residuals say nothing about the fit.  evaluate_field therefore
-also runs the closed formulas on a companion fit of COMPANION_REACH times
-the reach and records, per point, the largest difference of A, B, Phi,
-their covariant derivatives and the curvature as the residual
-FD_ESTIMATE, an estimate of the FD error gated at the FD residual tier.
+also fits a companion of COMPANION_REACH times the reach, runs the closed
+formulas on both fits in the same pass (the two jets stacked along the
+point axis, so the regularity checks cover the companion's points too) and
+records, per point, the largest difference of A, B, Phi, their covariant
+derivatives and the curvature as the residual FD_ESTIMATE, an estimate of
+the FD error gated at the FD residual tier.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields, replace
 
 import numpy as np
 
@@ -197,8 +199,9 @@ def _shape_series(chart: ImmersionChart, U: np.ndarray, jet, cfg: NumericsConfig
     n = taylor.normal(rows, signs, sb.normal)
     h = -einsum("nc,c,ncab->nab", n, signs, d2x)
     g0inv = taylor.inv(g0)
-    H = einsum("nab,nab->n", g0inv, h) / m
-    h2 = einsum("nab,nag,nbd,ngd->n", h, g0inv, g0inv, h)
+    P = einsum("nab,nbc->nac", g0inv, h)  # the shape operator
+    H = einsum("naa->n", P) / m
+    h2 = einsum("nab,nba->n", P, P)
     rho2 = m / (m - 1) * (h2 - m * H**2)
     return _ShapeSeries(sb, x, g0, n, h, g0inv, H, rho2)
 
@@ -361,17 +364,36 @@ def field_from_jet(
     """evaluate_field from an already evaluated jet of order >=
     jet_order(derivatives)."""
     _check_picture(chart)
-    fieldv, shape = _invariant_field(chart, U, jet, cfg, derivatives, curvature)
-    _attach_residuals(fieldv)
-    if chart.jet_mode == "fd":
+    if chart.jet_mode != "fd":
+        fieldv, shape = _invariant_field(chart, U, jet, cfg, derivatives, curvature)
+        _attach_residuals(fieldv)
+    else:
+        # the fit and its companion fit go through the pipeline as one batch
         companion = chart.with_jet_mode("fd", FDConfig(step=COMPANION_REACH * chart.fd_margin()))
         companion_jet = companion.jet(U, jet_order(derivatives))
-        _attach_fd_estimate(
-            fieldv, _invariant_field(companion, U, companion_jet, cfg, derivatives, curvature)[0]
-        )
+        both = Jet(taylor.concatenate([jet.series, companion_jet.series], 0))
+        n = U.shape[0]
+        stacked, shape = _invariant_field(chart, np.concatenate([U, U]), both, cfg, derivatives, curvature)
+        fieldv, shape = _points(stacked, slice(None, n)), _points(shape, slice(None, n))
+        _attach_residuals(fieldv)
+        _attach_fd_estimate(fieldv, _points(stacked, slice(n, None)))
     if cross_check:
         run_cross_check(fieldv, shape)
     return fieldv
+
+
+def _points(obj, sel: slice):
+    """Copy of a per-point record (InvariantField, _ShapeSeries, ShapeBatch)
+    with every array and series, nested records included, cut to the points
+    `sel`."""
+    cut = {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(v, (np.ndarray, taylor.Series)):
+            cut[f.name] = v[sel]
+        elif isinstance(v, ShapeBatch):
+            cut[f.name] = _points(v, sel)
+    return replace(obj, **cut)
 
 
 def _invariant_field(

@@ -17,10 +17,12 @@ Derivatives* (2nd ed., ch. 13):
   monomial in table order, one rank of a rank-major layout at a time;
 * d/du_a shifts the coefficients down one degree, so it costs one order;
 * a univariate function is f(a0 + t) = sum_k f^(k)(a0)/k! t^k over the
-  nilpotent part t, summed by Horner's rule;
+  nilpotent part t, summed by Horner's rule, each stage only to the order
+  that its later factors of t leave;
 * a matrix inverse is the Neumann series around the centre value, and the
   normal and the triangular frame are fixed degree by degree from their
-  centre values.
+  centre values; step k of the inverse and of the normal runs at order k,
+  the degree it fixes.
 
 The value axes behave like a numpy array of shape (N, *shape): indexing,
 `transpose` and broadcasting act on them, and `einsum` takes numpy's
@@ -221,6 +223,14 @@ class Series:
             return self
         return Series(self.c[: n_monomials(self.m, order)], self.m, order)
 
+    def padded(self, order: int) -> "Series":
+        """The series raised to `order` with zero coefficients above its own."""
+        if order <= self.order:
+            return self
+        c = np.zeros((n_monomials(self.m, order),) + self.c.shape[1:])
+        c[: len(self.c)] = self.c
+        return Series(c, self.m, order)
+
     def nilpotent(self) -> "Series":
         """The series minus its centre value."""
         c = self.c.copy()
@@ -378,14 +388,17 @@ def stack(items: list) -> Series:
 # ---------------------------------------------------------------------------
 
 def _compose(s: Series, coeffs: list[np.ndarray]) -> Series:
-    """sum_k coeffs[k] t^k with t the nilpotent part of s (Horner's rule)."""
+    """sum_k coeffs[k] t^k with t the nilpotent part of s (Horner's rule).
+
+    The stage that adds coeffs[k] is multiplied by t^k later on, so it runs
+    at order K - k; t has no constant term, so the zero top coefficient that
+    padding gives the previous stage never reaches the product.
+    """
     K = s.order
-    if K == 0:
-        return Series(np.asarray(coeffs[0], dtype=float)[None], s.m, 0)
     t = s.nilpotent()
-    out = t * coeffs[K] + coeffs[K - 1]
-    for k in range(K - 2, -1, -1):
-        out = out * t + coeffs[k]
+    out = Series.constant(coeffs[K], s.m, 0)
+    for k in range(K - 1, -1, -1):
+        out = out.padded(K - k) * t.truncate(K - k) + coeffs[k]
     return out
 
 
@@ -488,13 +501,17 @@ FUNCTIONS = {f.__name__: f for f in (sin, cos, sinh, cosh, exp, log, sqrt)}
 
 def inv(s: Series) -> Series:
     """Inverse of a batch of square matrices (N, k, k): Neumann series around
-    the centre value, (A0 + T)^-1 = sum_j (-A0^-1 T)^j A0^-1."""
+    the centre value, (A0 + T)^-1 = sum_j (-A0^-1 T)^j A0^-1.
+
+    Step k forms S <- X S + I (X = -A0^-1 T) at order k: X has no constant
+    term, so degree k of S needs only the degrees below k of the last S.
+    """
     a0inv = np.linalg.inv(s.value)
     eye = np.eye(s.shape[-1])
     X = einsum("nab,nbc->nac", -a0inv, s.nilpotent())
-    S = X + eye
-    for _ in range(s.order - 1):
-        S = einsum("nab,nbc->nac", X, S) + eye
+    S = Series.constant(np.broadcast_to(eye, s.shape), s.m, 0)
+    for k in range(1, s.order + 1):
+        S = einsum("nab,nbc->nac", X.truncate(k), S.padded(k)) + eye
     return einsum("nab,nbc->nac", S, a0inv)
 
 
@@ -502,16 +519,19 @@ def normal(rows: Series, signs: np.ndarray, n0: np.ndarray) -> Series:
     """Unit normal of a row set: <n, row_k> = 0 for every row and <n, n> = -1.
 
     rows: (N, d-1, d); n0 (N, d) is the centre normal, which fixes the
-    orientation.  Each step solves the bordered system [rows0 S; 2 n0^T S]
-    (S = diag(signs)) for the residual and fixes one more degree.
+    orientation.  Step k solves the bordered system [rows0 S; 2 n0^T S]
+    (S = diag(signs)) for the residual at order k, which fixes degree k: the
+    step sets that degree whatever its value before, so n enters it padded
+    with zeros.
     """
     M0 = np.concatenate([rows.value * signs, 2.0 * (n0 * signs)[:, None, :]], axis=1)
     M0inv = np.linalg.inv(M0)
-    n = Series.constant(n0, rows.m, rows.order)
-    for _ in range(rows.order):
+    n = Series.constant(n0, rows.m, 0)
+    for k in range(1, rows.order + 1):
+        n = n.padded(k)
         resid = concatenate(
             [
-                einsum("nkc,c,nc->nk", rows, signs, n),
+                einsum("nkc,c,nc->nk", rows.truncate(k), signs, n),
                 (einsum("nc,c,nc->n", n, signs, n) + 1.0)[:, None],
             ],
             axis=1,

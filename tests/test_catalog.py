@@ -17,7 +17,16 @@ from confgeo.catalog import (
     make_wp,
     verify_core,
 )
-from confgeo.chart import TEMPLATES, AmbientForm, Box, ImmersionChart, grid_points, shape_batch
+from confgeo.chart import (
+    TEMPLATES,
+    AmbientForm,
+    Box,
+    ImmersionChart,
+    chart_from_dict,
+    chart_to_dict,
+    grid_points,
+    shape_batch,
+)
 from confgeo.conformal_atlas import lift_chart
 from confgeo.errors import ConstructionError, ValidationError
 from confgeo.invariants import evaluate_field
@@ -138,6 +147,13 @@ class TestAssembledExample:
     def test_core_h2_at_roundoff(self, ex33_chart):
         assert ex33_chart.params["r"] == 1.632993161855452  # sqrt(8/3), correctly rounded
         assert verify_core(ex33_chart.core).h2_deviation <= 1e-14
+
+    def test_copies_keep_the_core(self, ex33_chart):
+        fd = ex33_chart.with_jet_mode("fd")
+        loaded = chart_from_dict(chart_to_dict(ex33_chart))
+        assert fd.core is ex33_chart.core
+        assert loaded.core.r == ex33_chart.core.r
+        assert loaded.core.chart.name == ex33_chart.core.chart.name
 
     def test_core_requirements(self, ex33_chart):
         rep = verify_core(ex33_chart.core)

@@ -108,6 +108,21 @@ class TestJets:
         with pytest.raises(ValidationError):
             sxh_chart.jet(np.array([[0.5, 1.2, 0.6]]), 6)
 
+    def test_float_constants_keep_every_digit(self, rng):
+        # sympy prints a Float with 15 digits, 1.4142135623731 for sqrt(2);
+        # the compiled expressions must carry the double itself
+        u = sp.symbols("u0:3")
+        t = sp.Float(math.sqrt(2)) / 4 * u[0] ** 2 + u[1] * u[2] / 7
+        c = math.sqrt(2) / 4
+        ambient, box = AmbientForm("lorentz_flat", 4), Box((-0.5,) * 3, (0.5,) * 3)
+        expr_chart = ImmersionChart("floats", 3, ambient, box, exprs=sp.Matrix([t, *u]), syms=u)
+        plain = ImmersionChart(
+            "floats", 3, ambient, box, formula=lambda a, b, d: ([c * a**2 + (1 / 7) * b * d, a, b, d], {})
+        )
+        U = rng.uniform(-0.4, 0.4, size=(6, 3))
+        assert np.array_equal(expr_chart.eval(U), plain.eval(U))
+        assert np.array_equal(expr_chart.jet(U, 5).series.c, plain.jet(U, 5).series.c)
+
 
 class TestShapeData:
     def test_product_chart_oracle(self, sxh_chart):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from confgeo import invariants
 from confgeo.catalog import build_instance
 from confgeo.chart import grid_points, shape_batch, shape_data
 from confgeo.config import DEFAULT, FDConfig
@@ -357,6 +358,40 @@ class TestFDErrorEstimate:
         for key, value in f.residuals.items():
             if key != FD_ESTIMATE:
                 assert value <= 1e-8, key
+
+    @pytest.mark.parametrize("cross_check", [False, True])
+    def test_one_pass_for_both_fits(self, graph_lifted, monkeypatch, cross_check):
+        # the fit and its companion fit run through the pipeline as one
+        # stacked batch, which gives what one pass per fit gives
+        fd = graph_lifted.with_jet_mode("fd")
+        U = _fd_grid(fd)[::2]
+        K = invariants.jet_order(True)
+        companion = fd.with_jet_mode("fd", FDConfig(step=invariants.COMPANION_REACH * fd.fd_margin()))
+        two, shape = invariants._invariant_field(fd, U, fd.jet(U, K), DEFAULT, True, True)
+        other, _ = invariants._invariant_field(fd, U, companion.jet(U, K), DEFAULT, True, True)
+        invariants._attach_residuals(two)
+        invariants._attach_fd_estimate(two, other)
+        if cross_check:
+            invariants.run_cross_check(two, shape)
+
+        passes = []
+        series = invariants._series_invariants
+        monkeypatch.setattr(
+            invariants, "_series_invariants", lambda *args: passes.append(args[1].shape[0]) or series(*args)
+        )
+        f = evaluate_field(fd, U, cross_check=cross_check)
+        assert passes == [2 * U.shape[0]]
+        for key in FIELD_KEYS + ("rho", "H", "x", "normal", "metric0", "metric", "frame", "ricci", "kappa"):
+            ref = getattr(two, key)
+            assert getattr(f, key).shape == ref.shape, key
+            assert np.max(np.abs(getattr(f, key) - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), key
+        assert f.residual_fields.keys() == two.residual_fields.keys()
+        estimate = two.residual_fields[FD_ESTIMATE]
+        assert np.all(np.abs(f.residual_fields[FD_ESTIMATE] - estimate) <= 1e-12 * estimate)
+        assert f.residuals.keys() == two.residuals.keys()
+        assert ("cross_phi" in f.residuals) == cross_check
+        for key, value in two.residuals.items():
+            assert abs(f.residuals[key] - value) <= 1e-12 * max(1.0, abs(value)), key
 
     def test_warm_fd_field_compiles_nothing(self, graph_lifted, monkeypatch):
         # the companion fit is a copy of the sympy-built graph chart with

@@ -191,17 +191,43 @@ def test_contraction_sums_pairs_in_table_order():
     assert np.array_equal(got, _table_order_sum(terms, m, order))
 
 
-def test_inverse_and_normal_series():
-    U = np.array([[0.3, 0.2], [0.7, -0.4]])
-    u, v = taylor.Series.variables(U, 4)
-    M = taylor.stack([taylor.stack([2.0 + u * v, taylor.sin(v)]), taylor.stack([u, 3.0 + taylor.cos(u)])])
+def _matrix_and_graph(u, v):
+    M = [[2.0 + u * v, taylor.sin(v)], [u, 3.0 + taylor.cos(u)]]
+    return M, [0.3 * u * v, u, v + 0.2 * u**2]
+
+
+def _matrix_and_graph_4(u0, u1, u2, u3):
+    sin, log, sqrt = taylor.sin, taylor.log, taylor.sqrt
+    M = [
+        [3.0 + sin(u0 * u1), log(2.0 + u2), u3**2, 0.5],
+        [sqrt(1.0 + u0**2), 3.0 + u1 * u2, taylor.cos(u3), u0],
+        [u1 * u3, sin(u2), 4.0 + log(1.0 + u0**2), sqrt(2.0 + u1)],
+        [0.2, u2 * u0, sin(u1 + u3), 3.0 + sqrt(1.0 + u3**2)],
+    ]
+    t = 0.2 * sin(u0 * u1) + 0.1 * log(2.0 + u2) * u3 + 0.1 * sqrt(1.0 + u0**2 + u3**2)
+    return M, [t, u0, u1, u2, u3]
+
+
+@pytest.mark.parametrize(
+    "U,order,build",
+    [
+        (np.array([[0.3, 0.2], [0.7, -0.4]]), 4, _matrix_and_graph),
+        (np.array([[0.3, 0.2, -0.1, 0.5], [-0.6, 0.4, 0.8, -0.3]]), 5, _matrix_and_graph_4),
+    ],
+    ids=["m2-order4", "m4-order5"],
+)
+def test_inverse_and_normal_series(U, order, build):
+    m = U.shape[1]
+    M, graph = build(*taylor.Series.variables(U, order))
+    M = taylor.stack([taylor.stack(row) for row in M])
     eye = taylor.einsum("nab,nbc->nac", M, taylor.inv(M))
-    assert np.max(np.abs(eye.c[0] - np.eye(2))) <= 1e-14
+    assert eye.order == order
+    assert np.max(np.abs(eye.c[0] - np.eye(m))) <= 1e-14
     assert np.max(np.abs(eye.c[1:])) <= 1e-13
-    # a space-like graph in Lorentz 3-space: rows are its tangent vectors
-    x = taylor.stack([0.3 * u * v, u, v + 0.2 * u**2])
+    # a space-like graph in Lorentz (m+1)-space: rows are its tangent vectors
+    x = taylor.stack(graph)
     rows = x.grad().transpose((0, 2, 1))
-    signs = form_signs(1, 3)
+    signs = form_signs(1, m + 1)
     n = taylor.normal(rows, signs, batched_normal(rows.value, signs))
     tangency = taylor.einsum("nkc,c,nc->nk", rows, signs, n)
     unit = taylor.einsum("nc,c,nc->n", n, signs, n)
