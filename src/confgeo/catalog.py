@@ -36,7 +36,7 @@ from .chart import (
     ImmersionChart,
     grid_points,
     register_template,
-    shape_batch,
+    shape_series,
 )
 from .config import DEFAULT, NumericsConfig
 from .errors import ConstructionError, ValidationError
@@ -400,17 +400,16 @@ def verify_core(core: CoreHypersurface, cfg: NumericsConfig = DEFAULT, counts: i
     """
     K = core.K
     U = grid_points(core.chart.domain, [counts] * K)
-    sb = shape_batch(core.chart, U, cfg, check_regular=False)
-    g0inv = sb.metric_inv
-    h2 = np.einsum("nab,nag,nbd,ngd->n", sb.h, g0inv, g0inv, sb.h)
+    s = shape_series(core.chart, U, core.chart.jet(U, 2), cfg, check_regular=False)
+    h2, H = s.h2.value, s.H.value
     c_amb = (1.0 if core.kind == DE_SITTER else -1.0) / core.r**2
-    scalar = K * (K - 1) * c_amb + h2 - K**2 * sb.H**2
+    scalar = K * (K - 1) * c_amb + h2 - K**2 * H**2
     if h2.max() < cfg.fd_tol:
         # totally geodesic candidates never meet |h|^2 = (m-1)/m
-        return CoreReport(core.chart.name, float(np.max(np.abs(sb.H))), float(core.target_h2), np.inf)
+        return CoreReport(core.chart.name, float(np.max(np.abs(H))), float(core.target_h2), np.inf)
     return CoreReport(
         core=core.chart.name,
-        mean_curvature_residual=float(np.max(np.abs(sb.H))),
+        mean_curvature_residual=float(np.max(np.abs(H))),
         h2_deviation=float(np.max(np.abs(h2 - core.target_h2))),
         scalar_curvature_deviation=float(np.max(np.abs(scalar - core.expected_scalar_curvature()))),
     )

@@ -4,16 +4,20 @@ A chart is a map x: D subset R^m -> ambient space form, either a formula
 (plain arithmetic over the coordinates, or sympy expressions compiled into
 one; exact Taylor-series jets) or a bare evaluator (jets by least-squares
 polynomial fits, fd.py); conformal_atlas.LiftedChart
-composes a chart with a coordinate map of the conformal space.  Every jet is a truncated Taylor
-series.  Shape data follows the conventions:
+composes a chart with a coordinate map of the conformal space.  Every jet
+is a truncated Taylor series, and shape data are computed once, as series
+of a jet (shape_series): from a jet of order K they carry order K - 2, and
+the centre values (ShapeBatch) are their order-0 coefficients, so
+shape_batch is that body on a 2-jet.  Shape data follows the conventions:
 
     h(X, Y) = <D_X n, Y>  = -<n, D_X D_Y x>      (time-like unit normal n)
     H       = (1/m) tr_{g0} h
     rho^2   = m/(m-1) (|h|^2 - m H^2)            (norms in the induced metric)
 
-The normal is the generalized cross product of the tangent vectors (and the
-position row on quadric ambients), normalized time-like, oriented so that
-its first significant component is negative.
+The centre normal is the generalized cross product of the tangent vectors
+(and the position row on quadric ambients), normalized time-like, oriented
+so that its first significant component is negative; its higher degrees
+follow from it (taylor.normal).
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .pseudo_linalg import (
     pseudo_dot,
     triangular_frame,
 )
+from .taylor import einsum
 
 DE_SITTER = "de_sitter"
 ANTI_DE_SITTER = "anti_de_sitter"
@@ -117,20 +122,6 @@ class Box:
     def contains(self, U: np.ndarray, margin: float = 0.0) -> bool:
         lo, hi = self.arrays()
         return bool(np.all(U >= lo + margin) and np.all(U <= hi - margin))
-
-
-class Jet:
-    """Taylor series of a chart around a batch of points; jet[r] is the stack
-    of order-r partials, shape (N, comps) + (m,)*r, formed on first access."""
-
-    def __init__(self, series: taylor.Series):
-        self.series = series
-        self._stacks: dict[int, np.ndarray] = {}
-
-    def __getitem__(self, r: int) -> np.ndarray:
-        if r not in self._stacks:
-            self._stacks[r] = self.series.derivative_stack(r)
-        return self._stacks[r]
 
 
 def _float_printer():
@@ -347,7 +338,7 @@ class ImmersionChart:
 
     # -- jets ---------------------------------------------------------------
 
-    def jet(self, U: np.ndarray, order: int) -> Jet:
+    def jet(self, U: np.ndarray, order: int) -> taylor.Series:
         """Taylor series of x up to `order` (<= 5) around each point of U.
 
         Analytic charts run their formula on series; FD charts take the
@@ -358,13 +349,13 @@ class ImmersionChart:
             raise ValidationError(f"jet order must be within 0..5, got {order}")
         U = np.atleast_2d(np.asarray(U, dtype=float))
         if self.jet_mode == "analytic":
-            return Jet(self._taylor_series(U, order))
+            return self._taylor_series(U, order)
         margin = self.fd_margin()
         if not self.domain.contains(U, margin=margin):
             raise DomainError(
                 f"chart {self.name!r}: FD jets need margin {margin:.3e} inside the domain"
             )
-        return Jet(fit_series(self.eval, U, margin, order))
+        return fit_series(self.eval, U, margin, order)
 
     # -- transforms ---------------------------------------------------------
 
@@ -456,33 +447,67 @@ class ShapeData:
     coframe: np.ndarray
 
 
-def _second_fundamental(
-    chart: ImmersionChart,
-    x: np.ndarray,
-    dx: np.ndarray,
-    d2x: np.ndarray,
-    g0: np.ndarray,
-    normal_sign: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Oriented normal, h, g0^-1, H and rho^2 from the 2-jet and the metric.
+@dataclass
+class ShapeSeries:
+    """Shape data as Taylor series around the points, all of one order, and
+    their centre values as a ShapeBatch."""
 
-    Raises RegularityError when the normal is not time-like or g0 is singular.
+    sb: ShapeBatch
+    x: taylor.Series
+    g0: taylor.Series
+    n: taylor.Series
+    h: taylor.Series
+    g0inv: taylor.Series
+    H: taylor.Series
+    h2: taylor.Series       # |h|^2 in the induced metric
+    rho2: taylor.Series
+
+
+def shape_series(
+    chart: ImmersionChart,
+    U: np.ndarray,
+    jet: taylor.Series,
+    cfg: NumericsConfig = DEFAULT,
+    normal_sign: float = 1.0,
+    check_regular: bool = True,
+) -> ShapeSeries:
+    """Shape data of any ambient form from a jet of order K >= 2.
+
+    h needs the second jet of x, so every series carries order K - 2; the
+    ShapeBatch holds their order-0 coefficients.  Raises RegularityError
+    when the normal is not time-like, when g0 is singular and, with
+    `check_regular`, on the totally umbilic locus rho^2 <= regularity_tol.
     """
     signs = chart.ambient.signature.signs
-    rows = np.swapaxes(dx, 1, 2)  # (N, m, c)
+    m = chart.m
+    k = jet.order - 2
+    dx = jet.grad()
+    d2x = dx.grad()
+    x, dx = jet.truncate(k), dx.truncate(k)
+    g0 = einsum("nci,c,ncj->nij", dx, signs, dx)
+    rows = dx.transpose((0, 2, 1))
     if chart.ambient.kind != LORENTZ_FLAT:
-        rows = np.concatenate([rows, x[:, None, :]], axis=1)
-    n = batched_normal(rows, signs) * normal_sign
-    h = -np.einsum("nc,c,ncab->nab", n, signs, d2x)
+        rows = taylor.concatenate([rows, x[:, None, :]], axis=1)
+    n = taylor.normal(rows, signs, batched_normal(rows.value, signs) * normal_sign)
+    h = -einsum("nc,c,ncab->nab", n, signs, d2x)
     try:
-        g0inv = np.linalg.inv(g0)
+        g0inv = taylor.inv(g0)
     except np.linalg.LinAlgError as exc:
         raise RegularityError(f"induced metric singular: {exc}") from exc
-    H = np.einsum("nab,nab->n", g0inv, h) / chart.m
-    P = np.einsum("nab,nbc->nac", g0inv, h)  # |h|^2 = tr(g0^-1 h g0^-1 h)
-    h2 = np.einsum("nab,nba->n", P, P)
-    rho2 = chart.m / (chart.m - 1) * (h2 - chart.m * H**2)
-    return n, h, g0inv, H, rho2
+    P = einsum("nab,nbc->nac", g0inv, h)  # the shape operator
+    H = einsum("naa->n", P) / m
+    h2 = einsum("nab,nba->n", P, P)
+    rho2 = m / (m - 1) * (h2 - m * H**2)
+    if check_regular and np.any(rho2.value <= cfg.regularity_tol):
+        raise RegularityError(
+            "totally umbilic locus: conformal factor rho^2 = "
+            f"{float(np.min(rho2.value)):.3e} is not positive"
+        )
+    sb = ShapeBatch(
+        chart, U, x.value, dx.value, d2x.value, g0.value, g0inv.value, n.value, h.value, H.value,
+        np.sqrt(np.maximum(rho2.value, 0.0)), triangular_frame(g0.value),
+    )
+    return ShapeSeries(sb, x, g0, n, h, g0inv, H, h2, rho2)
 
 
 def shape_batch(
@@ -498,30 +523,7 @@ def shape_batch(
     negate while rho and the metric are unchanged.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    return shape_from_jet(chart, U, chart.jet(U, 2), cfg, normal_sign, check_regular)
-
-
-def shape_from_jet(
-    chart: ImmersionChart,
-    U: np.ndarray,
-    jet: Jet,
-    cfg: NumericsConfig = DEFAULT,
-    normal_sign: float = 1.0,
-    check_regular: bool = True,
-) -> ShapeBatch:
-    """shape_batch from an already evaluated jet of order >= 2."""
-    x, dx, d2x = jet[0], jet[1], jet[2]
-    signs = chart.ambient.signature.signs
-    g0 = np.einsum("nci,c,ncj->nij", dx, signs, dx)
-    n, h, g0inv, H, rho2 = _second_fundamental(chart, x, dx, d2x, g0, normal_sign)
-    if check_regular and np.any(rho2 <= cfg.regularity_tol):
-        raise RegularityError(
-            "totally umbilic locus: conformal factor rho^2 = "
-            f"{float(np.min(rho2)):.3e} is not positive"
-        )
-    rho = np.sqrt(np.maximum(rho2, 0.0))
-    frame = triangular_frame(g0)
-    return ShapeBatch(chart, U, x, dx, d2x, g0, g0inv, n, h, H, rho, frame)
+    return shape_series(chart, U, chart.jet(U, 2), cfg, normal_sign, check_regular).sb
 
 
 def shape_data(
@@ -584,18 +586,19 @@ def validate_regularity(
 
 
 def regularity_from_jet(
-    chart: ImmersionChart, U: np.ndarray, jet: Jet, cfg: NumericsConfig = DEFAULT
+    chart: ImmersionChart, U: np.ndarray, jet: taylor.Series, cfg: NumericsConfig = DEFAULT
 ) -> RegularityReport:
     """validate_regularity from an already evaluated jet of order >= 2."""
-    x, dx, d2x = jet[0], jet[1], jet[2]
+    dx = jet.derivative_stack(1)
     signs = chart.ambient.signature.signs
     g0 = np.einsum("nci,c,ncj->nij", dx, signs, dx)
     eigs = np.linalg.eigvalsh(0.5 * (g0 + np.swapaxes(g0, 1, 2)))
     min_eig = float(np.min(eigs))
-    ambient = float(np.max(chart.ambient.quadric_residual(x)))
+    ambient = float(np.max(chart.ambient.quadric_residual(jet.value)))
     try:
-        n, _, _, _, rho2 = _second_fundamental(chart, x, dx, d2x, g0)
-        min_rho2 = float(np.min(rho2))
+        s = shape_series(chart, U, jet.truncate(2), cfg, check_regular=False)
+        n = s.n.value
+        min_rho2 = float(np.min(s.rho2.value))
         normal_resid = float(
             max(
                 np.max(np.abs(pseudo_dot(n, n, signs) + 1.0)),

@@ -337,7 +337,7 @@ def classify(
         notes.append(f"lifted to the de Sitter picture via {lift}")
     counts_list = [counts] if isinstance(counts, int) else list(counts)
     if margin is None:
-        margin = grid_margin(work, cfg)
+        margin = grid_margin(work)
     U = grid_points(work.domain, counts_list, margin=margin)
     jet = work.jet(U, jet_order(derivatives=True))
     reg = regularity_from_jet(work, U, jet, cfg)

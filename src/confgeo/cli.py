@@ -137,7 +137,7 @@ def _config(args) -> NumericsConfig:
 def _prepare_field(args, cfg: NumericsConfig):
     chart = _build_chart(args)
     work = chart if chart.ambient.kind == DE_SITTER else lift_chart(chart, args.lift)
-    U = grid_points(work.domain, args.grid, margin=grid_margin(work, cfg))
+    U = grid_points(work.domain, args.grid, margin=grid_margin(work))
     f = evaluate_field(work, U, cfg, derivatives=True, curvature=True)
     return chart, work, f
 
@@ -215,7 +215,7 @@ def _cmd_verify_catalog(args) -> int:
             results[name] = entry
             continue
         work = chart if chart.ambient.kind == DE_SITTER else lift_chart(chart, "psi1")
-        U = grid_points(work.domain, args.grid, margin=grid_margin(work, cfg))
+        U = grid_points(work.domain, args.grid, margin=grid_margin(work))
         jet = work.jet(U, jet_order(derivatives=True))
         reg = regularity_from_jet(work, U, jet, cfg)
         f = field_from_jet(work, U, jet, cfg, derivatives=True, curvature=True, cross_check=True)

@@ -32,7 +32,6 @@ from .chart import (
     LORENTZ_FLAT,
     AmbientForm,
     ImmersionChart,
-    Jet,
 )
 from .config import DEFAULT, FDConfig, NumericsConfig
 from .errors import ChartDomainError, DimensionMismatchError, InputError, ValidationError
@@ -373,8 +372,8 @@ class LiftedChart(ImmersionChart):
     def eval(self, U: np.ndarray) -> np.ndarray:
         return self._lift(self.base.eval(U))
 
-    def jet(self, U: np.ndarray, order: int) -> Jet:
-        return Jet(self._lift(self.base.jet(U, order).series))
+    def jet(self, U: np.ndarray, order: int) -> taylor.Series:
+        return self._lift(self.base.jet(U, order))
 
     def fd_margin(self) -> float:
         return self.base.fd_margin()

@@ -19,11 +19,12 @@ Two independent computation routes:
 
 Both routes run on truncated Taylor series (taylor.py) of one jet per
 point, whatever the jet source: the exact series of formula charts or the
-least-squares fit of FD charts (fd.py).  The shape series (x, the normal,
-h, H, rho^2, g0) feed the closed formulas, which give rho, H, the
-conformal metric with two derivatives and the partials of A, B and Phi at
-the points themselves, and the same series give the frame route the lift
-Y to order 2 and g, its frame and xi to order 1.
+least-squares fit of FD charts (fd.py).  The shape series of that jet
+(chart.shape_series: x, the normal, h, H, rho^2, g0, whose order-0
+coefficients are the centre values) feed the closed formulas, which give
+rho, H, the conformal metric with two derivatives and the partials of A, B
+and Phi at the points themselves, and the same series give the frame route
+the lift Y to order 2 and g, its frame and xi to order 1.
 evaluate_field(cross_check=True) therefore makes one order-5 jet call per
 batch (order 4 without covariant derivatives), and the cross-check
 compares the two formula routes, exact up to roundoff.
@@ -47,12 +48,11 @@ import numpy as np
 from . import taylor
 from .chart import (
     DE_SITTER,
-    LORENTZ_FLAT,
     ImmersionChart,
-    Jet,
     ShapeBatch,
     ShapeData,
-    shape_from_jet,
+    ShapeSeries,
+    shape_series,
 )
 from .config import DEFAULT, FDConfig, NumericsConfig
 from .conformal_atlas import sigma_rep
@@ -102,11 +102,11 @@ def required_margin(chart: ImmersionChart, cfg: NumericsConfig = DEFAULT) -> flo
     return 1.15 * chart.fd_margin()
 
 
-def grid_margin(chart: ImmersionChart, cfg: NumericsConfig = DEFAULT) -> float:
+def grid_margin(chart: ImmersionChart) -> float:
     """Default inset of sample grids: the sampled reach of FD charts, and
     at least 5% of the narrowest side of the domain on every chart."""
     lo, hi = chart.domain.arrays()
-    return max(required_margin(chart, cfg), 0.05 * float(np.min(hi - lo)))
+    return max(required_margin(chart), 0.05 * float(np.min(hi - lo)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ class _CoordData:
     # partials of A, B, Phi (derivative axis last), None without derivatives
     partials: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     # the shape series, which the cross-check reuses
-    shape: _ShapeSeries
+    shape: ShapeSeries
 
 
 def _closed_formulas(h, H, g0, g0inv, rho, dlr, d2lr, dg0, dH):
@@ -164,50 +164,8 @@ def jet_order(derivatives: bool) -> int:
     return 5 if derivatives else 4
 
 
-@dataclass
-class _ShapeSeries:
-    """Shape data as Taylor series around the points, all of one order."""
-
-    sb: ShapeBatch          # the checked centre values
-    x: taylor.Series
-    g0: taylor.Series
-    n: taylor.Series
-    h: taylor.Series
-    g0inv: taylor.Series
-    H: taylor.Series
-    rho2: taylor.Series
-
-
-def _shape_series(chart: ImmersionChart, U: np.ndarray, jet, cfg: NumericsConfig) -> _ShapeSeries:
-    """Shape data of any ambient form from a jet of order K >= 2.
-
-    h needs the second jet of x, so every series carries order K - 2.  The
-    centre values go through shape_from_jet and keep all of its checks.
-    """
-    sb = shape_from_jet(chart, U, jet, cfg)
-    signs = sb.signs
-    m = chart.m
-    k = jet.series.order - 2
-    x = jet.series.truncate(k)
-    dx = jet.series.grad()
-    d2x = dx.grad()
-    dx = dx.truncate(k)
-    g0 = einsum("nci,c,ncj->nij", dx, signs, dx)
-    rows = dx.transpose((0, 2, 1))
-    if chart.ambient.kind != LORENTZ_FLAT:
-        rows = taylor.concatenate([rows, x[:, None, :]], axis=1)
-    n = taylor.normal(rows, signs, sb.normal)
-    h = -einsum("nc,c,ncab->nab", n, signs, d2x)
-    g0inv = taylor.inv(g0)
-    P = einsum("nab,nbc->nac", g0inv, h)  # the shape operator
-    H = einsum("naa->n", P) / m
-    h2 = einsum("nab,nba->n", P, P)
-    rho2 = m / (m - 1) * (h2 - m * H**2)
-    return _ShapeSeries(sb, x, g0, n, h, g0inv, H, rho2)
-
-
 def _series_invariants(
-    chart: ImmersionChart, U: np.ndarray, jet: Jet, cfg: NumericsConfig, derivatives: bool
+    chart: ImmersionChart, U: np.ndarray, jet: taylor.Series, cfg: NumericsConfig, derivatives: bool
 ) -> _CoordData:
     """The closed formulas over Taylor series from one jet per point.
 
@@ -216,11 +174,9 @@ def _series_invariants(
     result needs.
     """
     K = jet_order(derivatives)
-    if jet.series.order < K:
-        raise ValidationError(f"the field needs a jet of order {K}, got {jet.series.order}")
-    if jet.series.order > K:
-        jet = Jet(jet.series.truncate(K))
-    s = _shape_series(chart, U, jet, cfg)
+    if jet.order < K:
+        raise ValidationError(f"the field needs a jet of order {K}, got {jet.order}")
+    s = shape_series(chart, U, jet.truncate(K), cfg)
     dlr = (0.5 * taylor.log(s.rho2)).grad()
     dH = s.H.grad()
     k = K - 4  # the order of A, B and Phi
@@ -355,7 +311,7 @@ def evaluate_field(
 def field_from_jet(
     chart: ImmersionChart,
     U: np.ndarray,
-    jet: Jet,
+    jet: taylor.Series,
     cfg: NumericsConfig = DEFAULT,
     derivatives: bool = True,
     curvature: bool = True,
@@ -371,7 +327,7 @@ def field_from_jet(
         # the fit and its companion fit go through the pipeline as one batch
         companion = chart.with_jet_mode("fd", FDConfig(step=COMPANION_REACH * chart.fd_margin()))
         companion_jet = companion.jet(U, jet_order(derivatives))
-        both = Jet(taylor.concatenate([jet.series, companion_jet.series], 0))
+        both = taylor.concatenate([jet, companion_jet], 0)
         n = U.shape[0]
         stacked, shape = _invariant_field(chart, np.concatenate([U, U]), both, cfg, derivatives, curvature)
         fieldv, shape = _points(stacked, slice(None, n)), _points(shape, slice(None, n))
@@ -383,7 +339,7 @@ def field_from_jet(
 
 
 def _points(obj, sel: slice):
-    """Copy of a per-point record (InvariantField, _ShapeSeries, ShapeBatch)
+    """Copy of a per-point record (InvariantField, ShapeSeries, ShapeBatch)
     with every array and series, nested records included, cut to the points
     `sel`."""
     cut = {}
@@ -397,8 +353,8 @@ def _points(obj, sel: slice):
 
 
 def _invariant_field(
-    chart: ImmersionChart, U: np.ndarray, jet: Jet, cfg: NumericsConfig, derivatives: bool, curvature: bool
-) -> tuple[InvariantField, _ShapeSeries]:
+    chart: ImmersionChart, U: np.ndarray, jet: taylor.Series, cfg: NumericsConfig, derivatives: bool, curvature: bool
+) -> tuple[InvariantField, ShapeSeries]:
     """The invariants in frame components, without residuals, and the shape
     series they came from."""
     m = chart.m
@@ -455,6 +411,19 @@ def _coord_derivatives(
 # identity residuals
 # ---------------------------------------------------------------------------
 
+def _gauss_rhs(A: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
+    """Right-hand side B^B + A^I of the conformal Gauss equation, R_ijkl."""
+    eye = np.eye(m)
+    return (
+        np.einsum("nik,njl->nijkl", B, B)
+        - np.einsum("nil,njk->nijkl", B, B)
+        + np.einsum("nil,jk->nijkl", A, eye)
+        - np.einsum("nik,jl->nijkl", A, eye)
+        + np.einsum("njk,il->nijkl", A, eye)
+        - np.einsum("njl,ik->nijkl", A, eye)
+    )
+
+
 def _attach_residuals(f: InvariantField) -> None:
     m = f.m
     eye = np.eye(m)
@@ -478,14 +447,7 @@ def _attach_residuals(f: InvariantField) -> None:
         rhs = np.einsum("ij,nk->nijk", eye, f.Phi) - np.einsum("ik,nj->nijk", eye, f.Phi)
         res_fields["b_codazzi"] = np.max(np.abs(lhs - rhs), axis=(1, 2, 3))
     if f.riemann is not None:
-        rhs = (
-            np.einsum("nik,njl->nijkl", f.B, f.B)
-            - np.einsum("nil,njk->nijkl", f.B, f.B)
-            + np.einsum("nil,jk->nijkl", f.A, eye)
-            - np.einsum("nik,jl->nijkl", f.A, eye)
-            + np.einsum("njk,il->nijkl", f.A, eye)
-            - np.einsum("njl,ik->nijkl", f.A, eye)
-        )
+        rhs = _gauss_rhs(f.A, f.B, m)
         res_fields["gauss_conformal"] = np.max(np.abs(f.riemann - rhs), axis=(1, 2, 3, 4))
     f.residual_fields = res_fields
     f.residuals = {k: float(np.max(v)) for k, v in res_fields.items()}
@@ -514,24 +476,14 @@ def identity_residuals(
 
 def gauss_residual_with_b(f: InvariantField, B: np.ndarray) -> float:
     """Gauss-identity residual with a replacement B field (sensitivity probe)."""
-    m = f.m
-    eye = np.eye(m)
-    rhs = (
-        np.einsum("nik,njl->nijkl", B, B)
-        - np.einsum("nil,njk->nijkl", B, B)
-        + np.einsum("nil,jk->nijkl", f.A, eye)
-        - np.einsum("nik,jl->nijkl", f.A, eye)
-        + np.einsum("njk,il->nijkl", f.A, eye)
-        - np.einsum("njl,ik->nijkl", f.A, eye)
-    )
-    return float(np.max(np.abs(f.riemann - rhs)))
+    return float(np.max(np.abs(f.riemann - _gauss_rhs(f.A, B, f.m))))
 
 
 # ---------------------------------------------------------------------------
 # moving-frame route
 # ---------------------------------------------------------------------------
 
-def _frame_series_jets(kind: str, s: _ShapeSeries):
+def _frame_series_jets(kind: str, s: ShapeSeries):
     """The frame route's inputs from shape series of order >= 2, as
     (center, d1, d2) with the derivative axes last: the lift Y = rho Z(x)
     to order 2; the conformal metric g, its triangular frame F and, on de
@@ -567,7 +519,7 @@ def frame_route(
     chart: ImmersionChart,
     U: np.ndarray,
     cfg: NumericsConfig = DEFAULT,
-    shape: _ShapeSeries | None = None,
+    shape: ShapeSeries | None = None,
 ) -> FrameRoute:
     """A and B from the frame equations of the light-cone lift.
 
@@ -584,7 +536,7 @@ def frame_route(
         raise ValidationError("frame route expects unit-radius quadric ambients")
     signs2 = form_signs(2, m + 3)
     if shape is None:
-        shape = _shape_series(chart, U, chart.jet(U, 4), cfg)
+        shape = shape_series(chart, U, chart.jet(U, 4), cfg)
     center, d1, d2 = _frame_series_jets(kind, shape)
     Y = center["Y"]
     g = center["g"]
@@ -643,7 +595,7 @@ def frame_route(
     return FrameRoute(Y, N_vec, xi, Y_i, A, B, Phi, rel)
 
 
-def run_cross_check(f: InvariantField, shape: _ShapeSeries | None = None) -> dict[str, float]:
+def run_cross_check(f: InvariantField, shape: ShapeSeries | None = None) -> dict[str, float]:
     """Compare the closed-formula route against the frame route.
 
     `shape` passes the Taylor route's shape series on to the frame route,

@@ -17,6 +17,7 @@ from confgeo.chart import (
     save_chart,
     shape_batch,
     shape_data,
+    shape_series,
     regularity_from_jet,
     validate_regularity,
 )
@@ -24,6 +25,7 @@ from confgeo.config import FDConfig
 from confgeo.conformal_atlas import lift_chart
 from confgeo.errors import DomainError, RegularityError, ValidationError
 from confgeo.fd import default_reach
+from confgeo.invariants import grid_margin
 
 
 def fd_chart_from(fn, m, ambient, box, step=None):
@@ -43,7 +45,7 @@ class TestJets:
         )
         jet = chart.jet(np.zeros((1, 3)), 3)
         for r in (1, 2, 3):
-            assert np.max(np.abs(jet[r])) <= 1e-9
+            assert np.max(np.abs(jet.derivative_stack(r))) <= 1e-9
 
     def test_linear_chart_second_derivatives(self, rng):
         M = rng.normal(size=(4, 3))
@@ -54,8 +56,8 @@ class TestJets:
             Box((-1, -1, -1), (1, 1, 1)),
         )
         jet = chart.jet(np.zeros((2, 3)), 2)
-        assert np.max(np.abs(jet[2])) <= 1e-12
-        assert np.allclose(jet[1][0], M, atol=1e-12)
+        assert np.max(np.abs(jet.derivative_stack(2))) <= 1e-12
+        assert np.allclose(jet.derivative_stack(1)[0], M, atol=1e-12)
 
     def test_fd_versus_analytic_on_wp(self, wp_chart, rng):
         lo, hi = wp_chart.domain.arrays()
@@ -65,8 +67,8 @@ class TestJets:
         an = wp_chart.jet(U, 4)
         fd = fd_version.jet(U, 4)
         for r in range(1, 5):
-            scale = 1.0 + np.max(np.abs(an[r]))
-            assert np.max(np.abs(an[r] - fd[r])) / scale <= 1e-7
+            scale = 1.0 + np.max(np.abs(an.derivative_stack(r)))
+            assert np.max(np.abs(an.derivative_stack(r) - fd.derivative_stack(r))) / scale <= 1e-7
 
     def test_fd_jet_needs_margin(self):
         chart = fd_chart_from(
@@ -121,7 +123,7 @@ class TestJets:
         )
         U = rng.uniform(-0.4, 0.4, size=(6, 3))
         assert np.array_equal(expr_chart.eval(U), plain.eval(U))
-        assert np.array_equal(expr_chart.jet(U, 5).series.c, plain.jet(U, 5).series.c)
+        assert np.array_equal(expr_chart.jet(U, 5).c, plain.jet(U, 5).c)
 
 
 class TestShapeData:
@@ -160,6 +162,25 @@ class TestShapeData:
         assert np.allclose(nn, -1.0, atol=1e-9)
         ndx = np.einsum("nc,c,nci->ni", sb.normal, signs, sb.dx)
         assert np.max(np.abs(ndx)) <= 1e-9
+
+    @pytest.mark.parametrize("name", ["sxh_chart", "wp_lifted", "ex33_chart"])
+    def test_centre_values_are_the_order_0_series(self, name, request):
+        # shape_batch is the series body at order 0; the series of a field's
+        # order-5 jet carry the same centre values
+        chart = request.getfixturevalue(name)
+        U = grid_points(chart.domain, [3], margin=0.06)
+        sb = shape_batch(chart, U)
+        jet = chart.jet(U, 5)
+        s = shape_series(chart, U, jet)
+        assert s.rho2.order == 3
+        for key in ("x", "normal", "metric", "h", "H", "rho"):
+            want, got = getattr(sb, key), getattr(s.sb, key)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), key
+        # the flipped normal negates n, h and H and keeps rho
+        flip = shape_series(chart, U, jet, normal_sign=-1.0)
+        for key, sign in (("n", -1.0), ("h", -1.0), ("H", -1.0), ("rho2", 1.0)):
+            want, got = sign * getattr(s, key).c, getattr(flip, key).c
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), key
 
     def test_ambient_constraint(self, ex33_chart):
         U = grid_points(ex33_chart.domain, [3], margin=0.02)
@@ -207,13 +228,24 @@ class TestRegularity:
         with pytest.raises(RegularityError):
             shape_batch(chart, U)
 
-    @pytest.mark.parametrize("order", [2, 5])
-    def test_report_from_an_evaluated_jet(self, sxh_chart, order):
+    @pytest.mark.parametrize(
+        "name,order",
+        [
+            pytest.param("sxh", 2, id="2"),
+            pytest.param("sxh", 5, id="5"),
+            pytest.param("wp@psi1", 2, id="wp@psi1-2"),
+            pytest.param("wp@psi1", 5, id="wp@psi1-5"),
+            pytest.param("fd-sxh", 2, id="fd-sxh-2"),
+            pytest.param("fd-sxh", 5, id="fd-sxh-5"),
+        ],
+    )
+    def test_report_from_an_evaluated_jet(self, sxh_chart, wp_lifted, name, order):
         # the order-5 jet that classify shares with the field gives the
         # report of validate_regularity's own order-2 jet
-        U = grid_points(sxh_chart.domain, [3], margin=0.05)
-        rep = regularity_from_jet(sxh_chart, U, sxh_chart.jet(U, order))
-        assert rep == validate_regularity(sxh_chart, U)
+        chart = {"sxh": sxh_chart, "wp@psi1": wp_lifted, "fd-sxh": sxh_chart.with_jet_mode("fd")}[name]
+        U = grid_points(chart.domain, [3], margin=max(0.05, grid_margin(chart)))
+        rep = regularity_from_jet(chart, U, chart.jet(U, order))
+        assert rep == validate_regularity(chart, U)
 
     def test_wp_regular(self, wp_chart):
         U = grid_points(wp_chart.domain, [3], margin=0.02)
@@ -283,7 +315,7 @@ class TestChartFiles:
         assert np.array_equal(loaded.eval(U), lifted.eval(U))
         j0, j1 = lifted.jet(U, 2), loaded.jet(U, 2)
         for r in range(3):
-            assert np.array_equal(j0[r], j1[r])
+            assert np.array_equal(j0.derivative_stack(r), j1.derivative_stack(r))
 
     def test_unknown_template_rejected(self):
         with pytest.raises(ValidationError):
