@@ -26,10 +26,19 @@ Derivatives* (2nd ed., ch. 13):
 
 The value axes behave like a numpy array of shape (N, *shape): indexing,
 `transpose` and broadcasting act on them, and `einsum` takes numpy's
-subscripts.  Arguments that are not series fall through to numpy, except
-that the univariate functions hand sympy expressions to sympy's function of
-the same name, so one formula serves arrays, series and symbols.  Tables
-are built on first use and cached read-only.
+subscripts.  A contraction runs with the point axis innermost, so that
+numpy's inner loop runs over the N points and not over the 3 to 5 entries
+of a tensor axis: each series operand's coefficients are copied once to
+(n_monomials, *shape, N) and its pairs gathered from that copy, a per-point
+array is viewed with its point axis last, an array without one (such as a
+signature) is used as it is, and the result is moved back to (n_monomials,
+N, ...).  The point letter is the first subscript of the first series
+operand; every series operand and the output must carry it.
+
+Arguments that are not series fall through to numpy, except that the
+univariate functions hand sympy expressions to sympy's function of the same
+name, so one formula serves arrays, series and symbols.  Tables are built
+on first use and cached read-only.
 """
 
 from __future__ import annotations
@@ -292,7 +301,7 @@ class Series:
     def __mul__(self, other) -> "Series":
         if isinstance(other, Series):
             ca, cb, k = self._pair(other)
-            size = max(int(np.prod(ca.shape[1:])), int(np.prod(cb.shape[1:])))
+            size = max(math.prod(ca.shape[1:]), math.prod(cb.shape[1:]))
             # take gathers faster than indexing; its C-order result does not
             # change an elementwise product
             c = _reduce_pairs(lambda i, j: ca.take(i, 0) * cb.take(j, 0), self.m, k, 3 * size)
@@ -321,23 +330,53 @@ class Series:
 # contractions and joins
 # ---------------------------------------------------------------------------
 
+def _move_axis(x: np.ndarray, src: int, dst: int) -> np.ndarray:
+    """View of x with axis src moved to position dst (both non-negative);
+    np.moveaxis normalises its arguments at a cost that showed as a tenth
+    of a warm FD field."""
+    axes = list(range(x.ndim))
+    axes.insert(dst, axes.pop(src))
+    return x.transpose(axes)
+
+
+def _point_last(sub: str, x, p: str):
+    """(subscripts, array) of an operand with its point axis moved last: a
+    series' coefficients (Q, N, *rest) copied in C order to (Q, *rest, N),
+    a per-point array viewed with that axis last; an array without the point
+    letter as it is."""
+    if isinstance(x, Series):
+        if not sub.startswith(p):
+            raise ValueError(f"series subscripts {sub!r} do not start with the point letter {p!r}")
+        return sub[1:] + p, _move_axis(x.c, 1, x.c.ndim - 1).copy()
+    if p not in sub:
+        return sub, x
+    return sub.replace(p, "") + p, _move_axis(x, sub.index(p), x.ndim - 1)
+
+
 def _contract(ta: str, a, tb: str, b, tout: str):
-    """einsum of two operands, either of which may be a series."""
+    """einsum of two operands, either of which may be a series; with a
+    series it runs with the point axis innermost (see the module docstring)."""
     sa, sb = isinstance(a, Series), isinstance(b, Series)
+    if not (sa or sb):
+        return np.einsum(f"{ta},{tb}->{tout}", a, b)
+    s = a if sa else b
+    p = (ta if sa else tb)[0]
+    if p not in tout:
+        raise ValueError(f"output subscripts {tout!r} lack the point letter {p!r}")
     if sa and sb:
         k = min(a.order, b.order)
-        ca, cb = a.truncate(k).c, b.truncate(k).c
-        sub = f"{_COEF}{ta},{_COEF}{tb}->{_COEF}{tout}"
-        per = max(int(np.prod(ca.shape[1:])), int(np.prod(cb.shape[1:])))
-        # indexing keeps the operands' memory layout, on which einsum's
-        # summation order depends
-        c = _reduce_pairs(lambda i, j: np.einsum(sub, ca[i], cb[j]), a.m, k, 2 * per)
-        return Series(c, a.m, k)
-    if sa:
-        return Series(np.einsum(f"{_COEF}{ta},{tb}->{_COEF}{tout}", a.c, b), a.m, a.order)
-    if sb:
-        return Series(np.einsum(f"{ta},{_COEF}{tb}->{_COEF}{tout}", a, b.c), b.m, b.order)
-    return np.einsum(f"{ta},{tb}->{tout}", a, b)
+        a, b = a.truncate(k), b.truncate(k)
+    else:
+        k = s.order
+    ta, xa = _point_last(ta, a, p)
+    tb, xb = _point_last(tb, b, p)
+    sub = f"{_COEF * sa}{ta},{_COEF * sb}{tb}->{_COEF}{tout.replace(p, '')}{p}"
+    if sa and sb:
+        per = max(math.prod(xa.shape[1:]), math.prod(xb.shape[1:]))
+        c = _reduce_pairs(lambda i, j: np.einsum(sub, xa.take(i, 0), xb.take(j, 0)), s.m, k, 2 * per)
+    else:
+        c = np.einsum(sub, xa, xb)
+    return Series(_move_axis(c, c.ndim - 1, 1 + tout.index(p)).copy(), s.m, k)
 
 
 def einsum(subscripts: str, *operands):

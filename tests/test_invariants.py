@@ -332,6 +332,32 @@ def _fd_grid(chart):
     return grid_points(chart.domain, [3], margin=grid_margin(chart))
 
 
+class TestPointBookkeeping:
+    """Each point's invariants depend on that point's jet alone, whatever its
+    place in the batch; this guards the point-axis moves of the series
+    kernels.  The jets come from one batch: an FD fit rounds by the batch
+    (BLAS picks its kernel and its thread split by the column count), which
+    the fit's reach^-5 lifts to 2e-8 of scale."""
+
+    @pytest.mark.parametrize(
+        "name,jet_mode",
+        [("sxh_chart", "analytic"), ("ex33_chart", "analytic"), ("sxh_chart", "fd"), ("hxr_lifted", "fd")],
+    )
+    def test_points_are_independent(self, request, name, jet_mode):
+        chart = request.getfixturevalue(name).with_jet_mode(jet_mode)
+        U = grid_points(chart.domain, [3], margin=max(0.06, grid_margin(chart)))
+        U = U[:: len(U) // 12][:12]
+        jet = chart.jet(U, invariants.jet_order(True))
+        f = invariants.field_from_jet(chart, U, jet)
+        back = invariants.field_from_jet(chart, U[::-1], jet[::-1])
+        alone = invariants.field_from_jet(chart, U[5:6], jet[5:6])
+        for key in FIELD_KEYS:
+            assert np.array_equal(getattr(back, key), getattr(f, key)[::-1]), key
+            ref = getattr(f, key)[5:6]
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(getattr(alone, key) - ref)) <= 1e-12 * scale, key
+
+
 class TestFDErrorEstimate:
     """FD charts: the identities hold exactly on the fitted surface, so the
     FD check rests on the two-fit error estimate."""

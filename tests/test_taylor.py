@@ -187,9 +187,82 @@ def test_contraction_sums_pairs_in_table_order():
     a = taylor.Series(rng.normal(size=(n, 60, 4, 4)), m, order)
     b = taylor.Series(rng.normal(size=(n, 60, 4, 4)), m, order)
     assert 2 * 8 * 60 * 16 * len(left) > 2 * taylor._CHUNK_BYTES
-    terms = np.einsum("Qnab,Qnbc->Qnac", a.c[left], b.c[right])
+    # the pairs are contracted with the point axis innermost
+    ca, cb = (np.ascontiguousarray(np.moveaxis(s.c, 1, -1)) for s in (a, b))
+    terms = np.einsum("Qabn,Qbcn->Qacn", ca.take(left, 0), cb.take(right, 0))
     got = taylor.einsum("nab,nbc->nac", a, b).c
-    assert np.array_equal(got, _table_order_sum(terms, m, order))
+    assert np.array_equal(got, np.moveaxis(_table_order_sum(terms, m, order), -1, 1))
+
+
+def _point_first_contract(ta, a, tb, b, tout):
+    """One contraction of the einsum chain with the point axis where the
+    subscripts put it: einsum on the gathered pairs, summed in table order."""
+    q = taylor._COEF
+    if isinstance(a, taylor.Series) and isinstance(b, taylor.Series):
+        k = min(a.order, b.order)
+        left, right, _ = taylor._pairs(a.m, k)
+        ca, cb = a.truncate(k).c, b.truncate(k).c
+        terms = np.einsum(f"{q}{ta},{q}{tb}->{q}{tout}", ca[left], cb[right])
+        return taylor.Series(_table_order_sum(terms, a.m, k), a.m, k)
+    if isinstance(a, taylor.Series):
+        return taylor.Series(np.einsum(f"{q}{ta},{tb}->{q}{tout}", a.c, b), a.m, a.order)
+    return taylor.Series(np.einsum(f"{ta},{q}{tb}->{q}{tout}", a, b.c), b.m, b.order)
+
+
+def _point_first_einsum(subscripts, *operands):
+    """taylor.einsum's pairwise chain, each step by _point_first_contract."""
+    inputs, output = subscripts.split("->")
+    terms = inputs.split(",")
+    acc, acc_t = operands[0], terms[0]
+    for i in range(1, len(operands)):
+        keep = set(output).union(*terms[i + 1:])
+        out_t = "".join(dict.fromkeys(ch for ch in acc_t + terms[i] if ch in keep))
+        acc, acc_t = _point_first_contract(acc_t, acc, terms[i], operands[i], out_t), out_t
+    assert acc_t == output
+    return acc
+
+
+def _kernel_operands(rng, m=3, order=4, N=7):
+    n = taylor.n_monomials(m, order)
+    s34 = taylor.Series(rng.normal(size=(n, N, 3, 4)), m, order)
+    s43 = taylor.Series(rng.normal(size=(n, N, 4, 3)), m, order - 1)
+    s53 = taylor.Series(rng.normal(size=(n, N, 5, 3)), m, order)
+    s33 = taylor.Series(rng.normal(size=(n, N, 3, 3)), m, order)
+    a33 = rng.normal(size=(N, 3, 3))
+    a3n = rng.normal(size=(3, N))
+    signs = np.array([-1.0, 1.0, 1.0, 1.0, 1.0])
+    return s34, s43, s53, s33, a33, a3n, signs
+
+
+KERNEL_CASES = {
+    "series-series": ("nab,nbc->nac", lambda o: (o[0], o[1])),
+    "array-series": ("nab,nbc->nac", lambda o: (o[4], o[3])),
+    "series-array": ("nab,nbc->nac", lambda o: (o[3], o[4])),
+    "constant-weights": ("nci,c,ncj->nij", lambda o: (o[2], o[6], o[2])),
+    "three-operand-chain": ("nai,nab,nbj->nij", lambda o: (o[3], o[3], o[3])),
+    "point-letter-z": ("zab,bz->za", lambda o: (o[3], o[5])),
+    "point-letter-z-series": ("zab,zcb->zac", lambda o: (o[1], o[3])),
+}
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=list(KERNEL_CASES))
+def test_point_last_contraction_matches_point_first(case):
+    subscripts, pick = KERNEL_CASES[case]
+    operands = pick(_kernel_operands(np.random.default_rng(11)))
+    got = taylor.einsum(subscripts, *operands)
+    ref = _point_first_einsum(subscripts, *operands)
+    assert (got.order, got.c.shape) == (ref.order, ref.c.shape)
+    assert got.c.flags.c_contiguous
+    assert np.max(np.abs(got.c - ref.c)) <= 1e-14 * np.max(np.abs(ref.c))
+
+
+@pytest.mark.parametrize(
+    "subscripts", ["nab,bnc->nac", "nab,nbc->ac"], ids=["series-without-leading-point", "output-without-point"]
+)
+def test_contraction_rejects_a_misplaced_point_letter(subscripts):
+    s = _kernel_operands(np.random.default_rng(12))[3]
+    with pytest.raises(ValueError, match="point letter"):
+        taylor.einsum(subscripts, s, s)
 
 
 def _matrix_and_graph(u, v):
