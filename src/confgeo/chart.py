@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -589,7 +590,7 @@ def regularity_from_jet(
     chart: ImmersionChart, U: np.ndarray, jet: taylor.Series, cfg: NumericsConfig = DEFAULT
 ) -> RegularityReport:
     """validate_regularity from an already evaluated jet of order >= 2."""
-    dx = jet.derivative_stack(1)
+    dx = jet.grad().value
     signs = chart.ambient.signature.signs
     g0 = np.einsum("nci,c,ncj->nij", dx, signs, dx)
     eigs = np.linalg.eigvalsh(0.5 * (g0 + np.swapaxes(g0, 1, 2)))
@@ -698,7 +699,11 @@ def chart_from_dict(data: dict) -> ImmersionChart:
     order = fd_data.get("order", 4)
     if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise ValidationError(f"FD accuracy order must be an integer >= 1, got {order!r}")
-    fd = FDConfig(step=fd_data.get("step"))
+    step = fd_data.get("step")
+    real = isinstance(step, (int, float)) and not isinstance(step, bool)
+    if step is not None and (not real or math.isnan(step)):
+        raise ValidationError(f"FD step must be a real number or null, got {step!r}")
+    fd = FDConfig(step=step)
     out = chart._replace(domain=box, jet_mode=jet_mode, fd=fd)
     if lift is not None:
         from .conformal_atlas import lift_chart

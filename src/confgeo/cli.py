@@ -10,6 +10,7 @@ error (a partial report is still written once computation has started).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -127,10 +128,13 @@ def _build_chart(args) -> "catalog.ImmersionChart":
 
 def _config(args) -> NumericsConfig:
     cfg = DEFAULT
-    if getattr(args, "classify_tol", None):
+    tol = getattr(args, "classify_tol", None)
+    if tol is not None:
+        if not (math.isfinite(tol) and tol > 0):
+            raise InputError(f"--classify-tol must be a finite number > 0, got {tol!r}")
         from dataclasses import replace
 
-        cfg = replace(cfg, classify_tol=args.classify_tol)
+        cfg = replace(cfg, classify_tol=tol)
     return cfg
 
 

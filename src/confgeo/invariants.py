@@ -22,9 +22,12 @@ point, whatever the jet source: the exact series of formula charts or the
 least-squares fit of FD charts (fd.py).  The shape series of that jet
 (chart.shape_series: x, the normal, h, H, rho^2, g0, whose order-0
 coefficients are the centre values) feed the closed formulas, which give
-rho, H, the conformal metric with two derivatives and the partials of A, B
-and Phi at the points themselves, and the same series give the frame route
-the lift Y to order 2 and g, its frame and xi to order 1.
+rho, H and the series of A, B, Phi and of the conformal metric, whose
+Christoffels come out to order 1.  The same series give the frame route
+the lift Y to order 2 and g, its frame and xi to order 1.  Every
+derivative of these derived fields -- the curvature, the covariant
+derivatives and the frame route's E_i Y, E_j E_i Y and E_i xi -- is read
+off with Series.grad at the points themselves.
 evaluate_field(cross_check=True) therefore makes one order-5 jet call per
 batch (order 4 without covariant derivatives), and the cross-check
 compares the two formula routes, exact up to roundoff.
@@ -113,24 +116,6 @@ def grid_margin(chart: ImmersionChart) -> float:
 # coordinate-level invariants (one shared pass)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _CoordData:
-    sb: ShapeBatch
-    A: np.ndarray        # (N, m, m) coordinate components
-    B: np.ndarray
-    Phi: np.ndarray      # (N, m)
-    g: np.ndarray        # conformal metric, coords
-    ginv: np.ndarray
-    dg: np.ndarray       # (N, m, m, m), last axis derivative
-    d2g: np.ndarray
-    dlogrho: np.ndarray
-    dH: np.ndarray
-    # partials of A, B, Phi (derivative axis last), None without derivatives
-    partials: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-    # the shape series, which the cross-check reuses
-    shape: ShapeSeries
-
-
 def _closed_formulas(h, H, g0, g0inv, rho, dlr, d2lr, dg0, dH):
     """Coordinate components of A, B and Phi from the shape data.
 
@@ -166,11 +151,13 @@ def jet_order(derivatives: bool) -> int:
 
 def _series_invariants(
     chart: ImmersionChart, U: np.ndarray, jet: taylor.Series, cfg: NumericsConfig, derivatives: bool
-) -> _CoordData:
+) -> tuple[ShapeSeries, taylor.Series, taylor.Series, taylor.Series, taylor.Series, taylor.Series]:
     """The closed formulas over Taylor series from one jet per point.
 
-    Each derivative costs one order: log rho's Hessian and with it A carry
-    order K - 4 (see jet_order), and every series is cut to the order its
+    Returns the shape series and the series of A, B, Phi, the conformal
+    metric g and its Christoffels Gam.  Each derivative costs one order:
+    log rho's Hessian and with it A carry order K - 4 (see jet_order), g
+    order 2 and Gam order 1, and every series is cut to the order its
     result needs.
     """
     K = jet_order(derivatives)
@@ -178,50 +165,44 @@ def _series_invariants(
         raise ValidationError(f"the field needs a jet of order {K}, got {jet.order}")
     s = shape_series(chart, U, jet.truncate(K), cfg)
     dlr = (0.5 * taylor.log(s.rho2)).grad()
-    dH = s.H.grad()
     k = K - 4  # the order of A, B and Phi
     A, B, Phi = _closed_formulas(
         s.h.truncate(k), s.H.truncate(k), s.g0.truncate(k), s.g0inv.truncate(k),
         taylor.sqrt(s.rho2.truncate(k)), dlr.truncate(k), dlr.grad(), s.g0.grad().truncate(k),
-        dH.truncate(k),
+        s.H.grad().truncate(k),
     )
-    g = s.rho2.truncate(2)[:, None, None] * s.g0.truncate(2)  # curvature needs two derivatives
-    dg = g.grad()
-    partials = (A.grad().value, B.grad().value, Phi.grad().value) if derivatives else None
-    return _CoordData(
-        s.sb, A.value, B.value, Phi.value, g.value, np.linalg.inv(g.value), dg.value,
-        dg.grad().value, dlr.value, dH.value, partials, s,
-    )
+    g = s.rho2.truncate(2)[:, None, None] * s.g0.truncate(2)
+    Gam = christoffel(taylor.inv(g.truncate(1)), g.grad())
+    return s, A, B, Phi, g, Gam
 
 
-def _riemann_coords(cd: _CoordData) -> tuple[np.ndarray, np.ndarray]:
-    """Curvature tensor of the conformal metric from its jets.
-
-    Index bookkeeping: dg[n,i,j,k] = d_k g_ij and d2g[n,i,j,k,l] =
-    d_k d_l g_ij.  Returns (R_low, Gam) with
-    R_low[n,a,b,c,d] = <R(d_a, d_b) d_c, d_d>,
+def _riemann_coords(g: np.ndarray, Gam: taylor.Series) -> np.ndarray:
+    """Curvature tensor R_low[n,a,b,c,d] = <R(d_a, d_b) d_c, d_d> of the
+    metric g from its Christoffel series Gam of order >= 1, with
     R(X,Y) = nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y].
     """
-    g, ginv, dg, d2g = cd.g, cd.ginv, cd.dg, cd.d2g
-    Gam = christoffel(ginv, dg)
-    dginv = -np.einsum("ndp,npqa,nql->ndla", ginv, dg, ginv)  # d_a g^{dl}
-    # dGam[n,d,b,c,a] = d_a Gamma^d_{bc}
-    dGam = 0.5 * (
-        np.einsum("ndla,nlcb->ndbca", dginv, dg)
-        + np.einsum("ndla,nlbc->ndbca", dginv, dg)
-        - np.einsum("ndla,nbcl->ndbca", dginv, dg)
-        + np.einsum("ndl,nlcab->ndbca", ginv, d2g)
-        + np.einsum("ndl,nlbac->ndbca", ginv, d2g)
-        - np.einsum("ndl,nbcal->ndbca", ginv, d2g)
-    )
+    G = Gam.value
+    dG = Gam.grad().value  # dG[n,d,b,c,a] = d_a Gamma^d_{bc}
     Rup = (
-        np.einsum("ndbca->nabcd", dGam)
-        - np.einsum("ndacb->nabcd", dGam)
-        + np.einsum("ndae,nebc->nabcd", Gam, Gam)
-        - np.einsum("ndbe,neac->nabcd", Gam, Gam)
+        np.einsum("ndbca->nabcd", dG)
+        - np.einsum("ndacb->nabcd", dG)
+        + np.einsum("ndae,nebc->nabcd", G, G)
+        - np.einsum("ndbe,neac->nabcd", G, G)
     )
-    R_low = np.einsum("nabce,ned->nabcd", Rup, g)
-    return R_low, Gam
+    return np.einsum("nabce,ned->nabcd", Rup, g)
+
+
+def _covariant(T: taylor.Series, Gam: np.ndarray) -> np.ndarray:
+    """Covariant derivative at the points of a covariant tensor T, a series
+    of order >= 1 with values (N, m, ..., m), in coordinates with the
+    derivative axis last: the partials minus one Christoffel term
+    Gamma^d_{a c} T_{..d..} per tensor axis."""
+    t = T.value
+    out = T.grad().value
+    for p in range(1, t.ndim):
+        corr = np.einsum("nd...,ndac->n...ac", np.moveaxis(t, p, 1), Gam)
+        out = out - np.moveaxis(corr, -2, p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +248,6 @@ class InvariantField:
     def phi_norm(self) -> np.ndarray:
         return np.linalg.norm(self.Phi, axis=1)
 
-    def grad_norm(self, dT: np.ndarray) -> np.ndarray:
-        axes = tuple(range(1, dT.ndim))
-        return np.sqrt(np.sum(dT**2, axis=axes))
-
 
 def _in_frame(T: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Frame components T(E_i, E_j, ...) of a coordinate tensor T (N, m, ..., m).
@@ -282,11 +259,6 @@ def _in_frame(T: np.ndarray, F: np.ndarray) -> np.ndarray:
     for _ in range(T.ndim - 1):
         T = np.einsum("na...,nai->n...i", T, F)
     return T
-
-
-def _frame_components(cd: _CoordData) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    Fg = triangular_frame(cd.g)
-    return Fg, _in_frame(cd.A, Fg), _in_frame(cd.B, Fg), _in_frame(cd.Phi, Fg)
 
 
 def evaluate_field(
@@ -358,53 +330,35 @@ def _invariant_field(
     """The invariants in frame components, without residuals, and the shape
     series they came from."""
     m = chart.m
-    cd = _series_invariants(chart, U, jet, cfg, derivatives)
-    Fg, A, B, Phi = _frame_components(cd)
+    s, A, B, Phi, g, Gam = _series_invariants(chart, U, jet, cfg, derivatives)
+    Fg = triangular_frame(g.value)
     fieldv = InvariantField(
         chart=chart,
         U=U,
         cfg=cfg,
-        rho=cd.sb.rho,
-        H=cd.sb.H,
-        x=cd.sb.x,
-        normal=cd.sb.normal,
-        metric0=cd.sb.metric,
-        metric=cd.g,
+        rho=s.sb.rho,
+        H=s.sb.H,
+        x=s.sb.x,
+        normal=s.sb.normal,
+        metric0=s.sb.metric,
+        metric=g.value,
         frame=Fg,
-        A=A,
-        B=B,
-        Phi=Phi,
+        A=_in_frame(A.value, Fg),
+        B=_in_frame(B.value, Fg),
+        Phi=_in_frame(Phi.value, Fg),
     )
-    Gam = None
-    if curvature or derivatives:
-        R_low, Gam = _riemann_coords(cd)
     if curvature:
-        Rf = _in_frame(R_low, Fg)
+        Rf = _in_frame(_riemann_coords(g.value, Gam), Fg)
         fieldv.riemann = Rf
         ric = np.einsum("nkijk->nij", Rf)
         fieldv.ricci = ric
         scal = np.einsum("nii->n", ric)
         fieldv.kappa = scal / (m * (m - 1))
     if derivatives:
-        dA_c, dB_c, dPhi_c = _coord_derivatives(cd, Gam, *cd.partials)
-        fieldv.dA = _in_frame(dA_c, Fg)
-        fieldv.dB = _in_frame(dB_c, Fg)
-        fieldv.dPhi = _in_frame(dPhi_c, Fg)
-    return fieldv, cd.shape
-
-
-def _coord_derivatives(
-    cd: _CoordData, Gam: np.ndarray, pA: np.ndarray, pB: np.ndarray, pPhi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Covariant derivatives of A, B, Phi in coordinates: the plain partials
-    corrected with the conformal Christoffels at the points."""
-    corrA = np.einsum("ndca,ndb->nabc", Gam, cd.A) + np.einsum("ndcb,nad->nabc", Gam, cd.A)
-    corrB = np.einsum("ndca,ndb->nabc", Gam, cd.B) + np.einsum("ndcb,nad->nabc", Gam, cd.B)
-    corrPhi = np.einsum("ndca,nd->nac", Gam, cd.Phi)
-    dA = pA - corrA
-    dB = pB - corrB
-    dPhi = pPhi - corrPhi
-    return dA, dB, dPhi
+        fieldv.dA, fieldv.dB, fieldv.dPhi = (
+            _in_frame(_covariant(T, Gam.value), Fg) for T in (A, B, Phi)
+        )
+    return fieldv, s
 
 
 # ---------------------------------------------------------------------------
@@ -483,24 +437,6 @@ def gauss_residual_with_b(f: InvariantField, B: np.ndarray) -> float:
 # moving-frame route
 # ---------------------------------------------------------------------------
 
-def _frame_series_jets(kind: str, s: ShapeSeries):
-    """The frame route's inputs from shape series of order >= 2, as
-    (center, d1, d2) with the derivative axes last: the lift Y = rho Z(x)
-    to order 2; the conformal metric g, its triangular frame F and, on de
-    Sitter charts, xi = -H (1, x) + (0, n) to order 1."""
-    x = s.x.truncate(2)
-    Z = taylor.stack(sigma_rep(kind, [x[:, i] for i in range(x.shape[1])], isometric=True))
-    Y = taylor.sqrt(s.rho2.truncate(2))[:, None] * Z
-    g = s.rho2.truncate(1)[:, None, None] * s.g0.truncate(1)
-    fields = {"Y": Y, "g": g, "F": taylor.triangular_frame(g, triangular_frame(g.value))}
-    if kind == DE_SITTER:
-        H = s.H.truncate(1)[:, None]
-        fields["xi"] = taylor.concatenate([-H, -H * x.truncate(1) + s.n.truncate(1)], axis=1)
-    center = {k: v.value for k, v in fields.items()}
-    d1 = {k: v.derivative_stack(1) for k, v in fields.items()}
-    return center, d1, {"Y": Y.derivative_stack(2)}
-
-
 @dataclass
 class FrameRoute:
     """Structure-equation computation through the light-cone lift."""
@@ -537,31 +473,34 @@ def frame_route(
     signs2 = form_signs(2, m + 3)
     if shape is None:
         shape = shape_series(chart, U, chart.jet(U, 4), cfg)
-    center, d1, d2 = _frame_series_jets(kind, shape)
-    Y = center["Y"]
-    g = center["g"]
-    F = center["F"]
-    dY = d1["Y"]            # (N, m+3, m)
-    d2Y = d2["Y"]           # (N, m+3, m, m)
-    dF = d1["F"]            # (N, m, m, m): [n, a, i, b] = d_b F^a_i
-    dg = d1["g"]
-    ginv = np.linalg.inv(g)
-    Gam = christoffel(ginv, dg)
-    lap = np.einsum("nab,ncab->nc", ginv, d2Y) - np.einsum("nab,ngab,ncg->nc", ginv, Gam, dY)
+    # the lift Y = rho Z(x) to order 2; g, its frame F and xi to order 1
+    x = shape.x.truncate(2)
+    Z = taylor.stack(sigma_rep(kind, [x[:, i] for i in range(x.shape[1])], isometric=True))
+    Ys = taylor.sqrt(shape.rho2.truncate(2))[:, None] * Z
+    gs = shape.rho2.truncate(1)[:, None, None] * shape.g0.truncate(1)
+    F = taylor.triangular_frame(gs, triangular_frame(gs.value))
+    Y = Ys.value
+    dY = Ys.grad()          # (N, m+3, m)
+    ginv = np.linalg.inv(gs.value)
+    Gam = christoffel(ginv, gs.grad().value)
+    lap = np.einsum("nab,ncab->nc", ginv, dY.grad().value) - np.einsum(
+        "nab,ngab,ncg->nc", ginv, Gam, dY.value
+    )
     lap2 = pseudo_dot(lap, lap, signs2)
     N_vec = -lap / m - (lap2 / (2.0 * m * m))[:, None] * Y
 
-    Y_i = np.einsum("nai,nca->nci", F, dY)
-    Y_ij = np.einsum("nbj,naib,nca->ncij", F, dF, dY) + np.einsum(
-        "nbj,nai,ncab->ncij", F, F, d2Y
-    )
+    EY = einsum("nai,nca->nci", F, dY)  # E_i Y
+    Y_i = EY.value
+    Y_ij = np.einsum("nbj,ncib->ncij", F.value, EY.grad().value)  # E_j E_i Y
 
     Phi = None
     if kind == DE_SITTER:
         # dN = sum_i psi_i Y_i + Phi xi with <xi, xi> = -1, and <N, xi> = 0:
         # Phi_i = -<E_i N, xi> = <N, E_i xi>
-        xi = center["xi"]
-        Exi = np.einsum("nai,nca->nci", F, d1["xi"])
+        H = shape.H.truncate(1)[:, None]
+        xis = taylor.concatenate([-H, -H * x.truncate(1) + shape.n.truncate(1)], axis=1)
+        xi = xis.value
+        Exi = np.einsum("nai,nca->nci", F.value, xis.grad().value)
         Phi = np.einsum("nc,c,nci->ni", N_vec, signs2, Exi)
     else:
         rows = np.concatenate(

@@ -116,15 +116,6 @@ def _grad_table(m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(src), _frozen(fac)
 
 
-@lru_cache(maxsize=None)
-def _stack_table(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monomial index and alpha! of every index tuple in range(m)^r."""
-    tuples = np.array(list(itertools.product(range(m), repeat=r)), dtype=np.int64).reshape(m**r, r)
-    alphas = np.stack([np.bincount(t, minlength=m) for t in tuples])
-    fac = np.array([math.prod(math.factorial(int(k)) for k in a) for a in alphas], dtype=float)
-    return _frozen(_lookup(m, r, alphas)), _frozen(fac)
-
-
 # ---------------------------------------------------------------------------
 # the series type
 # ---------------------------------------------------------------------------
@@ -261,13 +252,6 @@ class Series:
         src, fac = _grad_table(self.m, self.order)
         d = self.c[src] * fac.reshape(fac.shape + (1,) * self.ndim)
         return Series(np.moveaxis(d, 0, -1), self.m, self.order - 1)
-
-    def derivative_stack(self, r: int) -> np.ndarray:
-        """All order-r partials, shape (N, *shape) + (m,) * r, symmetric."""
-        idx, fac = _stack_table(self.m, r)
-        d = self.c[idx] * fac.reshape(fac.shape + (1,) * self.ndim)
-        d = d.reshape((self.m,) * r + self.shape)
-        return np.moveaxis(d, tuple(range(r)), tuple(range(d.ndim - r, d.ndim)))
 
     # -- arithmetic -----------------------------------------------------------
 

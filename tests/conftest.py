@@ -1,5 +1,6 @@
-"""Shared fixtures: catalog charts and invariant fields are expensive to
-build (symbolic jets, lambdified series), so they are session-scoped."""
+"""Shared fixtures: catalog charts, lifted charts and invariant fields are
+built once per session (lifts compose series, the graph chart lambdifies
+its sympy expressions on first use, fields run the whole pipeline)."""
 
 import numpy as np
 import pytest

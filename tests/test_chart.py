@@ -44,8 +44,9 @@ class TestJets:
             Box((-1, -1, -1), (1, 1, 1)),
         )
         jet = chart.jet(np.zeros((1, 3)), 3)
-        for r in (1, 2, 3):
-            assert np.max(np.abs(jet.derivative_stack(r))) <= 1e-9
+        for _ in range(3):
+            jet = jet.grad()
+            assert np.max(np.abs(jet.value)) <= 1e-9
 
     def test_linear_chart_second_derivatives(self, rng):
         M = rng.normal(size=(4, 3))
@@ -56,8 +57,8 @@ class TestJets:
             Box((-1, -1, -1), (1, 1, 1)),
         )
         jet = chart.jet(np.zeros((2, 3)), 2)
-        assert np.max(np.abs(jet.derivative_stack(2))) <= 1e-12
-        assert np.allclose(jet.derivative_stack(1)[0], M, atol=1e-12)
+        assert np.max(np.abs(jet.grad().grad().value)) <= 1e-12
+        assert np.allclose(jet.grad().value[0], M, atol=1e-12)
 
     def test_fd_versus_analytic_on_wp(self, wp_chart, rng):
         lo, hi = wp_chart.domain.arrays()
@@ -67,8 +68,9 @@ class TestJets:
         an = wp_chart.jet(U, 4)
         fd = fd_version.jet(U, 4)
         for r in range(1, 5):
-            scale = 1.0 + np.max(np.abs(an.derivative_stack(r)))
-            assert np.max(np.abs(an.derivative_stack(r) - fd.derivative_stack(r))) / scale <= 1e-7
+            an, fd = an.grad(), fd.grad()
+            scale = 1.0 + np.max(np.abs(an.value))
+            assert np.max(np.abs(an.value - fd.value)) / scale <= 1e-7
 
     def test_fd_jet_needs_margin(self):
         chart = fd_chart_from(
@@ -302,6 +304,12 @@ class TestChartFiles:
         with pytest.raises(ValidationError, match="FD accuracy order"):
             chart_from_dict(d)
 
+    @pytest.mark.parametrize("step", [0, -0.5])
+    def test_non_positive_fd_step_takes_the_default_reach(self, sxh_chart, step):
+        d = chart_to_dict(sxh_chart.with_jet_mode("fd"))
+        d["fd"]["step"] = step
+        assert chart_from_dict(d).fd_margin() == default_reach(3)
+
     @pytest.mark.parametrize("name", ["wp", "hxr", "hxh"])
     @pytest.mark.parametrize("jet_mode", ["analytic", "fd"])
     def test_round_trip_lifted(self, tmp_path, name, jet_mode):
@@ -315,7 +323,9 @@ class TestChartFiles:
         assert np.array_equal(loaded.eval(U), lifted.eval(U))
         j0, j1 = lifted.jet(U, 2), loaded.jet(U, 2)
         for r in range(3):
-            assert np.array_equal(j0.derivative_stack(r), j1.derivative_stack(r))
+            if r:
+                j0, j1 = j0.grad(), j1.grad()
+            assert np.array_equal(j0.value, j1.value)
 
     def test_unknown_template_rejected(self):
         with pytest.raises(ValidationError):

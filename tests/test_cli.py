@@ -50,6 +50,14 @@ class TestClassifyCommand:
         assert code == 1
         assert "p + q < m" in err
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_invalid_classify_tol_exit_code(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "classify", "--catalog", "sxh", "--grid", "3", "--classify-tol", tol
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--classify-tol" in err
+
 
 class TestMapCommand:
     def test_pi_plus_representative_rejected(self, capsys):
@@ -139,6 +147,17 @@ class TestAnalyzeCommand:
             code, _, err = run_cli(capsys, "residuals", "--chart-file", str(path))
             assert code == 1
             assert err.startswith("error:") and "FD accuracy order" in err
+
+    def test_chart_file_with_invalid_fd_step(self, capsys, tmp_path, sxh_chart):
+        path = tmp_path / "chart.json"
+        save_chart(sxh_chart.with_jet_mode("fd"), path)
+        data = json.loads(path.read_text())
+        for step in ("abc", True, float("nan"), [0.1]):
+            data["fd"]["step"] = step
+            path.write_text(json.dumps(data))
+            code, _, err = run_cli(capsys, "residuals", "--chart-file", str(path))
+            assert code == 1
+            assert err.startswith("error:") and "FD step" in err
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(capsys, "analyze")

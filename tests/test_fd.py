@@ -133,7 +133,7 @@ def test_one_eval_call_per_jet(order):
     assert len(calls) == 1
     assert calls[0].shape == (design(2)[0].shape[0] * U.shape[0], 2)
     if order >= 2:
-        assert np.allclose(jet.derivative_stack(2)[:, 0], [[0.2, 0.05], [0.05, 0.4]], rtol=0, atol=1e-12)
+        assert np.allclose(jet.grad().grad().value[:, 0], [[0.2, 0.05], [0.05, 0.4]], rtol=0, atol=1e-12)
 
 
 def test_jet_does_not_depend_on_the_order_requested():

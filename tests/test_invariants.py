@@ -324,6 +324,52 @@ class TestOffCatalog:
             assert value <= 1e-12, key
 
 
+@pytest.mark.parametrize("jet_mode", ["analytic", "fd"])
+class TestConnectionAndCurvature:
+    """The curvature and the covariant derivatives of the conformal metric on
+    the graph chart, whose metric has no symmetry to hide an index slip: the
+    algebraic symmetries of the Riemann tensor, and the metric compatibility
+    and product rule of the connection.  Each holds up to roundoff."""
+
+    def _series(self, graph_lifted, jet_mode):
+        chart = graph_lifted.with_jet_mode(jet_mode)
+        U = _fd_grid(chart)
+        jet = chart.jet(U, invariants.jet_order(True))
+        return invariants._series_invariants(chart, U, jet, DEFAULT, True)[1:]
+
+    def test_riemann_symmetries_and_first_bianchi(self, graph_lifted, jet_mode):
+        chart = graph_lifted.with_jet_mode(jet_mode)
+        R = evaluate_field(chart, _fd_grid(chart), derivatives=False).riemann
+        scale = float(np.max(np.abs(R)))
+        assert scale > 0.1
+        for name, other in (
+            ("antisymmetry in the first pair", -np.einsum("nbacd->nabcd", R)),
+            ("antisymmetry in the second pair", -np.einsum("nabdc->nabcd", R)),
+            ("pair symmetry", np.einsum("ncdab->nabcd", R)),
+            ("first Bianchi identity", -np.einsum("nbcad->nabcd", R) - np.einsum("ncabd->nabcd", R)),
+        ):
+            assert np.max(np.abs(R - other)) <= 1e-12 * scale, name
+
+    def test_metric_compatibility(self, graph_lifted, jet_mode):
+        _, _, _, g, Gam = self._series(graph_lifted, jet_mode)
+        scale = float(np.max(np.abs(g.grad().value)))
+        assert scale > 0.1
+        assert np.max(np.abs(invariants._covariant(g, Gam.value))) <= 1e-12 * scale
+
+    def test_product_rule(self, graph_lifted, jet_mode):
+        # A (x) Phi has no index symmetry, so each Christoffel term must sit
+        # on its own axis
+        A, _, Phi, _, Gam = self._series(graph_lifted, jet_mode)
+        G = Gam.value
+        lhs = invariants._covariant(invariants.einsum("nab,nc->nabc", A, Phi), G)
+        rhs = np.einsum("nabd,nc->nabcd", invariants._covariant(A, G), Phi.value) + np.einsum(
+            "nab,ncd->nabcd", A.value, invariants._covariant(Phi, G)
+        )
+        scale = float(np.max(np.abs(rhs)))
+        assert scale > 0.1
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
+
+
 FD_CHARTS = ("sxh_chart", "hxr_lifted", "hxh_lifted", "wp_lifted", "ex33_chart", "graph_lifted")
 FIELD_KEYS = ("A", "B", "Phi", "dA", "dB", "dPhi", "riemann")
 
