@@ -7,7 +7,7 @@ invariants satisfy, and classifies hypersurfaces with parallel Blaschke
 tensor into the branches of the underlying classification.
 """
 
-from . import catalog as catalog  # populates the chart-template registry
+from . import catalog as catalog
 from .chart import (
     AmbientForm,
     Box,

@@ -31,11 +31,9 @@ from .chart import (
     DE_SITTER,
     LORENTZ_FLAT,
     AmbientForm,
-    TEMPLATES,
     Box,
     ImmersionChart,
     grid_points,
-    register_template,
     shape_series,
 )
 from .config import DEFAULT, NumericsConfig
@@ -382,14 +380,6 @@ class CoreReport:
     h2_deviation: float
     scalar_curvature_deviation: float
 
-    def to_dict(self) -> dict:
-        return {
-            "core": self.core,
-            "mean_curvature_residual": self.mean_curvature_residual,
-            "h2_deviation": self.h2_deviation,
-            "scalar_curvature_deviation": self.scalar_curvature_deviation,
-        }
-
 
 def verify_core(core: CoreHypersurface, cfg: NumericsConfig = DEFAULT, counts: int = 3) -> CoreReport:
     """Check maximality, |h|^2 and the Gauss-equation scalar curvature.
@@ -416,7 +406,7 @@ def verify_core(core: CoreHypersurface, cfg: NumericsConfig = DEFAULT, counts: i
 
 
 # ---------------------------------------------------------------------------
-# registry and default instances
+# default instances
 # ---------------------------------------------------------------------------
 
 def make_product(family: str, m: int, k: int, a: float | None = None) -> ImmersionChart:
@@ -430,58 +420,37 @@ def make_product(family: str, m: int, k: int, a: float | None = None) -> Immersi
     raise ValidationError(f"unknown product family {family!r}; use hxr, sxh or hxh")
 
 
-def _tmpl_hxr(m, k=1):
-    return make_hxr(m, k)
-
-
-def _tmpl_sxh(m, k=1, a=math.sqrt(2.0)):
-    return make_sxh(m, k, a)
-
-
-def _tmpl_hxh(m, k=1, a=0.6):
-    return make_hxh(m, k, a)
-
-
-def _tmpl_wp(m, p=1, q=1, a=2.0):
-    return make_wp(m, p, q, a)
-
-
-def _tmpl_ex32(m, K=2, split=1, r=None):
-    return make_example("ex32", m, K, split, r)
-
-
-def _tmpl_ex33(m, K=2, split=1, r=None):
-    return make_example("ex33", m, K, split, r)
-
-
-for _name, _builder in [
-    ("hxr", _tmpl_hxr),
-    ("sxh", _tmpl_sxh),
-    ("hxh", _tmpl_hxh),
-    ("wp", _tmpl_wp),
-    ("ex32", _tmpl_ex32),
-    ("ex33", _tmpl_ex33),
-]:
-    register_template(_name, _builder)
-
-
-# the instances exercised by the verification suite; ex32 is listed so the
+# each family's defaults, naming every parameter it takes; these are also the
+# instances exercised by the verification suite, and ex32 is listed so the
 # infeasibility surfaces through the same path as everything else
 DEFAULT_INSTANCES: dict[str, dict] = {
     "hxr": {"m": 3, "k": 1},
     "sxh": {"m": 3, "k": 1, "a": math.sqrt(2.0)},
     "hxh": {"m": 3, "k": 1, "a": 0.6},
     "wp": {"m": 4, "p": 1, "q": 1, "a": 2.0},
-    "ex33": {"m": 4, "K": 2, "split": 1},
-    "ex32": {"m": 4, "K": 2, "split": 1},
+    "ex33": {"m": 4, "K": 2, "split": 1, "r": None},
+    "ex32": {"m": 4, "K": 2, "split": 1, "r": None},
 }
 
 
 def build_instance(name: str, **overrides) -> ImmersionChart:
-    """Build a catalog chart by CLI name with optional parameter overrides."""
+    """Build a catalog chart by CLI name with optional parameter overrides.
+
+    DEFAULT_INSTANCES names every parameter of each family; an override of
+    any other name is refused.
+    """
     name = name.lower()
     if name not in DEFAULT_INSTANCES:
         raise ValidationError(f"unknown catalog name {name!r}; use one of {sorted(DEFAULT_INSTANCES)}")
     params = dict(DEFAULT_INSTANCES[name])
+    for key in overrides:
+        if key not in params:
+            raise ValidationError(
+                f"{name} takes no parameter {key!r}; its parameters are {', '.join(params)}"
+            )
     params.update({k: v for k, v in overrides.items() if v is not None})
-    return TEMPLATES[name](**params)
+    if name == "wp":
+        return make_wp(**params)
+    if name in ("ex32", "ex33"):
+        return make_example(name, **params)
+    return make_product(name, **params)

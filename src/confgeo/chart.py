@@ -561,17 +561,6 @@ class RegularityReport:
     max_normal_residual: float
     regular: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "chart": self.chart,
-            "n_points": self.n_points,
-            "min_rho2": self.min_rho2,
-            "min_metric_eig": self.min_metric_eig,
-            "max_ambient_residual": self.max_ambient_residual,
-            "max_normal_residual": self.max_normal_residual,
-            "regular": self.regular,
-        }
-
 
 def validate_regularity(
     chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig = DEFAULT
@@ -650,14 +639,6 @@ def grid_points(box: Box, counts: Iterable[int], margin: float = 0.0) -> np.ndar
 # chart files
 # ---------------------------------------------------------------------------
 
-# populated by the catalog module at import time
-TEMPLATES: dict[str, Callable[..., ImmersionChart]] = {}
-
-
-def register_template(name: str, builder: Callable[..., ImmersionChart]) -> None:
-    TEMPLATES[name] = builder
-
-
 def chart_to_dict(chart: ImmersionChart) -> dict:
     if chart.template is None:
         raise ValidationError(
@@ -676,9 +657,10 @@ def chart_to_dict(chart: ImmersionChart) -> dict:
 
 
 def chart_from_dict(data: dict) -> ImmersionChart:
-    """Chart from its file form; `params.lift` lifts the template's chart."""
+    """Chart from its file form, built by catalog.build_instance (which
+    supplies the parameters the file leaves out); `params.lift` lifts it."""
     try:
-        name = data["name"]
+        name = str(data["name"])
         m = int(data["m"])
         params = dict(data.get("params", {}))
         dom = data["domain"]
@@ -686,13 +668,10 @@ def chart_from_dict(data: dict) -> ImmersionChart:
         fd_data = data.get("fd", {})
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed chart definition: {exc}") from exc
-    builder = TEMPLATES.get(name)
-    if builder is None:
-        raise ValidationError(
-            f"unknown chart template {name!r}; available: {sorted(TEMPLATES)}"
-        )
+    from .catalog import build_instance
+
     lift = params.pop("lift", None)
-    chart = builder(m=m, **params)
+    chart = build_instance(name, m=m, **params)
     box = Box(tuple(float(v) for v in dom["lo"]), tuple(float(v) for v in dom["hi"]))
     # older files also carry the stencil accuracy "order", which the fit does
     # not read; it is still checked, so that a file refused then is refused now

@@ -16,16 +16,15 @@ a new branch), the eigenvalue structure only after both.  Branches:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .chart import DE_SITTER, ImmersionChart, grid_points, regularity_from_jet
+from .chart import ImmersionChart, regularity_from_jet
 from .config import DEFAULT, NumericsConfig
-from .conformal_atlas import lift_chart
 from .errors import ComputationError, ConsistencyError
-from .invariants import InvariantField, field_from_jet, grid_margin, jet_order
-from .pseudo_linalg import cluster_eigenvalues, sym_eigen
+from .invariants import InvariantField, field_from_jet, grid_jet
+from .pseudo_linalg import cluster_eigenvalues
 
 BRANCH_ISOTROPIC = "Isotropic"
 BRANCH_PARALLEL_B = "ParallelB"
@@ -60,18 +59,6 @@ class EigenStructure:
     constancy_deviation: float
     block_b_spread: float           # within-block spread of B (relevant for t >= 3)
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "eigenvalues": self.eigenvalues,
-            "multiplicities": self.multiplicities,
-            "b_values": self.b_values,
-            "zero_block": self.zero_block,
-            "commutator_norm": self.commutator_norm,
-            "constancy_deviation": self.constancy_deviation,
-            "block_b_spread": self.block_b_spread,
-        }
-
 
 @dataclass
 class ClassificationReport:
@@ -91,7 +78,7 @@ class ClassificationReport:
             "branch": self.branch,
             "anchor": self.anchor,
             "residuals": dict(sorted(self.residuals.items())),
-            "eigenstructure": self.eigen.to_dict() if self.eigen else None,
+            "eigenstructure": asdict(self.eigen) if self.eigen else None,
             "tolerances": dict(sorted(self.tolerances.items())),
             "grid": self.grid,
             "failing_gate": self.failing_gate,
@@ -116,17 +103,29 @@ def gate_parallel(dT: np.ndarray, T: np.ndarray, tol: float) -> tuple[bool, floa
     return grad <= tol * scale, grad
 
 
+def _symmetric(T: np.ndarray) -> np.ndarray:
+    return 0.5 * (T + np.swapaxes(T, 1, 2))
+
+
+def _cluster_columns(Q: np.ndarray, multiplicities: list[int], ci: int) -> np.ndarray:
+    """Eigenvectors of cluster ci at every point: the ascending columns
+    that its place in the constant spectrum assigns to it."""
+    start = sum(multiplicities[:ci])
+    return Q[:, :, start:start + multiplicities[ci]]
+
+
 def eigen_structure(f: InvariantField, tol: float) -> EigenStructure:
     """Cluster the Blaschke spectrum and extract simultaneous B-blocks.
 
     Requires the spectrum to be constant over the grid (the parallel gate
     guarantees this mathematically; deviations beyond tol raise a
-    ConsistencyError).  When t >= 2 the commutator with B must vanish;
-    B-block eigenvalues are reported per cluster with their grid spread.
+    ConsistencyError).  A constant spectrum gives each cluster the same
+    range of ascending eigenvector columns at every point, so one batched
+    eigendecomposition serves every cluster.  When t >= 2 the commutator
+    with B must vanish; B-block eigenvalues are reported per cluster with
+    their grid spread.
     """
-    N, m = f.U.shape[0], f.m
-    A = 0.5 * (f.A + np.swapaxes(f.A, 1, 2))
-    B = 0.5 * (f.B + np.swapaxes(f.B, 1, 2))
+    A, B = _symmetric(f.A), _symmetric(f.B)
     spectra = np.linalg.eigvalsh(A)
     mean_spec = spectra.mean(axis=0)
     scale = max(1.0, float(np.max(np.abs(spectra))))
@@ -137,35 +136,29 @@ def eigen_structure(f: InvariantField, tol: float) -> EigenStructure:
             f"(allowed {tol * scale:.3e}) although the parallel gate passed"
         )
     clusters = cluster_eigenvalues(np.sort(mean_spec), rel_tol=tol)
-    t = len(clusters)
+    mults = [int(c[1]) for c in clusters]
     comm = np.einsum("nik,nkj->nij", A, B) - np.einsum("nik,nkj->nij", B, A)
-    comm_norm = float(np.max(np.abs(comm)))
     b_values: list[list[float]] = []
     spread = 0.0
     zero_block: int | None = None
-    for ci, (lam, mult) in enumerate(clusters):
-        block_eigs = np.zeros((N, mult))
-        for n in range(N):
-            w, Q = sym_eigen(A[n])
-            idx = np.where(np.abs(w - lam) <= tol * scale + 1e-14)[0]
-            if idx.size != mult:
-                # fall back to the `mult` closest eigenvalues
-                idx = np.argsort(np.abs(w - lam))[:mult]
-            Qb = Q[:, np.sort(idx)]
-            Bblock = Qb.T @ B[n] @ Qb
-            block_eigs[n] = np.sort(np.linalg.eigvalsh(0.5 * (Bblock + Bblock.T)))
+    # eigh only for the vectors: its eigenvalues differ from eigvalsh's at
+    # roundoff, and the reported spectrum is eigvalsh's
+    Q = np.linalg.eigh(A)[1]
+    for ci in range(len(clusters)):
+        Qb = _cluster_columns(Q, mults, ci)
+        block_eigs = np.linalg.eigvalsh(_symmetric(np.swapaxes(Qb, 1, 2) @ B @ Qb))
         mean_be = block_eigs.mean(axis=0)
         spread = max(spread, float(np.max(np.abs(block_eigs - mean_be[None, :]))))
         b_values.append([float(v) for v in mean_be])
-        if np.max(np.abs(mean_be)) <= tol:
-            zero_block = ci if zero_block is None else zero_block
+        if zero_block is None and np.max(np.abs(mean_be)) <= tol:
+            zero_block = ci
     return EigenStructure(
-        t=t,
+        t=len(clusters),
         eigenvalues=[float(c[0]) for c in clusters],
-        multiplicities=[int(c[1]) for c in clusters],
+        multiplicities=mults,
         b_values=b_values,
         zero_block=zero_block,
-        commutator_norm=comm_norm,
+        commutator_norm=float(np.max(np.abs(comm))),
         constancy_deviation=constancy,
         block_b_spread=spread,
     )
@@ -190,7 +183,7 @@ def check_bibj(eigen: EigenStructure) -> float:
 
 
 def zero_block_sectional_curvature(
-    f: InvariantField, eigen: EigenStructure, tol: float
+    f: InvariantField, eigen: EigenStructure
 ) -> tuple[float, float] | None:
     """Mean and spread of the sectional curvatures of the zero-B block.
 
@@ -200,22 +193,14 @@ def zero_block_sectional_curvature(
     """
     if f.riemann is None or eigen.zero_block is None:
         return None
-    lam = eigen.eigenvalues[eigen.zero_block]
     mult = eigen.multiplicities[eigen.zero_block]
     if mult < 2:
         return None
-    N = f.U.shape[0]
-    scale = max(1.0, float(np.max(np.abs(eigen.eigenvalues))))
-    vals = []
-    for n in range(N):
-        w, Q = sym_eigen(0.5 * (f.A[n] + f.A[n].T))
-        idx = np.sort(np.argsort(np.abs(w - lam))[:mult])
-        Qb = Q[:, idx]
-        Rb = np.einsum("abcd,ai,bj,ck,dl->ijkl", f.riemann[n], Qb, Qb, Qb, Qb)
-        for i in range(mult):
-            for j in range(i + 1, mult):
-                vals.append(Rb[i, j, j, i])
-    arr = np.asarray(vals)
+    Q = np.linalg.eigh(_symmetric(f.A))[1]
+    Qb = _cluster_columns(Q, eigen.multiplicities, eigen.zero_block)
+    Rb = np.einsum("nabcd,nai,nbj,nck,ndl->nijkl", f.riemann, Qb, Qb, Qb, Qb)
+    i, j = np.triu_indices(mult, k=1)
+    arr = Rb[:, i, j, j, i].ravel()
     return float(arr.mean()), float(np.max(np.abs(arr - arr.mean())))
 
 
@@ -223,24 +208,28 @@ def zero_block_sectional_curvature(
 # pipeline
 # ---------------------------------------------------------------------------
 
-def classify_field(f: InvariantField, tol: float | None = None) -> ClassificationReport:
-    """Assign a branch to a precomputed invariant field."""
-    cfg = f.cfg
-    tol = cfg.classify_tol if tol is None else tol
-    tols = {
-        "classify_tol": tol,
-        "tier_tol": cfg.tier(f.chart.jet_mode == "analytic"),
-    }
-    grid = {"n_points": int(f.U.shape[0]), "m": f.m}
-    report = ClassificationReport(
-        chart=f.chart.name,
+def _inconclusive(chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig) -> ClassificationReport:
+    """The report every exit starts from: no branch yet, and the tolerances
+    and grid that every report carries."""
+    return ClassificationReport(
+        chart=chart.name,
         branch=BRANCH_INCONCLUSIVE,
         anchor=ANCHORS[BRANCH_INCONCLUSIVE],
         residuals={},
         eigen=None,
-        tolerances=tols,
-        grid=grid,
+        tolerances={
+            "classify_tol": cfg.classify_tol,
+            "tier_tol": cfg.tier(chart.jet_mode == "analytic"),
+        },
+        grid={"n_points": int(U.shape[0]), "m": chart.m},
     )
+
+
+def classify_field(f: InvariantField) -> ClassificationReport:
+    """Assign a branch to a precomputed invariant field; the gates use
+    f.cfg.classify_tol."""
+    tol = f.cfg.classify_tol
+    report = _inconclusive(f.chart, f.U, f.cfg)
     ok_a, grad_a = gate_parallel(f.dA, f.A, tol)
     report.residuals["grad_a_norm"] = grad_a
     ok_phi, phi_norm = gate_phi(f, tol)
@@ -307,7 +296,7 @@ def classify_field(f: InvariantField, tol: float | None = None) -> Classificatio
         f"(eigenvalue {eigen.eigenvalues[eigen.zero_block]:.6g}, "
         f"multiplicity {eigen.multiplicities[eigen.zero_block]})"
     )
-    curv = zero_block_sectional_curvature(f, eigen, tol)
+    curv = zero_block_sectional_curvature(f, eigen)
     if curv is not None:
         report.residuals["zero_block_curvature_vs_minus_2lambda"] = abs(curv[0] + 2.0 * lam)
     report.branch = BRANCH_POSITIVE if lam > 0 else BRANCH_NEGATIVE
@@ -319,57 +308,33 @@ def classify(
     chart: ImmersionChart,
     counts: int | list[int] = 3,
     cfg: NumericsConfig = DEFAULT,
-    tol: float | None = None,
     lift: str = "psi1",
-    margin: float | None = None,
 ) -> ClassificationReport:
     """Full pipeline: regularity, invariants with derivatives, gates.
 
     Charts in the flat or anti-de Sitter pictures are lifted (default
     through the first coordinate map) before the invariants are computed;
     computation errors annotate the report instead of aborting.  The
-    regularity check and the invariants share one jet per point.
+    regularity check and the invariants share one jet per point
+    (invariants.grid_jet).
     """
-    work = chart
-    notes: list[str] = []
-    if chart.ambient.kind != DE_SITTER:
-        work = lift_chart(chart, lift)
-        notes.append(f"lifted to the de Sitter picture via {lift}")
-    counts_list = [counts] if isinstance(counts, int) else list(counts)
-    if margin is None:
-        margin = grid_margin(work)
-    U = grid_points(work.domain, counts_list, margin=margin)
-    jet = work.jet(U, jet_order(derivatives=True))
+    counts = [counts] if isinstance(counts, int) else list(counts)
+    work, U, jet = grid_jet(chart, counts, lift)
+    notes = [] if work is chart else [f"lifted to the de Sitter picture via {lift}"]
     reg = regularity_from_jet(work, U, jet, cfg)
+    report = _inconclusive(work, U, cfg)
     if not reg.regular:
-        rep = ClassificationReport(
-            chart=chart.name,
-            branch=BRANCH_INCONCLUSIVE,
-            anchor=ANCHORS[BRANCH_INCONCLUSIVE],
-            residuals={"min_rho2": reg.min_rho2, "min_metric_eig": reg.min_metric_eig},
-            eigen=None,
-            tolerances={"classify_tol": tol if tol is not None else cfg.classify_tol},
-            grid={"n_points": int(U.shape[0]), "m": work.m},
-            failing_gate="regularity",
-            notes=notes,
-        )
-        return rep
-    try:
-        f = field_from_jet(work, U, jet, cfg, derivatives=True, curvature=True)
-    except ComputationError as exc:
-        return ClassificationReport(
-            chart=chart.name,
-            branch=BRANCH_INCONCLUSIVE,
-            anchor=ANCHORS[BRANCH_INCONCLUSIVE],
-            residuals={},
-            eigen=None,
-            tolerances={"classify_tol": tol if tol is not None else cfg.classify_tol},
-            grid={"n_points": int(U.shape[0]), "m": work.m},
-            failing_gate="invariant_computation",
-            notes=notes + [str(exc)],
-        )
-    report = classify_field(f, tol)
+        report.residuals = {"min_rho2": reg.min_rho2, "min_metric_eig": reg.min_metric_eig}
+        report.failing_gate = "regularity"
+    else:
+        try:
+            f = field_from_jet(work, U, jet, cfg, derivatives=True, curvature=True)
+        except ComputationError as exc:
+            report.failing_gate = "invariant_computation"
+            report.notes.append(str(exc))
+        else:
+            report = classify_field(f)
     report.chart = chart.name
     report.notes = notes + report.notes
-    report.grid["counts"] = counts_list
+    report.grid["counts"] = counts
     return report

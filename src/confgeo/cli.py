@@ -1,42 +1,52 @@
 """Command-line front end.
 
-Subcommands: analyze, classify, verify-catalog, map, residuals.  Reports
-are deterministic: keys sorted, floats printed with 17 significant digits,
-no timestamps; identical configurations yield byte-identical output.  Exit
-codes: 0 success, 1 validation/input error, 2 computation or consistency
-error (a partial report is still written once computation has started).
+Subcommands and the flags each one reads (no subcommand takes a flag it
+ignores):
+
+    analyze         chart flags, --grid, --out, --format json|csv
+    classify        chart flags, --grid, --out, --classify-tol
+    residuals       chart flags, --grid, --out
+    verify-catalog  --grid, --out
+    map             --which, --point, --out
+
+Chart flags name one chart (--catalog with the family parameters, or
+--chart-file) and the --lift that moves it into the de Sitter picture;
+analyze, classify, residuals and verify-catalog all build their grid and
+jet through invariants.grid_jet.  Reports are deterministic: keys sorted,
+floats printed with 17 significant digits, no timestamps; identical
+configurations yield byte-identical output.  Exit codes: 0 success (and
+--help), 1 validation/input error, usage errors included, 2 computation or
+consistency error (a partial report is still written once computation has
+started).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import catalog
-from .chart import DE_SITTER, grid_points, load_chart, regularity_from_jet
+from .chart import load_chart, regularity_from_jet
 from .classifier import classify
-from .config import CATALOG_CHECK_TOL, DEFAULT, NumericsConfig
+from .config import CATALOG_CHECK_TOL, DEFAULT, check_positive
 from .conformal_atlas import (
     MAP_TAGS,
     ProjectivePoint,
     compose_maps,
     embed,
-    lift_chart,
     psi,
     t_swap,
 )
 from .errors import ComputationError, ConfGeoError, ConstructionError, InputError
 from .invariants import (
-    evaluate_field,
     field_from_jet,
     field_report,
     field_report_csv,
-    grid_margin,
-    jet_order,
+    grid_jet,
 )
 from .pseudo_linalg import PseudoVector, Signature
 
@@ -108,9 +118,7 @@ def _add_chart_args(p: argparse.ArgumentParser) -> None:
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, nargs="+", default=[3], help="per-axis grid counts (>= 3)")
-    p.add_argument("--classify-tol", type=float, default=None)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", type=str, default="json", choices=["json", "csv"])
 
 
 def _build_chart(args) -> "catalog.ImmersionChart":
@@ -126,24 +134,10 @@ def _build_chart(args) -> "catalog.ImmersionChart":
     return catalog.build_instance(args.catalog, **overrides)
 
 
-def _config(args) -> NumericsConfig:
-    cfg = DEFAULT
-    tol = getattr(args, "classify_tol", None)
-    if tol is not None:
-        if not (math.isfinite(tol) and tol > 0):
-            raise InputError(f"--classify-tol must be a finite number > 0, got {tol!r}")
-        from dataclasses import replace
-
-        cfg = replace(cfg, classify_tol=tol)
-    return cfg
-
-
-def _prepare_field(args, cfg: NumericsConfig):
+def _prepare_field(args):
     chart = _build_chart(args)
-    work = chart if chart.ambient.kind == DE_SITTER else lift_chart(chart, args.lift)
-    U = grid_points(work.domain, args.grid, margin=grid_margin(work))
-    f = evaluate_field(work, U, cfg, derivatives=True, curvature=True)
-    return chart, work, f
+    work, U, jet = grid_jet(chart, args.grid, args.lift)
+    return chart, field_from_jet(work, U, jet, DEFAULT, derivatives=True, curvature=True)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +145,7 @@ def _prepare_field(args, cfg: NumericsConfig):
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
-    cfg = _config(args)
-    chart, work, f = _prepare_field(args, cfg)
+    chart, f = _prepare_field(args)
     if args.format == "csv":
         _write_report(field_report_csv(f), args.out)
     else:
@@ -162,9 +155,10 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _residual_gates(f, cfg: NumericsConfig, analytic: bool) -> tuple[dict, bool]:
+def _residual_gates(f) -> tuple[dict, bool]:
     """Per-identity gate levels: trace identities strict, field-derivative
     residuals at the residual tier."""
+    cfg, analytic = f.cfg, f.chart.jet_mode == "analytic"
     rtier = cfg.residual_tier(analytic)
     strict = cfg.tier(analytic)
     gates = {}
@@ -182,13 +176,11 @@ def _residual_gates(f, cfg: NumericsConfig, analytic: bool) -> tuple[dict, bool]
 
 
 def _cmd_residuals(args) -> int:
-    cfg = _config(args)
-    chart, work, f = _prepare_field(args, cfg)
-    analytic = work.jet_mode == "analytic"
-    gates, ok = _residual_gates(f, cfg, analytic)
+    chart, f = _prepare_field(args)
+    gates, ok = _residual_gates(f)
     rep = {
         "chart": chart.name,
-        "jet_mode": work.jet_mode,
+        "jet_mode": f.chart.jet_mode,
         "n_points": int(f.U.shape[0]),
         "gates": {k: {"value": v, "tolerance": tol} for k, (v, tol) in gates.items()},
         "pass": ok,
@@ -198,15 +190,17 @@ def _cmd_residuals(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    cfg = _config(args)
+    cfg = DEFAULT
+    if args.classify_tol is not None:
+        check_positive("--classify-tol", args.classify_tol)
+        cfg = replace(cfg, classify_tol=args.classify_tol)
     chart = _build_chart(args)
-    rep = classify(chart, counts=args.grid, cfg=cfg, tol=args.classify_tol, lift=args.lift)
+    rep = classify(chart, counts=args.grid, cfg=cfg, lift=args.lift)
     _write_report(render_json(rep.to_dict()), args.out)
     return 0
 
 
 def _cmd_verify_catalog(args) -> int:
-    cfg = _config(args)
     results = {}
     all_ok = True
     for name in sorted(catalog.DEFAULT_INSTANCES):
@@ -218,27 +212,20 @@ def _cmd_verify_catalog(args) -> int:
             entry["detail"] = str(exc)
             results[name] = entry
             continue
-        work = chart if chart.ambient.kind == DE_SITTER else lift_chart(chart, "psi1")
-        U = grid_points(work.domain, args.grid, margin=grid_margin(work))
-        jet = work.jet(U, jet_order(derivatives=True))
-        reg = regularity_from_jet(work, U, jet, cfg)
-        f = field_from_jet(work, U, jet, cfg, derivatives=True, curvature=True, cross_check=True)
-        analytic = work.jet_mode == "analytic"
-        gates, res_ok = _residual_gates(f, cfg, analytic)
-        cross_ok = max(
-            v for k, v in f.residuals.items() if k.startswith("cross_")
-        ) <= CATALOG_CHECK_TOL
-        phi_ok = float(np.max(f.phi_norm())) <= CATALOG_CHECK_TOL
-        ok = bool(reg.regular and res_ok and phi_ok and cross_ok)
+        work, U, jet = grid_jet(chart, args.grid)
+        reg = regularity_from_jet(work, U, jet, DEFAULT)
+        f = field_from_jet(work, U, jet, DEFAULT, derivatives=True, curvature=True, cross_check=True)
+        gates, res_ok = _residual_gates(f)
+        cross = float(max(v for k, v in f.residuals.items() if k.startswith("cross_")))
+        phi = float(np.max(f.phi_norm()))
+        ok = bool(reg.regular and res_ok and phi <= CATALOG_CHECK_TOL and cross <= CATALOG_CHECK_TOL)
         entry.update(
             {
                 "status": "pass" if ok else "fail",
                 "regular": reg.regular,
                 "gates": {k: {"value": v, "tolerance": tol} for k, (v, tol) in gates.items()},
-                "cross_route_max": float(
-                    max(v for k, v in f.residuals.items() if k.startswith("cross_"))
-                ),
-                "phi_norm": float(np.max(f.phi_norm())),
+                "cross_route_max": cross,
+                "phi_norm": phi,
             }
         )
         results[name] = entry
@@ -260,7 +247,6 @@ def _cmd_map(args) -> int:
     if which not in MAP_TAGS:
         raise InputError(f"unknown map {which!r}; available: {sorted(MAP_TAGS)}")
     pt = _parse_point(args.point)
-    tag = MAP_TAGS[which]
     out: dict = {"which": which, "input": [float(v) for v in pt]}
     if which in ("sigma0", "sigma1", "sigma-1"):
         proj = embed(pt, which)
@@ -268,7 +254,6 @@ def _cmd_map(args) -> int:
         out["output_kind"] = "projective representative"
         out["lightlike"] = proj.is_null()
     elif which in ("psi1", "psi2"):
-        m = pt.shape[0] - 3
         proj = ProjectivePoint(PseudoVector(pt, Signature(2, pt.shape[0])))
         result = psi(1 if which == "psi1" else 2, proj)
         out["output"] = [float(v) for v in result.coords]
@@ -298,11 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="invariants and identity residuals over a grid")
     _add_chart_args(p)
     _add_run_args(p)
+    p.add_argument("--format", type=str, default="json", choices=["json", "csv"])
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("classify", help="assign a classification branch")
     _add_chart_args(p)
     _add_run_args(p)
+    p.add_argument("--classify-tol", type=float, default=None)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("verify-catalog", help="run the catalog invariant suites")
@@ -328,7 +315,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # --help exits 0; every usage error is invalid input
+        return 0 if not exc.code else 1
     try:
         return args.fn(args)
     except InputError as exc:

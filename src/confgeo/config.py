@@ -11,7 +11,10 @@ three assertion tiers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+
+from .errors import ValidationError
 
 # cross-route agreement and largest |Phi| that verify-catalog requires of
 # every catalog chart (every catalog chart has Phi = 0); not settable
@@ -34,7 +37,7 @@ class FDConfig:
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Shared tolerances."""
+    """Shared tolerances, each a finite number > 0 (checked on construction)."""
 
     # assertion tiers: frame relations and trace identities sit at the strict
     # tier; the integrability residual suite (which differentiates invariant
@@ -53,11 +56,21 @@ class NumericsConfig:
     # cross-route mismatch above crosscheck_factor * tier tolerance is an error
     crosscheck_factor: float = 100.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            check_positive(f.name, getattr(self, f.name))
+
     def tier(self, analytic_jets: bool) -> float:
         return self.analytic_tol if analytic_jets else self.fd_tol
 
     def residual_tier(self, analytic_jets: bool) -> float:
         return self.residual_tol_analytic if analytic_jets else self.residual_tol_fd
+
+
+def check_positive(name: str, value: float) -> None:
+    """The one rule every tolerance obeys: a finite number > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 DEFAULT = NumericsConfig()

@@ -33,7 +33,7 @@ from .chart import (
     AmbientForm,
     ImmersionChart,
 )
-from .config import DEFAULT, FDConfig, NumericsConfig
+from .config import FDConfig
 from .errors import ChartDomainError, DimensionMismatchError, InputError, ValidationError
 from .pseudo_linalg import PseudoVector, Signature, form_signs, pseudo_dot
 from .taylor import einsum
@@ -158,7 +158,7 @@ def _check_on_form(kind: str, X: np.ndarray, tol: float) -> None:
         )
 
 
-def embed(point, which: str, cfg: NumericsConfig = DEFAULT) -> ProjectivePoint:
+def embed(point, which: str) -> ProjectivePoint:
     """Embed a space-form point into the conformal space, canonical slots."""
     if which not in KIND_FOR_SIGMA:
         raise ValidationError(f"unknown embedding {which!r}; use sigma0, sigma1 or sigma-1")
@@ -295,7 +295,7 @@ def _composite_reps(which: str, X: np.ndarray) -> np.ndarray:
     return reps @ P.T
 
 
-def compose_maps(which: str, point, cfg: NumericsConfig = DEFAULT) -> np.ndarray:
+def compose_maps(which: str, point) -> np.ndarray:
     """Apply one of the four composed conformal maps onto the unit de Sitter.
 
     sigma^a act on Lorentz-flat points, tau^a on anti-de Sitter points; the
@@ -429,13 +429,15 @@ def _tangent_basis(kind: str, x: np.ndarray) -> np.ndarray:
     return Vt[1:]  # (d-1, d) spanning the form-orthogonal complement of x
 
 
+# step of conformality_witness's difference stencil
+WITNESS_STEP = 1e-5
+
+
 def conformality_witness(
     map_fn: Callable[[np.ndarray], np.ndarray],
     source_kind: str,
     x: np.ndarray,
     target_signs: np.ndarray,
-    cfg: NumericsConfig = DEFAULT,
-    step: float = 1e-5,
 ) -> tuple[float, float]:
     """Pullback-metric proportionality test at one point.
 
@@ -444,7 +446,6 @@ def conformality_witness(
     the source Gram matrix.
     """
     basis = _tangent_basis(source_kind, x)
-    k = basis.shape[0]
     src_signs = form_signs(2 if source_kind == ANTI_DE_SITTER else 1, x.shape[0])
     G = np.einsum("ac,c,bc->ab", basis, src_signs, basis)
     # directional derivatives of the map along the basis, 4th order stencil
@@ -454,14 +455,14 @@ def conformality_witness(
     for v in basis:
         dv = None
         for o, w in zip(offsets, weights):
-            pt = x + o * step * v
+            pt = x + o * WITNESS_STEP * v
             if source_kind != LORENTZ_FLAT:
                 # project back to the quadric to stay on the source form
                 val = pseudo_dot(pt[None, :], pt[None, :], src_signs)[0]
                 target = 1.0 if source_kind == DE_SITTER else -1.0
                 pt = pt / np.sqrt(abs(val / target))
             img = map_fn(pt)
-            dv = img * (w / step) if dv is None else dv + img * (w / step)
+            dv = img * (w / WITNESS_STEP) if dv is None else dv + img * (w / WITNESS_STEP)
         imgs.append(dv)
     D = np.stack(imgs)  # (k, target_dim)
     Pb = np.einsum("ac,c,bc->ab", D, target_signs, D)

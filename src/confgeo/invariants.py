@@ -55,10 +55,11 @@ from .chart import (
     ShapeBatch,
     ShapeData,
     ShapeSeries,
+    grid_points,
     shape_series,
 )
 from .config import DEFAULT, FDConfig, NumericsConfig
-from .conformal_atlas import sigma_rep
+from .conformal_atlas import lift_chart, sigma_rep
 from .errors import ConsistencyError, ValidationError
 from .pseudo_linalg import (
     PseudoVector,
@@ -147,6 +148,21 @@ def jet_order(derivatives: bool) -> int:
     shape data carry order K - 2 and A, B, Phi order K - 4, so K = 5 gives
     their partials and K = 4 their values."""
     return 5 if derivatives else 4
+
+
+def grid_jet(
+    chart: ImmersionChart, counts: list[int], lift: str = "psi1"
+) -> tuple[ImmersionChart, np.ndarray, taylor.Series]:
+    """The front end of every grid run: (work, U, jet).
+
+    work is the chart, lifted through `lift` unless it is already in the de
+    Sitter picture; U is its grid of `counts` inset by grid_margin; jet is
+    one jet at U of the order a field with derivatives takes, which the
+    regularity check and field_from_jet share.
+    """
+    work = chart if chart.ambient.kind == DE_SITTER else lift_chart(chart, lift)
+    U = grid_points(work.domain, counts, margin=grid_margin(work))
+    return work, U, work.jet(U, jet_order(derivatives=True))
 
 
 def _series_invariants(

@@ -18,7 +18,6 @@ from confgeo.catalog import (
     verify_core,
 )
 from confgeo.chart import (
-    TEMPLATES,
     AmbientForm,
     Box,
     ImmersionChart,
@@ -286,7 +285,6 @@ class TestBuildInstance:
 
     @pytest.mark.parametrize("name", sorted(DEFAULT_INSTANCES))
     def test_default_names_resolve_through_registry(self, name):
-        assert name in TEMPLATES
         if name == "ex32":
             with pytest.raises(ConstructionError):
                 build_instance(name)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +24,9 @@ from confgeo.classifier import (
     zero_block_sectional_curvature,
 )
 from confgeo.config import DEFAULT
+from confgeo.errors import ComputationError, ValidationError
 from confgeo.invariants import InvariantField
+from confgeo.pseudo_linalg import sym_eigen
 
 
 def synthetic_field(A_diag, B_diag, m=4, N=6, dA=0.0, dB=0.0, phi=0.0, riemann=None):
@@ -54,6 +57,44 @@ def synthetic_field(A_diag, B_diag, m=4, N=6, dA=0.0, dB=0.0, phi=0.0, riemann=N
 
 
 C = math.sqrt(3.0 / 8.0)  # traceless 2-block value with |B|^2 = 3/4
+
+
+def rotated_field(A_diag, B_diag, S_diag, rng, N=6):
+    """synthetic_field turned by a random orthogonal Q per point.  The
+    curvature R_abcd = S_ad S_bc - S_ac S_bd of S = Q diag(S_diag) Q^T has
+    sectional curvature s_i s_j on the plane of the turned axes i, j."""
+    f = synthetic_field(A_diag, B_diag, N=N)
+    m = len(A_diag)
+    Q = np.stack([np.linalg.qr(rng.normal(size=(m, m)))[0] for _ in range(N)])
+
+    def turn(d):
+        return np.einsum("nai,i,nbi->nab", Q, np.asarray(d, dtype=float), Q)
+
+    f.A, f.B, S = turn(A_diag), turn(B_diag), turn(S_diag)
+    f.riemann = np.einsum("nad,nbc->nabcd", S, S) - np.einsum("nac,nbd->nabcd", S, S)
+    return f
+
+
+def per_point_blocks(f, es, tol):
+    """Per-point reference for the batched eigendecomposition: at each point
+    and for each cluster, the eigenvectors of sym_eigen whose eigenvalues
+    lie within tol of the cluster's."""
+    A = 0.5 * (f.A + np.swapaxes(f.A, 1, 2))
+    B = 0.5 * (f.B + np.swapaxes(f.B, 1, 2))
+    b_values, curvatures = [], []
+    for lam, mult in zip(es.eigenvalues, es.multiplicities):
+        block_eigs, sections = [], []
+        for n in range(A.shape[0]):
+            w, Q = sym_eigen(A[n])
+            idx = np.where(np.abs(w - lam) <= tol)[0]
+            assert idx.size == mult
+            Qb = Q[:, idx]
+            block_eigs.append(np.sort(np.linalg.eigvalsh(Qb.T @ B[n] @ Qb)))
+            Rb = np.einsum("abcd,ai,bj,ck,dl->ijkl", f.riemann[n], Qb, Qb, Qb, Qb)
+            sections += [Rb[i, j, j, i] for i in range(mult) for j in range(i + 1, mult)]
+        b_values.append(np.mean(block_eigs, axis=0))
+        curvatures.append(np.asarray(sections))
+    return b_values, curvatures
 
 
 class TestGates:
@@ -118,6 +159,32 @@ class TestEigenStructure:
             eigen_structure(f, DEFAULT.classify_tol)
 
 
+class TestRotatedEigenStructure:
+    # A has a double eigenvalue on each block and neither A nor B is
+    # diagonal, so the B-blocks depend on which eigenvector columns belong
+    # to which cluster
+    @pytest.mark.parametrize("B_diag,zero_block", [([C, -C, 0, 0], 1), ([C, -C, 0.05, -0.05], None)])
+    def test_blocks_match_per_point_reference(self, rng, B_diag, zero_block):
+        f = rotated_field([-0.2, -0.2, 0.2, 0.2], B_diag, [0.3, 0.3, -0.7, -0.7], rng)
+        es = eigen_structure(f, DEFAULT.classify_tol)
+        assert es.multiplicities == [2, 2]
+        assert es.zero_block == zero_block
+        ref_b, ref_curv = per_point_blocks(f, es, DEFAULT.classify_tol)
+        for got, want in zip(es.b_values, ref_b):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert np.allclose(es.b_values, [sorted(B_diag[:2]), sorted(B_diag[2:])], rtol=0, atol=1e-12)
+        assert es.block_b_spread <= 1e-12
+        curv = zero_block_sectional_curvature(f, es)
+        if zero_block is None:
+            assert curv is None
+        else:
+            sections = ref_curv[zero_block]
+            assert curv[0] == pytest.approx(sections.mean(), rel=0, abs=1e-12)
+            assert curv[1] == pytest.approx(np.max(np.abs(sections - sections.mean())), rel=0, abs=1e-12)
+            # the zero block is the one of S's value -0.7
+            assert curv[0] == pytest.approx(0.49, rel=0, abs=1e-12)
+
+
 class TestBiBj:
     def test_assembled_chart_relation(self, ex33_field):
         es = eigen_structure(ex33_field, DEFAULT.classify_tol)
@@ -136,7 +203,7 @@ class TestBiBj:
 class TestZeroBlockCurvature:
     def test_assembled_chart_block_curvature(self, ex33_field):
         es = eigen_structure(ex33_field, DEFAULT.classify_tol)
-        out = zero_block_sectional_curvature(ex33_field, es, DEFAULT.classify_tol)
+        out = zero_block_sectional_curvature(ex33_field, es)
         assert out is not None
         mean, dev = out
         lam_nonzero = es.eigenvalues[1 - es.zero_block]
@@ -250,6 +317,32 @@ class TestClassifyPipeline:
         assert a.branch == b.branch
         assert np.allclose(sorted(a.eigen.eigenvalues), sorted(b.eigen.eigenvalues), atol=1e-6)
 
+    def test_every_exit_carries_the_same_tolerances_and_grid(self, sxh_chart, monkeypatch):
+        th = sp.symbols("th0:3")
+        umbilic = ImmersionChart(
+            "umbilic-slice",
+            3,
+            AmbientForm("de_sitter", 4, 1.0),
+            Box((0.9, 0.3, 0.3), (1.7, 1.1, 1.1)),
+            exprs=sp.Matrix([sp.sinh(1)] + sphere_components(sp.cosh(1), list(th))),
+            syms=tuple(th),
+        )
+        decided = classify(sxh_chart)
+        regularity = classify(umbilic)
+
+        def fail(*args, **kwargs):
+            raise ComputationError("pipeline failure")
+
+        monkeypatch.setattr("confgeo.classifier.field_from_jet", fail)
+        computation = classify(sxh_chart)
+        assert decided.branch == BRANCH_PARALLEL_B
+        assert regularity.failing_gate == "regularity"
+        assert computation.failing_gate == "invariant_computation"
+        for rep in (decided, regularity, computation):
+            assert set(rep.tolerances) == {"classify_tol", "tier_tol"}
+            assert rep.grid == {"n_points": 27, "m": 3, "counts": [3]}
+        assert computation.tolerances == decided.tolerances
+
     def test_report_schema(self, sxh_chart):
         rep = classify(sxh_chart)
         d = rep.to_dict()
@@ -264,6 +357,22 @@ class TestClassifyPipeline:
             "failing_gate",
             "notes",
         }
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_classify_tol_refused(self, tol):
+        with pytest.raises(ValidationError, match="classify_tol"):
+            replace(DEFAULT, classify_tol=tol)
+
+    def test_classify_field_gates_at_its_config(self):
+        # |grad A| = 8e-6, within 1e-4 (1 + |A|) but not within 1e-6 (1 + |A|)
+        f = synthetic_field([0.2, 0.2, -0.2, -0.2], [C, -C, 0, 0], dA=1e-6)
+        assert classify_field(f).branch == BRANCH_PARALLEL_B
+        f.cfg = replace(DEFAULT, classify_tol=1e-6)
+        rep = classify_field(f)
+        assert rep.branch == BRANCH_NOT_PARALLEL_A
+        assert rep.tolerances["classify_tol"] == 1e-6
 
 
 # Fields that fail their own accuracy gates, yet classify as NotParallelA;

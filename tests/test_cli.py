@@ -8,7 +8,7 @@ import pytest
 
 from confgeo.catalog import build_instance
 from confgeo.chart import save_chart
-from confgeo.cli import main
+from confgeo.cli import build_parser, main
 from confgeo.config import DEFAULT
 from confgeo.conformal_atlas import lift_chart
 
@@ -49,6 +49,18 @@ class TestClassifyCommand:
         code, _, err = run_cli(capsys, "classify", "--catalog", "wp", "--m", "3", "--p", "2")
         assert code == 1
         assert "p + q < m" in err
+
+    @pytest.mark.parametrize(
+        "argv,key,known",
+        [
+            (["--catalog", "wp", "--k", "2"], "'k'", "m, p, q, a"),
+            (["--catalog", "sxh", "--r", "2"], "'r'", "m, k, a"),
+        ],
+    )
+    def test_parameter_the_family_does_not_take(self, capsys, argv, key, known):
+        code, out, err = run_cli(capsys, "classify", *argv, "--grid", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and key in err and known in err
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_invalid_classify_tol_exit_code(self, capsys, tol):
@@ -159,6 +171,16 @@ class TestAnalyzeCommand:
             assert code == 1
             assert err.startswith("error:") and "FD step" in err
 
+    def test_chart_file_with_unknown_parameter(self, capsys, tmp_path, sxh_chart):
+        path = tmp_path / "chart.json"
+        save_chart(sxh_chart, path)
+        data = json.loads(path.read_text())
+        data["params"]["p"] = 2
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "residuals", "--chart-file", str(path))
+        assert code == 1
+        assert err.startswith("error:") and "'p'" in err and "m, k, a" in err
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(capsys, "analyze")
         assert code == 1
@@ -174,6 +196,42 @@ class TestVerifyCatalog:
         assert data["catalog"]["ex32"]["status"] == "infeasible (documented)"
         for name in ("hxr", "sxh", "hxh", "wp", "ex33"):
             assert data["catalog"][name]["status"] == "pass"
+
+
+class TestUsage:
+    CHART = {"--catalog", "--chart-file", "--m", "--k", "--a", "--p", "--q", "--K", "--split", "--r", "--lift"}
+    RUN = {"-h", "--help", "--grid", "--out"}
+    OPTIONS = {
+        "analyze": CHART | RUN | {"--format"},
+        "classify": CHART | RUN | {"--classify-tol"},
+        "residuals": CHART | RUN,
+        "verify-catalog": RUN,
+        "map": {"-h", "--help", "--which", "--point", "--out"},
+    }
+
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+        assert set(sub.choices) == set(self.OPTIONS)
+        for name, parser in sub.choices.items():
+            flags = {s for action in parser._actions for s in action.option_strings}
+            assert flags == self.OPTIONS[name], name
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--catalog", "sxh", "--grid", "abc"],
+            ["classify", "--catalog", "sxh", "--lift", "psi3"],
+            ["classify", "--catalog", "sxh", "--format", "csv"],
+        ],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "usage:" in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--help")
+        assert code == 0 and "--classify-tol" in out
 
 
 def test_console_script_help():
