@@ -105,6 +105,13 @@ def _check_range(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def _warp_radius(family: str, a: float) -> float:
+    """b = sqrt(a^2 - 1) of the sxh and wp families; a must exceed 1 and b be finite."""
+    _check_range(a > 1, f"{family} requires a > 1, got a={a}")
+    _check_range(math.isfinite(a * a), f"{family} requires a finite sqrt(a^2 - 1), got a={a}")
+    return math.sqrt(a**2 - 1)
+
+
 def make_hxr(m: int, k: int) -> ImmersionChart:
     """H^k x R^{m-k} in the Lorentz flat form R^{m+1} (1 time slot)."""
     m, k = int(m), int(k)
@@ -135,8 +142,7 @@ def make_sxh(m: int, k: int, a: float) -> ImmersionChart:
     m, k = int(m), int(k)
     _check_range(m >= 2, f"sxh requires m >= 2, got m={m}")
     _check_range(1 <= k <= m - 1, f"sxh requires 1 <= k <= m-1, got k={k}, m={m}")
-    _check_range(a > 1, f"sxh requires a > 1, got a={a}")
-    b = math.sqrt(a**2 - 1)
+    b = _warp_radius("sxh", a)
 
     def formula(*u):
         return hyperbolic_components(b, u[:k]) + sphere_components(a, u[k:]), {}
@@ -186,8 +192,7 @@ def make_wp(m: int, p: int, q: int, a: float) -> ImmersionChart:
     m, p, q = int(m), int(p), int(q)
     _check_range(p >= 1 and q >= 1, f"wp requires p, q >= 1, got p={p}, q={q}")
     _check_range(p + q < m, f"wp requires p + q < m, got p+q={p + q}, m={m}")
-    _check_range(a > 1, f"wp requires a > 1, got a={a}")
-    b = math.sqrt(a**2 - 1)
+    b = _warp_radius("wp", a)
 
     def formula(*u):
         # coordinates: those of u', those of u'', t, those of the flat factor
@@ -413,6 +418,8 @@ def make_product(family: str, m: int, k: int, a: float | None = None) -> Immersi
     family = family.lower()
     if family == "hxr":
         return make_hxr(m, k)
+    if family in ("sxh", "hxh") and a is None:
+        raise ValidationError(f"{family} requires a parameter a")
     if family == "sxh":
         return make_sxh(m, k, a)
     if family == "hxh":

@@ -476,8 +476,9 @@ def shape_series(
 
     h needs the second jet of x, so every series carries order K - 2; the
     ShapeBatch holds their order-0 coefficients.  Raises RegularityError
-    when the normal is not time-like, when g0 is singular and, with
-    `check_regular`, on the totally umbilic locus rho^2 <= regularity_tol.
+    when the normal is not time-like, when g0 or the normal system is
+    singular and, with `check_regular`, on the totally umbilic locus
+    rho^2 <= regularity_tol.
     """
     signs = chart.ambient.signature.signs
     m = chart.m
@@ -489,7 +490,10 @@ def shape_series(
     rows = dx.transpose((0, 2, 1))
     if chart.ambient.kind != LORENTZ_FLAT:
         rows = taylor.concatenate([rows, x[:, None, :]], axis=1)
-    n = taylor.normal(rows, signs, batched_normal(rows.value, signs) * normal_sign)
+    try:
+        n = taylor.normal(rows, signs, batched_normal(rows.value, signs) * normal_sign)
+    except np.linalg.LinAlgError as exc:
+        raise RegularityError(f"normal system singular: {exc}") from exc
     h = -einsum("nc,c,ncab->nab", n, signs, d2x)
     try:
         g0inv = taylor.inv(g0)

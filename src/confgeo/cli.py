@@ -237,9 +237,12 @@ def _cmd_verify_catalog(args) -> int:
 
 def _parse_point(raw: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in raw.replace(",", " ").split()])
+        pt = np.array([float(tok) for tok in raw.replace(",", " ").split()])
     except ValueError as exc:
         raise InputError(f"cannot parse point {raw!r}: {exc}") from exc
+    if not np.all(np.isfinite(pt)):
+        raise InputError(f"point {raw!r} has a non-finite coordinate")
+    return pt
 
 
 def _cmd_map(args) -> int:

@@ -127,22 +127,18 @@ def sigma_rep(kind: str, x: Sequence, isometric: bool = False) -> list:
     raise ValidationError(f"unknown space form kind {kind!r}")
 
 
-def _to_batch(point) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(point, dtype=float)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    return arr, False
-
-
-def sigma_rep_batch(kind: str, X: np.ndarray, isometric: bool = False) -> np.ndarray:
-    """Vectorized sigma_rep: X (N, d) -> (N, d+something)."""
+def sigma_rep_batch(kind: str, X, isometric: bool = False):
+    """Vectorized sigma_rep: X (N, d), an array or a Taylor series -> (N, m+3)."""
     comps = sigma_rep(kind, [X[:, i] for i in range(X.shape[1])], isometric=isometric)
+    if isinstance(X, taylor.Series):
+        return taylor.stack(comps)
     cols = [np.broadcast_to(np.asarray(c, dtype=float), (X.shape[0],)) for c in comps]
     return np.stack(cols, axis=1)
 
 
-SIGMA_FOR_KIND = {DE_SITTER: "sigma1", ANTI_DE_SITTER: "sigma-1", LORENTZ_FLAT: "sigma0"}
-KIND_FOR_SIGMA = {v: k for k, v in SIGMA_FOR_KIND.items()}
+def _centre(x):
+    """The centre values of a Taylor series; an array as it is."""
+    return x.value if isinstance(x, taylor.Series) else x
 
 
 def _check_on_form(kind: str, X: np.ndarray, tol: float) -> None:
@@ -160,16 +156,16 @@ def _check_on_form(kind: str, X: np.ndarray, tol: float) -> None:
 
 def embed(point, which: str) -> ProjectivePoint:
     """Embed a space-form point into the conformal space, canonical slots."""
-    if which not in KIND_FOR_SIGMA:
+    tag = MAP_TAGS.get(which)
+    if tag is None or tag.source_kind is None or tag.alpha is not None:
         raise ValidationError(f"unknown embedding {which!r}; use sigma0, sigma1 or sigma-1")
-    kind = KIND_FOR_SIGMA[which]
-    X, single = _to_batch(point)
-    if not single:
+    x = np.asarray(point, dtype=float)
+    if x.ndim != 1:
         raise InputError("embed expects a single point")
-    _check_on_form(kind, X, 1e-8)
-    rep = sigma_rep_batch(kind, X)[0]
-    m = rep.shape[0] - 3
-    return ProjectivePoint(PseudoVector(rep, Signature(2, m + 3)))
+    X = x[None, :]
+    _check_on_form(tag.source_kind, X, 1e-8)
+    rep = sigma_rep_batch(tag.source_kind, X)[0]
+    return ProjectivePoint(PseudoVector(rep, Signature(2, rep.shape[0])))
 
 
 def t_swap(w) -> np.ndarray | PseudoVector:
@@ -183,37 +179,31 @@ def t_swap(w) -> np.ndarray | PseudoVector:
     return arr
 
 
-def psi(alpha: int, p: ProjectivePoint, tol: float = 1e-12) -> PseudoVector:
-    """Non-homogeneous coordinate map onto the unit de Sitter quadric.
-
-    psi1 divides by the first slot (undefined on pi_plus), psi2 by the
-    second; psi2 = psi1 o t_swap.
-    """
+def psi(alpha: int, p: ProjectivePoint) -> PseudoVector:
+    """Non-homogeneous coordinate map of one point: psi_batch on its representative."""
     if alpha not in (1, 2):
         raise ValidationError(f"alpha must be 1 or 2, got {alpha}")
-    c = p.rep.coords
-    div = c[alpha - 1]
-    if abs(div) <= tol * np.linalg.norm(c):
-        plane = "pi_plus" if alpha == 1 else "t_swap image of pi_plus"
-        raise ChartDomainError(
-            f"psi{alpha} undefined: dividing slot {alpha} vanishes (representative on {plane})"
-        )
-    keep = c[1] if alpha == 1 else c[0]
-    out = np.concatenate([[keep], c[2:]]) / div
+    out = psi_batch(alpha, p.rep.coords[None, :])[0]
     return PseudoVector(out, Signature(1, out.shape[0]))
 
 
 def psi_batch(alpha: int, reps, name: str = ""):
-    """Vectorized psi on representatives (N, m+3), arrays or Taylor series;
-    raises when the divisor (its centre value, for series) vanishes."""
-    series = isinstance(reps, taylor.Series)
-    centre = reps.value if series else reps
+    """Non-homogeneous coordinate map onto the unit de Sitter quadric, on
+    representatives (N, m+3) given as an array or a Taylor series.
+
+    psi1 divides by the first slot (undefined on pi_plus), psi2 by the
+    second; psi2 = psi1 o t_swap.  Raises when the divisor (its centre value,
+    for a series) vanishes; `name` names the lifted chart in the message.
+    """
+    centre = _centre(reps)
     if np.any(np.abs(centre[:, alpha - 1]) <= 1e-12 * np.linalg.norm(centre, axis=1)):
+        plane = "pi_plus" if alpha == 1 else "t_swap image of pi_plus"
         raise ChartDomainError(
-            f"psi{alpha}{' of ' + name if name else ''}: dividing slot vanishes at a point"
+            f"psi{alpha}{' of ' + name if name else ''} undefined: "
+            f"dividing slot {alpha} vanishes (representative on {plane})"
         )
     keep = reps[:, 1] if alpha == 1 else reps[:, 0]
-    join = taylor.concatenate if series else np.concatenate
+    join = taylor.concatenate if isinstance(reps, taylor.Series) else np.concatenate
     return join([keep[:, None], reps[:, 2:]], axis=1) / reps[:, alpha - 1][:, None]
 
 
@@ -247,90 +237,73 @@ def _perm_ads(m: int) -> np.ndarray:
     return P
 
 
+def _slot_permutation(kind: str | None, m: int) -> np.ndarray:
+    """Signed slot permutation that psi_alpha o sigma applies to the canonical
+    representative of a point of form `kind`; the identity on de Sitter."""
+    build = {LORENTZ_FLAT: _perm_flat, ANTI_DE_SITTER: _perm_ads}.get(kind)
+    return np.eye(m + 3) if build is None else build(m)
+
+
 @dataclass(frozen=True)
 class ConformalMapTag:
-    """Identity card of a conformal map: source form, psi index, slot record."""
+    """Identity card of a conformal map: source form (None on representatives),
+    psi index (None for the embeddings and tswap) and, for the four composites
+    psi_alpha o sigma, the denominator that bounds their domain."""
 
     which: str
     source_kind: str | None
     alpha: int | None
-    permutation_builder: Callable[[int], np.ndarray] | None
+    denominator: str | None = None
 
     def permutation(self, m: int) -> np.ndarray:
-        if self.permutation_builder is None:
-            return np.eye(m + 3)
-        return self.permutation_builder(m)
+        """The slot record of a composite; the identity for every other map."""
+        return _slot_permutation(self.source_kind if self.denominator else None, m)
 
 
 MAP_TAGS: dict[str, ConformalMapTag] = {
-    "sigma0": ConformalMapTag("sigma0", LORENTZ_FLAT, None, None),
-    "sigma1": ConformalMapTag("sigma1", DE_SITTER, None, None),
-    "sigma-1": ConformalMapTag("sigma-1", ANTI_DE_SITTER, None, None),
-    "psi1": ConformalMapTag("psi1", None, 1, None),
-    "psi2": ConformalMapTag("psi2", None, 2, None),
-    "sigma^1": ConformalMapTag("sigma^1", LORENTZ_FLAT, 1, _perm_flat),
-    "sigma^2": ConformalMapTag("sigma^2", LORENTZ_FLAT, 2, _perm_flat),
-    "tau^1": ConformalMapTag("tau^1", ANTI_DE_SITTER, 1, _perm_ads),
-    "tau^2": ConformalMapTag("tau^2", ANTI_DE_SITTER, 2, _perm_ads),
-    "tswap": ConformalMapTag("tswap", None, None, None),
-}
-
-COMPOSITE_DENOMINATORS = {
-    "sigma^1": "1 + <u,u>",
-    "sigma^2": "2 u_1",
-    "tau^1": "y_1",
-    "tau^2": "y_2",
+    "sigma0": ConformalMapTag("sigma0", LORENTZ_FLAT, None),
+    "sigma1": ConformalMapTag("sigma1", DE_SITTER, None),
+    "sigma-1": ConformalMapTag("sigma-1", ANTI_DE_SITTER, None),
+    "psi1": ConformalMapTag("psi1", None, 1),
+    "psi2": ConformalMapTag("psi2", None, 2),
+    "sigma^1": ConformalMapTag("sigma^1", LORENTZ_FLAT, 1, "1 + <u,u>"),
+    "sigma^2": ConformalMapTag("sigma^2", LORENTZ_FLAT, 2, "2 u_1"),
+    "tau^1": ConformalMapTag("tau^1", ANTI_DE_SITTER, 1, "y_1"),
+    "tau^2": ConformalMapTag("tau^2", ANTI_DE_SITTER, 2, "y_2"),
+    "tswap": ConformalMapTag("tswap", None, None),
 }
 
 
-def _source_m(kind: str, point_dim: int) -> int:
-    return point_dim - 1 if kind == LORENTZ_FLAT else point_dim - 2
-
-
-def _composite_reps(which: str, X: np.ndarray) -> np.ndarray:
-    tag = MAP_TAGS[which]
-    m = _source_m(tag.source_kind, X.shape[1])
-    reps = sigma_rep_batch(tag.source_kind, X)
-    P = tag.permutation(m)
-    return reps @ P.T
-
-
-def compose_maps(which: str, point) -> np.ndarray:
+def compose_maps(which: str, point):
     """Apply one of the four composed conformal maps onto the unit de Sitter.
 
     sigma^a act on Lorentz-flat points, tau^a on anti-de Sitter points; the
-    restricted domains exclude the named denominators.
+    restricted domains exclude the named denominators.  `point` is one point
+    (d,) or a batch (N, d), an array or a Taylor series; a series is checked
+    on its centre values.
     """
-    if which not in COMPOSITE_DENOMINATORS:
+    tag = MAP_TAGS.get(which)
+    if tag is None or tag.denominator is None:
         raise ValidationError(
             f"unknown composite map {which!r}; use sigma^1, sigma^2, tau^1 or tau^2"
         )
-    tag = MAP_TAGS[which]
-    X, single = _to_batch(point)
-    _check_on_form(tag.source_kind, X, 1e-8)
-    reps = _composite_reps(which, X)
-    div = reps[:, tag.alpha - 1]
-    if np.any(np.abs(div) <= 1e-12 * (1.0 + np.linalg.norm(reps, axis=1))):
-        raise ChartDomainError(
-            f"{which} undefined: denominator {COMPOSITE_DENOMINATORS[which]!r} vanishes"
-        )
-    out = psi_batch(tag.alpha, reps, name=which)
+    if not isinstance(point, taylor.Series):
+        point = np.asarray(point, dtype=float)
+    single = point.ndim == 1
+    X = point[None, :] if single else point
+    _check_on_form(tag.source_kind, _centre(X), 1e-8)
+    reps = sigma_rep_batch(tag.source_kind, X)
+    reps = einsum("nj,ij->ni", reps, tag.permutation(reps.shape[1] - 3))
+    centre = _centre(reps)
+    if np.any(np.abs(centre[:, tag.alpha - 1]) <= 1e-12 * (1.0 + np.linalg.norm(centre, axis=1))):
+        raise ChartDomainError(f"{which} undefined: denominator {tag.denominator!r} vanishes")
+    out = psi_batch(tag.alpha, reps)
     return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
 # chart lifting
 # ---------------------------------------------------------------------------
-
-_LIFT_ALIASES = {
-    "psi1": 1,
-    "psi2": 2,
-    "sigma^1": 1,
-    "sigma^2": 2,
-    "tau^1": 1,
-    "tau^2": 2,
-}
-
 
 class LiftedChart(ImmersionChart):
     """A chart composed with x -> psi_alpha(M sigma_rep(kind, x)) into the
@@ -364,10 +337,8 @@ class LiftedChart(ImmersionChart):
 
     def _lift(self, x):
         """The map of points x (N, d), given as an array or a Taylor series."""
-        kind = self.base.ambient.kind
-        comps = sigma_rep(kind, [x[:, i] for i in range(x.shape[1])])
-        reps = taylor.stack(comps) if isinstance(x, taylor.Series) else sigma_rep_batch(kind, x)
-        return psi_batch(self.alpha, einsum("nj,ij->ni", reps, self.M), self.name)
+        reps = einsum("nj,ij->ni", sigma_rep_batch(self.base.ambient.kind, x), self.M)
+        return psi_batch(self.alpha, reps, self.name)
 
     def eval(self, U: np.ndarray) -> np.ndarray:
         return self._lift(self.base.eval(U))
@@ -390,28 +361,19 @@ def lift_chart(chart: ImmersionChart, which: str) -> LiftedChart:
 
     `which` is psi1/psi2 (sigma chosen by the chart's ambient) or one of the
     explicit composite names, which must match the ambient.  The lifted
-    chart keeps the base chart and the slot permutation of its composite;
+    chart keeps the base chart and the slot permutation of its ambient;
     its jets are the base chart's Taylor series pushed through the
     composite (see LiftedChart).
     """
-    if which not in _LIFT_ALIASES:
+    tag = MAP_TAGS.get(which)
+    if tag is None or tag.alpha is None:
         raise ValidationError(f"unknown lift {which!r}")
-    alpha = _LIFT_ALIASES[which]
     kind = chart.ambient.kind
-    if which.startswith("sigma^") and kind != LORENTZ_FLAT:
-        raise ValidationError(f"{which} lifts Lorentz-flat charts, not {kind}")
-    if which.startswith("tau^") and kind != ANTI_DE_SITTER:
-        raise ValidationError(f"{which} lifts anti-de Sitter charts, not {kind}")
+    if tag.source_kind not in (None, kind):
+        raise ValidationError(f"{which} lifts {tag.source_kind} charts, not {kind}")
     if kind == DE_SITTER and abs(chart.ambient.radius - 1.0) > 1e-14:
         raise ValidationError("only unit de Sitter charts can be re-lifted")
-    m = chart.m
-    if kind == DE_SITTER:
-        P = np.eye(m + 3)
-    elif kind == LORENTZ_FLAT:
-        P = _perm_flat(m)
-    else:
-        P = _perm_ads(m)
-    return LiftedChart(chart, P, alpha)
+    return LiftedChart(chart, _slot_permutation(kind, chart.m), tag.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +391,8 @@ def _tangent_basis(kind: str, x: np.ndarray) -> np.ndarray:
     return Vt[1:]  # (d-1, d) spanning the form-orthogonal complement of x
 
 
-# step of conformality_witness's difference stencil
-WITNESS_STEP = 1e-5
-
-
 def conformality_witness(
-    map_fn: Callable[[np.ndarray], np.ndarray],
+    map_fn: Callable[[taylor.Series], taylor.Series],
     source_kind: str,
     x: np.ndarray,
     target_signs: np.ndarray,
@@ -443,28 +401,16 @@ def conformality_witness(
 
     Returns (conformal factor, normalized residual).  The pullback Gram
     matrix of map_fn along a tangent basis must be a positive multiple of
-    the source Gram matrix.
+    the source Gram matrix.  map_fn must accept a Taylor series: it runs
+    once on the order-1 series x + sum_i t_i v_i along the basis v_i, whose
+    gradient is the exact differential.  The basis is form-orthogonal to x,
+    so on a quadric that series stays on the source form to first order.
     """
     basis = _tangent_basis(source_kind, x)
     src_signs = form_signs(2 if source_kind == ANTI_DE_SITTER else 1, x.shape[0])
     G = np.einsum("ac,c,bc->ab", basis, src_signs, basis)
-    # directional derivatives of the map along the basis, 4th order stencil
-    imgs = []
-    offsets = [-2, -1, 1, 2]
-    weights = [1 / 12, -2 / 3, 2 / 3, -1 / 12]
-    for v in basis:
-        dv = None
-        for o, w in zip(offsets, weights):
-            pt = x + o * WITNESS_STEP * v
-            if source_kind != LORENTZ_FLAT:
-                # project back to the quadric to stay on the source form
-                val = pseudo_dot(pt[None, :], pt[None, :], src_signs)[0]
-                target = 1.0 if source_kind == DE_SITTER else -1.0
-                pt = pt / np.sqrt(abs(val / target))
-            img = map_fn(pt)
-            dv = img * (w / WITNESS_STEP) if dv is None else dv + img * (w / WITNESS_STEP)
-        imgs.append(dv)
-    D = np.stack(imgs)  # (k, target_dim)
+    line = taylor.Series(np.concatenate([x[None, :], basis]), basis.shape[0], 1)
+    D = map_fn(line).grad().value.T  # (k, target_dim)
     Pb = np.einsum("ac,c,bc->ab", D, target_signs, D)
     lam = float(np.sum(Pb * G) / np.sum(G * G))
     resid = float(np.max(np.abs(Pb - lam * G))) / (abs(lam) * max(1.0, float(np.max(np.abs(G)))))

@@ -59,7 +59,7 @@ from .chart import (
     shape_series,
 )
 from .config import DEFAULT, FDConfig, NumericsConfig
-from .conformal_atlas import lift_chart, sigma_rep
+from .conformal_atlas import lift_chart, sigma_rep_batch
 from .errors import ConsistencyError, ValidationError
 from .pseudo_linalg import (
     PseudoVector,
@@ -491,7 +491,7 @@ def frame_route(
         shape = shape_series(chart, U, chart.jet(U, 4), cfg)
     # the lift Y = rho Z(x) to order 2; g, its frame F and xi to order 1
     x = shape.x.truncate(2)
-    Z = taylor.stack(sigma_rep(kind, [x[:, i] for i in range(x.shape[1])], isometric=True))
+    Z = sigma_rep_batch(kind, x, isometric=True)
     Ys = taylor.sqrt(shape.rho2.truncate(2))[:, None] * Z
     gs = shape.rho2.truncate(1)[:, None, None] * shape.g0.truncate(1)
     F = taylor.triangular_frame(gs, triangular_frame(gs.value))

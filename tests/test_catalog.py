@@ -88,6 +88,18 @@ class TestParameterValidation:
         with pytest.raises(ValidationError):
             make_product("sxs", 3, 1, 2.0)
 
+    @pytest.mark.parametrize("family", ["sxh", "hxh"])
+    def test_product_without_radius(self, family):
+        with pytest.raises(ValidationError, match="requires a parameter a"):
+            make_product(family, 3, 1)
+
+    @pytest.mark.parametrize("a", [math.inf, 1e200])
+    def test_warp_radius_must_be_finite(self, a):
+        with pytest.raises(ValidationError, match="finite sqrt\\(a\\^2 - 1\\), got a="):
+            make_sxh(3, 1, a)
+        with pytest.raises(ValidationError, match="finite sqrt\\(a\\^2 - 1\\), got a="):
+            make_wp(4, 1, 1, a)
+
 
 class TestFrozenSpectra:
     def _spectra(self, chart):

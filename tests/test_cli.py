@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from confgeo.catalog import build_instance
 from confgeo.chart import save_chart
 from confgeo.cli import build_parser, main
 from confgeo.config import DEFAULT
-from confgeo.conformal_atlas import lift_chart
+from confgeo.conformal_atlas import MAP_TAGS, lift_chart
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -62,6 +63,20 @@ class TestClassifyCommand:
         assert code == 1 and out == ""
         assert err.startswith("error:") and key in err and known in err
 
+    @pytest.mark.parametrize("family", ["sxh", "wp"])
+    @pytest.mark.parametrize("a", ["inf", "1e200"])
+    def test_infinite_warp_radius_rejected(self, capsys, family, a):
+        code, out, err = run_cli(capsys, "classify", "--catalog", family, "--a", a, "--grid", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {family} requires a finite sqrt(a^2 - 1), got a=")
+
+    def test_singular_normal_system_is_inconclusive(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "--catalog", "sxh", "--a", "1e50", "--grid", "3")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["branch"] == "Inconclusive"
+        assert data["failing_gate"] == "regularity"
+
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_invalid_classify_tol_exit_code(self, capsys, tol):
         code, out, err = run_cli(
@@ -69,6 +84,21 @@ class TestClassifyCommand:
         )
         assert code == 1 and out == ""
         assert err.startswith("error:") and "--classify-tol" in err
+
+
+# sha256 of the exact `map` stdout at one point per MAP_TAGS entry
+MAP_GOLDEN = [
+    ("sigma0", "0.5,-0.3,0.2,0.1", "105a11c76037ac72828ae0f54273a422d02e50fc679e1a028c3e8499628e66bb"),
+    ("sigma1", "2,2.2360679774997898,0,0", "262aac34e744fa9df57a074fda76178bc0339813bcd2ec149c474c30a4633736"),
+    ("sigma-1", "0.6,0.8,0,0,0", "8f027936079026c1bb41013ae12ff48153c6ab042bb629fe436cec6ce0818700"),
+    ("psi1", "1,2,2.2360679774997898,0,0", "4a3e0678ab9671d116ffd53504bf7ea35ddc009b067f7dc87a0e29de1b1b0718"),
+    ("psi2", "0.5,-1,0,0.3,0", "8775a8fe6214c9a21a08cf8007d9f9bd86327b6d1dc13f6b8ba5ed3abbccbf0c"),
+    ("tswap", "1,2,3,4", "035a639fe7f05f8dd97b70fc7451b26d3a810b01e0b10a46168187f8afba02cb"),
+    ("sigma^1", "0.3,0.2,-0.1,0.5", "fdd8c163517fcba9acbd409b0feae51fa31b83eb85f0ce9ae7898216d8baa2d2"),
+    ("sigma^2", "1,0.2,0.3,0.4", "bf2534f3c0f261d616d9c02f6ad94997f9845ef3839a1fe3ffb0c22e6a8fe892"),
+    ("tau^1", "1.4142135623730951,0,0,0,1", "fba9e5db7b00bd09508e72558605f736158d357dac45042719eb3c2a9d39a9be"),
+    ("tau^2", "0.6,0.8,0,0,0", "18913719119c810a577da72c09ef69b33806619cf154b0ecb1ddbfec9a188e96"),
+]
 
 
 class TestMapCommand:
@@ -94,6 +124,34 @@ class TestMapCommand:
     def test_unknown_map(self, capsys):
         code, _, err = run_cli(capsys, "map", "--which", "sigma^9", "--point", "0,0,0,0")
         assert code == 1
+
+    @pytest.mark.parametrize("which,point,digest", MAP_GOLDEN)
+    def test_golden_output(self, capsys, which, point, digest):
+        code, out, err = run_cli(capsys, "map", "--which", which, "--point", point)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+    def test_golden_output_covers_every_map(self):
+        assert sorted(which for which, _, _ in MAP_GOLDEN) == sorted(MAP_TAGS)
+
+    @pytest.mark.parametrize(
+        "which,point,line",
+        [
+            ("psi1", "0,1,1,0,0", "error: psi1 undefined: dividing slot 1 vanishes (representative on pi_plus)\n"),
+            ("sigma^1", "1,0,0,0", "error: sigma^1 undefined: denominator '1 + <u,u>' vanishes\n"),
+        ],
+    )
+    def test_golden_domain_errors(self, capsys, which, point, line):
+        assert run_cli(capsys, "map", "--which", which, "--point", point) == (1, "", line)
+
+    @pytest.mark.parametrize(
+        "which,point",
+        [("sigma^1", "nan,0,0,0"), ("sigma1", "nan,nan,nan,nan"), ("sigma0", "inf,0,0,0")],
+    )
+    def test_non_finite_point_rejected(self, capsys, which, point):
+        code, out, err = run_cli(capsys, "map", "--which", which, "--point", point)
+        assert (code, out) == (1, "")
+        assert err == f"error: point {point!r} has a non-finite coordinate\n"
 
 
 class TestAnalyzeCommand:

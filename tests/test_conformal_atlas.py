@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from confgeo import taylor
 from confgeo.catalog import build_instance
 from confgeo.chart import grid_points, shape_batch
 from confgeo.conformal_atlas import (
@@ -272,3 +273,90 @@ class TestLiftChart:
         bad = np.array([[0.5, 0.0, 0.0]])  # flat coordinates at zero: denominator 0
         with pytest.raises(ChartDomainError):
             lifted.eval(bad)
+
+
+def witness_points(which, rng, m=3, n=20):
+    """TestConformality's sample: Lorentz-flat points for sigma^a, anti-de
+    Sitter points for tau^a."""
+    if which.startswith("sigma"):
+        return rng.normal(size=(n, m + 1)) * 0.8
+    return random_anti_de_sitter(rng, m, n)
+
+
+class TestExactWitness:
+    @pytest.mark.parametrize("which", ["sigma^1", "sigma^2", "tau^1", "tau^2"])
+    def test_composites_conformal_to_roundoff(self, which, rng):
+        tag = MAP_TAGS[which]
+        tgt = form_signs(1, 5)
+        checked = 0
+        for u in witness_points(which, rng):
+            try:
+                lam, resid = conformality_witness(
+                    lambda x: compose_maps(which, x), tag.source_kind, u, tgt
+                )
+            except ChartDomainError:
+                continue
+            assert lam > 0
+            assert resid <= 1e-11
+            checked += 1
+        assert checked >= 15
+
+    def test_de_sitter_embedding_is_isometric(self, rng):
+        sig2 = form_signs(2, 6)
+        for u in random_de_sitter(rng, 3, 20):
+            lam, resid = conformality_witness(
+                lambda x: sigma_rep_batch("de_sitter", x[None, :])[0], "de_sitter", u, sig2
+            )
+            assert lam == pytest.approx(1.0, abs=1e-14)
+            assert resid <= 1e-14
+
+    def test_stretch_is_not_conformal(self):
+        # pullback diag(-1, 4, 1, 1) against diag(-1, 1, 1, 1): the factor is
+        # 7/4 and the residual |4 - 7/4| / (7/4) = 9/7
+        lam, resid = conformality_witness(
+            lambda x: x * np.array([1.0, 2.0, 1.0, 1.0]),
+            "lorentz_flat",
+            np.array([0.3, 0.1, -0.2, 0.4]),
+            form_signs(1, 4),
+        )
+        assert lam == pytest.approx(7 / 4, rel=1e-15)
+        assert resid == pytest.approx(9 / 7, rel=1e-15)
+
+
+class TestOneEngine:
+    @pytest.mark.parametrize("name,which", [("hxr", "sigma^1"), ("hxh", "tau^2")])
+    def test_lifted_chart_is_the_composite(self, name, which):
+        base = build_instance(name)
+        lifted = lift_chart(base, which)
+        tag = MAP_TAGS[which]
+        assert lifted.alpha == tag.alpha
+        assert np.array_equal(lifted.M, tag.permutation(base.m))
+        U = grid_points(base.domain, [3], margin=0.03)
+        assert np.array_equal(lifted.eval(U), compose_maps(which, base.eval(U)))
+        jet = compose_maps(which, base.jet(U, 2))
+        assert np.array_equal(lifted.jet(U, 2).c, jet.c)
+
+    @pytest.mark.parametrize("which", ["sigma^1", "sigma^2", "tau^1", "tau^2"])
+    def test_batch_and_series_match_points(self, which, rng):
+        X = witness_points(which, rng, n=8)
+        batch = compose_maps(which, X)
+        assert np.array_equal(batch, np.stack([compose_maps(which, u) for u in X]))
+        series = taylor.Series(np.stack([X, 0.1 * rng.normal(size=X.shape)]), 1, 1)
+        out = compose_maps(which, series)
+        assert out.order == 1 and out.shape == batch.shape
+        np.testing.assert_allclose(out.value, batch, rtol=1e-14, atol=1e-15)
+
+    def test_lifted_divisor_message_names_the_chart(self, hxr_chart):
+        lifted = lift_chart(hxr_chart, "psi1")
+        with pytest.raises(ChartDomainError) as info:
+            lifted.eval(np.array([[0.5, 0.0, 0.0]]))
+        assert str(info.value) == (
+            "psi1 of hxr(m=3,k=1)@psi1 undefined: dividing slot 1 vanishes (representative on pi_plus)"
+        )
+
+    def test_only_composites_permute_slots(self):
+        for which, tag in MAP_TAGS.items():
+            composite = tag.denominator is not None
+            assert composite == (tag.source_kind is not None and tag.alpha is not None), which
+            if not composite:
+                assert np.array_equal(tag.permutation(3), np.eye(6)), which
