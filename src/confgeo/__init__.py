@@ -14,14 +14,12 @@ from .chart import (
     ImmersionChart,
     RegularityReport,
     ShapeBatch,
-    ShapeData,
     chart_from_dict,
     chart_to_dict,
     grid_points,
     load_chart,
     save_chart,
     shape_batch,
-    shape_data,
     validate_regularity,
 )
 from .classifier import (
@@ -59,32 +57,13 @@ from .errors import (
     ValidationError,
 )
 from .invariants import (
-    ConformalFrame,
     FrameRoute,
     InvariantField,
-    InvariantTensors,
-    TensorDerivatives,
-    blaschke_and_b,
-    conformal_frame,
-    conformal_metric,
-    conformal_position,
-    covariant_derivatives,
-    curvature_of_g,
     evaluate_field,
     field_report,
     field_report_csv,
     frame_route,
-    identity_residuals,
 )
-from .pseudo_linalg import (
-    PseudoVector,
-    Signature,
-    SymMatrix,
-    cluster_eigenvalues,
-    gram_schmidt_spacelike,
-    inner,
-    is_lightlike,
-    sym_eigen,
-)
+from .pseudo_linalg import PseudoVector, Signature, cluster_eigenvalues
 
 __version__ = "0.1.0"

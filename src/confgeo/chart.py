@@ -425,28 +425,6 @@ class ShapeBatch:
     def signs(self) -> np.ndarray:
         return self.chart.ambient.signature.signs
 
-    def coframe(self) -> np.ndarray:
-        return np.linalg.inv(self.frame)
-
-    def h_frame(self) -> np.ndarray:
-        return np.einsum("nai,nab,nbj->nij", self.frame, self.h, self.frame)
-
-
-@dataclass
-class ShapeData:
-    """Per-point view of ShapeBatch with the documented fields."""
-
-    u: np.ndarray
-    x: np.ndarray
-    induced_metric: np.ndarray
-    normal: np.ndarray
-    h: np.ndarray
-    h_frame: np.ndarray
-    H: float
-    rho: float
-    frame: np.ndarray
-    coframe: np.ndarray
-
 
 @dataclass
 class ShapeSeries:
@@ -529,28 +507,6 @@ def shape_batch(
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     return shape_series(chart, U, chart.jet(U, 2), cfg, normal_sign, check_regular).sb
-
-
-def shape_data(
-    chart: ImmersionChart,
-    u: np.ndarray,
-    cfg: NumericsConfig = DEFAULT,
-    normal_sign: float = 1.0,
-) -> ShapeData:
-    """Single-point shape data (see ShapeBatch for the batched form)."""
-    sb = shape_batch(chart, np.atleast_2d(u), cfg, normal_sign=normal_sign)
-    return ShapeData(
-        u=sb.U[0],
-        x=sb.x[0],
-        induced_metric=sb.metric[0],
-        normal=sb.normal[0],
-        h=sb.h[0],
-        h_frame=sb.h_frame()[0],
-        H=float(sb.H[0]),
-        rho=float(sb.rho[0]),
-        frame=sb.frame[0],
-        coframe=sb.coframe()[0],
-    )
 
 
 @dataclass

@@ -245,11 +245,7 @@ def _parse_point(raw: str) -> np.ndarray:
     return pt
 
 
-def _cmd_map(args) -> int:
-    which = args.which
-    if which not in MAP_TAGS:
-        raise InputError(f"unknown map {which!r}; available: {sorted(MAP_TAGS)}")
-    pt = _parse_point(args.point)
+def _map_point(which: str, pt: np.ndarray, m: int) -> dict:
     out: dict = {"which": which, "input": [float(v) for v in pt]}
     if which in ("sigma0", "sigma1", "sigma-1"):
         proj = embed(pt, which)
@@ -268,10 +264,28 @@ def _cmd_map(args) -> int:
         result = compose_maps(which, pt)
         out["output"] = [float(v) for v in result]
         out["output_kind"] = "de Sitter point"
-        m_src = pt.shape[0] - (1 if which.startswith("sigma") else 2)
-        out["permutation"] = [
-            [float(v) for v in row] for row in MAP_TAGS[which].permutation(m_src)
-        ]
+        out["permutation"] = [[float(v) for v in row] for row in MAP_TAGS[which].permutation(m)]
+    return out
+
+
+def _cmd_map(args) -> int:
+    which = args.which
+    if which not in MAP_TAGS:
+        raise InputError(f"unknown map {which!r}; available: {sorted(MAP_TAGS)}")
+    pt = _parse_point(args.point)
+    n = pt.shape[0]
+    m = MAP_TAGS[which].source_m(n)
+    if m < 1:
+        raise InputError(f"{which} needs a point of at least {n - m + 1} coordinates (m >= 1), got {n}")
+    # an overflow either raises here or leaves a non-finite output
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            out = _map_point(which, pt, m)
+        finite = bool(np.all(np.isfinite(out["output"])))
+    except FloatingPointError:
+        finite = False
+    if not finite:
+        raise InputError(f"{which} of point {args.point!r} overflows in double precision")
     _write_report(render_json(out), args.out)
     return 0
 

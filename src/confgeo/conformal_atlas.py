@@ -259,6 +259,14 @@ class ConformalMapTag:
         """The slot record of a composite; the identity for every other map."""
         return _slot_permutation(self.source_kind if self.denominator else None, m)
 
+    def source_m(self, length: int) -> int:
+        """m of a source point of `length` coordinates: a conformal
+        representative has m + 3, a space-form point the m + 1 (flat) or
+        m + 2 (quadrics) of its form's embedding."""
+        if self.source_kind is None:
+            return length - 3
+        return length - AmbientForm(self.source_kind, 1).embedding_dim
+
 
 MAP_TAGS: dict[str, ConformalMapTag] = {
     "sigma0": ConformalMapTag("sigma0", LORENTZ_FLAT, None),

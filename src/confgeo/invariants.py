@@ -49,26 +49,11 @@ from dataclasses import dataclass, field as dc_field, fields, replace
 import numpy as np
 
 from . import taylor
-from .chart import (
-    DE_SITTER,
-    ImmersionChart,
-    ShapeBatch,
-    ShapeData,
-    ShapeSeries,
-    grid_points,
-    shape_series,
-)
+from .chart import DE_SITTER, ImmersionChart, ShapeBatch, ShapeSeries, grid_points, shape_series
 from .config import DEFAULT, FDConfig, NumericsConfig
 from .conformal_atlas import lift_chart, sigma_rep_batch
 from .errors import ConsistencyError, ValidationError
-from .pseudo_linalg import (
-    PseudoVector,
-    Signature,
-    batched_normal,
-    form_signs,
-    pseudo_dot,
-    triangular_frame,
-)
+from .pseudo_linalg import batched_normal, form_signs, pseudo_dot, triangular_frame
 from .taylor import einsum
 
 
@@ -437,18 +422,6 @@ def _attach_fd_estimate(f: InvariantField, companion: InvariantField) -> None:
     f.residuals[FD_ESTIMATE] = float(np.max(estimate))
 
 
-def identity_residuals(
-    chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig = DEFAULT
-) -> dict[str, float]:
-    """Max residual per structural identity over the batch."""
-    return evaluate_field(chart, U, cfg).residuals
-
-
-def gauss_residual_with_b(f: InvariantField, B: np.ndarray) -> float:
-    """Gauss-identity residual with a replacement B field (sensitivity probe)."""
-    return float(np.max(np.abs(f.riemann - _gauss_rhs(f.A, B, f.m))))
-
-
 # ---------------------------------------------------------------------------
 # moving-frame route
 # ---------------------------------------------------------------------------
@@ -575,119 +548,6 @@ def run_cross_check(f: InvariantField, shape: ShapeSeries | None = None) -> dict
         )
     f.residuals.update(diff)
     return diff
-
-
-# ---------------------------------------------------------------------------
-# documented per-point operations
-# ---------------------------------------------------------------------------
-
-def conformal_position(shape: ShapeData) -> PseudoVector:
-    """Light-cone lift (rho, rho x) with two leading time slots."""
-    if shape.rho <= 0:
-        raise ValidationError("conformal position needs a regular shape (rho > 0)")
-    coords = np.concatenate([[shape.rho], shape.rho * shape.x])
-    Y = PseudoVector(coords, Signature(2, coords.shape[0]))
-    return Y
-
-
-def conformal_metric(shape: ShapeData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Conformal metric rho^2 g0 with its orthonormal frame and coframe."""
-    g = shape.rho**2 * shape.induced_metric
-    frame = shape.frame / shape.rho
-    coframe = shape.coframe * shape.rho
-    return g, frame, coframe
-
-
-@dataclass
-class InvariantTensors:
-    """Per-point frame components of the three invariants plus curvature data."""
-
-    u: np.ndarray
-    frame: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    Phi: np.ndarray
-    riemann: np.ndarray | None
-    ricci: np.ndarray | None
-    kappa: float | None
-
-
-def blaschke_and_b(
-    chart: ImmersionChart,
-    u: np.ndarray,
-    cfg: NumericsConfig = DEFAULT,
-    cross_check: bool = False,
-) -> InvariantTensors:
-    """Invariant tensors at one point (frame components)."""
-    f = evaluate_field(chart, np.atleast_2d(u), cfg, derivatives=False, curvature=True,
-                       cross_check=cross_check)
-    return InvariantTensors(
-        u=f.U[0],
-        frame=f.frame[0],
-        A=f.A[0],
-        B=f.B[0],
-        Phi=f.Phi[0],
-        riemann=f.riemann[0] if f.riemann is not None else None,
-        ricci=f.ricci[0] if f.ricci is not None else None,
-        kappa=float(f.kappa[0]) if f.kappa is not None else None,
-    )
-
-
-def curvature_of_g(
-    chart: ImmersionChart, u: np.ndarray, cfg: NumericsConfig = DEFAULT
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(R_ijkl, Ricci, kappa) of the conformal metric at one point."""
-    f = evaluate_field(chart, np.atleast_2d(u), cfg, derivatives=False, curvature=True)
-    return f.riemann[0], f.ricci[0], float(f.kappa[0])
-
-
-@dataclass
-class TensorDerivatives:
-    """Frame components of the covariant derivatives and their Codazzi residuals."""
-
-    A_ijk: np.ndarray
-    B_ijk: np.ndarray
-    Phi_ij: np.ndarray
-    residuals: dict[str, float]
-
-
-def covariant_derivatives(
-    chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig = DEFAULT
-) -> TensorDerivatives:
-    f = evaluate_field(chart, U, cfg, derivatives=True, curvature=True)
-    keys = ("phi_codazzi_commutator", "blaschke_codazzi", "b_codazzi")
-    return TensorDerivatives(
-        A_ijk=f.dA,
-        B_ijk=f.dB,
-        Phi_ij=f.dPhi,
-        residuals={k: f.residuals[k] for k in keys if k in f.residuals},
-    )
-
-
-@dataclass
-class ConformalFrame:
-    """Moving frame of the light-cone lift at one point."""
-
-    Y: PseudoVector
-    N: PseudoVector
-    xi: PseudoVector
-    Y_i: list[PseudoVector]
-    relations: dict[str, float]
-
-
-def conformal_frame(
-    chart: ImmersionChart, u: np.ndarray, cfg: NumericsConfig = DEFAULT
-) -> ConformalFrame:
-    fr = frame_route(chart, np.atleast_2d(u), cfg)
-    m3 = fr.Y.shape[1]
-    sig = Signature(2, m3)
-    return ConformalFrame(
-        Y=PseudoVector(fr.Y[0], sig),
-        N=PseudoVector(fr.N_vec[0], sig),
-        xi=PseudoVector(fr.xi[0], sig),
-        Y_i=[PseudoVector(fr.Y_i[0, :, i], sig) for i in range(chart.m)],
-        relations=fr.relations,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Signature-aware linear algebra for small dense problems.
+"""Signature-aware linear algebra.
 
 Conventions: the quadratic form on R^{s+n} is diag(-1 x s, +1 x (n-s))
-with the time-like slots always occupying the FIRST s coordinates.  All
-operations are pure functions over immutable values; the array helpers at
-the bottom (`pseudo_dot`, `batched_normal`, ...) are the vectorized forms
-used by the heavier modules.
+with the time-like slots always occupying the FIRST s coordinates.
+Signature and PseudoVector are the immutable values the atlas's
+single-point maps take; every computation runs on batches, with the batch
+axis first (`pseudo_dot`, `batched_normal`, `triangular_frame`).
 """
 
 from __future__ import annotations
@@ -51,114 +51,6 @@ class PseudoVector:
         coords = coords.copy()
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
-
-
-class SymMatrix:
-    """Symmetric real matrix stored as its upper triangle.
-
-    entry(i, j) == entry(j, i) holds exactly because only one copy is kept.
-    """
-
-    def __init__(self, dim: int, data: np.ndarray | None = None):
-        self.dim = int(dim)
-        n = self.dim * (self.dim + 1) // 2
-        if data is None:
-            self._tri = np.zeros(n)
-        else:
-            data = np.asarray(data, dtype=float)
-            if data.shape != (n,):
-                raise DimensionMismatchError(f"expected packed triangle of length {n}, got {data.shape}")
-            self._tri = data.copy()
-
-    @classmethod
-    def from_array(cls, M: np.ndarray, sym_tol: float = 1e-9) -> "SymMatrix":
-        M = np.asarray(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise DimensionMismatchError(f"expected square matrix, got {M.shape}")
-        if np.max(np.abs(M - M.T)) > sym_tol * (1.0 + np.max(np.abs(M))):
-            raise ValidationError("matrix is not symmetric within tolerance")
-        sym = 0.5 * (M + M.T)
-        iu = np.triu_indices(M.shape[0])
-        return cls(M.shape[0], sym[iu])
-
-    def _index(self, i: int, j: int) -> int:
-        if j < i:
-            i, j = j, i
-        return i * self.dim - i * (i - 1) // 2 + (j - i)
-
-    def entry(self, i: int, j: int) -> float:
-        return float(self._tri[self._index(i, j)])
-
-    def set_entry(self, i: int, j: int, value: float) -> None:
-        self._tri[self._index(i, j)] = value
-
-    def to_array(self) -> np.ndarray:
-        M = np.zeros((self.dim, self.dim))
-        iu = np.triu_indices(self.dim)
-        M[iu] = self._tri
-        M.T[iu] = self._tri
-        return M
-
-
-def inner(u: PseudoVector, v: PseudoVector) -> float:
-    """Indefinite inner product -sum over time slots + sum over space slots."""
-    if u.sig != v.sig:
-        raise DimensionMismatchError(f"signature mismatch: {u.sig} vs {v.sig}")
-    return float(np.sum(u.coords * v.coords * u.sig.signs))
-
-
-def is_lightlike(v: PseudoVector, tol: float = 1e-12) -> bool:
-    """True iff v is nonzero and |<v,v>| <= tol * sum(v_i^2)."""
-    sq = float(np.sum(v.coords**2))
-    if sq == 0.0:
-        return False
-    return abs(inner(v, v)) <= tol * sq
-
-
-def gram_schmidt_spacelike(
-    vectors: Sequence[PseudoVector], pivot_tol: float = 1e-12
-) -> list[PseudoVector]:
-    """Orthonormalize a space-like family, triangular in the input order.
-
-    Requires the form restricted to the span to be positive definite; a
-    pivot <= pivot_tol * (Euclidean scale) raises RegularityError with the
-    offending value.
-    """
-    if not vectors:
-        return []
-    sig = vectors[0].sig
-    basis: list[np.ndarray] = []
-    for v in vectors:
-        if v.sig != sig:
-            raise DimensionMismatchError("mixed signatures in Gram-Schmidt input")
-        w = v.coords.astype(float).copy()
-        for e in basis:
-            w = w - np.sum(w * e * sig.signs) * e
-        pivot = float(np.sum(w * w * sig.signs))
-        scale = float(np.sum(w * w)) + float(np.sum(v.coords**2))
-        if pivot <= pivot_tol * max(scale, 1.0):
-            raise RegularityError(
-                f"non-space-like or degenerate pivot <v,v> = {pivot:.3e} during orthonormalization"
-            )
-        basis.append(w / np.sqrt(pivot))
-    return [PseudoVector(e, sig) for e in basis]
-
-
-def sym_eigen(M: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenbasis of a symmetric matrix.
-
-    Deterministic: each eigenvector's entry of largest magnitude (first such
-    index on ties) is made positive.
-    """
-    A = M.to_array() if isinstance(M, SymMatrix) else np.asarray(M, dtype=float)
-    A = 0.5 * (A + A.T)
-    w, Q = np.linalg.eigh(A)
-    for k in range(Q.shape[1]):
-        col = Q[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        if col[idx] < 0:
-            Q[:, k] = -col
-    return w, Q
 
 
 def cluster_eigenvalues(

@@ -16,7 +16,6 @@ from confgeo.chart import (
     load_chart,
     save_chart,
     shape_batch,
-    shape_data,
     shape_series,
     regularity_from_jet,
     validate_regularity,
@@ -150,11 +149,11 @@ class TestShapeData:
 
     def test_normal_flip_symmetry(self, sxh_chart):
         u = np.array([0.5, 1.2, 0.6])
-        plus = shape_data(sxh_chart, u, normal_sign=1.0)
-        minus = shape_data(sxh_chart, u, normal_sign=-1.0)
-        assert np.allclose(plus.h, -minus.h, atol=1e-12)
-        assert plus.H == pytest.approx(-minus.H)
-        assert plus.rho == pytest.approx(minus.rho)
+        plus = shape_batch(sxh_chart, u[None], normal_sign=1.0)
+        minus = shape_batch(sxh_chart, u[None], normal_sign=-1.0)
+        assert np.allclose(plus.h[0], -minus.h[0], atol=1e-12)
+        assert plus.H[0] == pytest.approx(-minus.H[0])
+        assert plus.rho[0] == pytest.approx(minus.rho[0])
 
     def test_normal_is_unit_timelike_and_orthogonal(self, wp_chart):
         U = grid_points(wp_chart.domain, [3], margin=0.02)
@@ -201,12 +200,12 @@ class TestShapeData:
         b = 0.05 * rng.normal(size=3)
         re = chart.reparametrized(A, b)
         v = np.linalg.solve(A, u - b)
-        s1 = shape_data(chart, u)
-        s2 = shape_data(re, v)
-        assert s1.rho == pytest.approx(s2.rho, rel=1e-6)
-        assert abs(s1.H) == pytest.approx(abs(s2.H), rel=1e-6)
-        pc1 = np.sort(np.abs(np.linalg.eigvals(np.linalg.inv(s1.induced_metric) @ s1.h)))
-        pc2 = np.sort(np.abs(np.linalg.eigvals(np.linalg.inv(s2.induced_metric) @ s2.h)))
+        s1 = shape_batch(chart, u[None])
+        s2 = shape_batch(re, v[None])
+        assert s1.rho[0] == pytest.approx(s2.rho[0], rel=1e-6)
+        assert abs(s1.H[0]) == pytest.approx(abs(s2.H[0]), rel=1e-6)
+        pc1 = np.sort(np.abs(np.linalg.eigvals(np.linalg.inv(s1.metric[0]) @ s1.h[0])))
+        pc2 = np.sort(np.abs(np.linalg.eigvals(np.linalg.inv(s2.metric[0]) @ s2.h[0])))
         assert np.allclose(pc1, pc2, rtol=1e-6)
 
 

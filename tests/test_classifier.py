@@ -26,7 +26,6 @@ from confgeo.classifier import (
 from confgeo.config import DEFAULT
 from confgeo.errors import ComputationError, ValidationError
 from confgeo.invariants import InvariantField
-from confgeo.pseudo_linalg import sym_eigen
 
 
 def synthetic_field(A_diag, B_diag, m=4, N=6, dA=0.0, dB=0.0, phi=0.0, riemann=None):
@@ -73,6 +72,49 @@ def rotated_field(A_diag, B_diag, S_diag, rng, N=6):
     f.A, f.B, S = turn(A_diag), turn(B_diag), turn(S_diag)
     f.riemann = np.einsum("nad,nbc->nabcd", S, S) - np.einsum("nac,nbd->nabcd", S, S)
     return f
+
+
+def sym_eigen(M):
+    """Eigenvalues (ascending) and orthonormal eigenbasis of a symmetric
+    matrix, one point at a time.
+
+    Deterministic: each eigenvector's entry of largest magnitude (first such
+    index on ties) is made positive.
+    """
+    A = np.asarray(M, dtype=float)
+    A = 0.5 * (A + A.T)
+    w, Q = np.linalg.eigh(A)
+    for k in range(Q.shape[1]):
+        col = Q[:, k]
+        idx = int(np.argmax(np.abs(col)))
+        if col[idx] < 0:
+            Q[:, k] = -col
+    return w, Q
+
+
+class TestSymEigen:
+    def test_diagonal(self):
+        w, _ = sym_eigen(np.diag([3.0, 1.0, 2.0]))
+        assert np.allclose(w, [1, 2, 3])
+
+    def test_offdiagonal(self):
+        w, _ = sym_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.allclose(w, [-1, 1])
+
+    def test_reconstruction(self, rng):
+        M = rng.normal(size=(5, 5))
+        M = M + M.T
+        w, Q = sym_eigen(M)
+        assert np.max(np.abs(Q @ np.diag(w) @ Q.T - M)) <= 1e-12 * max(1, np.max(np.abs(M)))
+        assert np.max(np.abs(Q.T @ Q - np.eye(5))) <= 1e-12
+
+    def test_conjugation_invariance(self, rng):
+        M = rng.normal(size=(4, 4))
+        M = M + M.T
+        R, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        w1, _ = sym_eigen(M)
+        w2, _ = sym_eigen(R @ M @ R.T)
+        assert np.allclose(w1, w2, atol=1e-12 * max(1, np.max(np.abs(w1))))
 
 
 def per_point_blocks(f, es, tol):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,43 @@ class TestMapCommand:
         code, out, err = run_cli(capsys, "map", "--which", which, "--point", point)
         assert (code, out) == (1, "")
         assert err == f"error: point {point!r} has a non-finite coordinate\n"
+
+    @pytest.mark.parametrize(
+        "which,point",
+        [("sigma^1", "0.5,1e200,0,0"), ("sigma0", "1e200,0,0"), ("sigma0", "1e150,0,0"), ("sigma1", "1e200,1e200,0,0")],
+    )
+    def test_overflow_rejected(self, capsys, which, point):
+        # a finite point whose map overflows: one error line, no numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_cli(capsys, "map", "--which", which, "--point", point)
+        assert result == (1, "", f"error: {which} of point {point!r} overflows in double precision\n")
+        assert caught == []
+
+    @pytest.mark.parametrize("which,point,need", [("psi1", "1,2", 4), ("tau^1", "1,0", 3), ("sigma0", "1", 2)])
+    def test_short_point_rejected(self, capsys, which, point, need):
+        n = len(point.split(","))
+        line = f"error: {which} needs a point of at least {need} coordinates (m >= 1), got {n}\n"
+        assert run_cli(capsys, "map", "--which", which, "--point", point) == (1, "", line)
+
+    @pytest.mark.parametrize(
+        "which,point",
+        [
+            ("sigma0", "0.5,0.2"),
+            ("sigma^1", "0.3,0.2"),
+            ("sigma1", "0,1,0"),
+            ("sigma-1", "1,0,0"),
+            ("tau^1", "1.4142135623730951,0,1"),
+            ("psi1", "1,0,1,0"),
+            ("tswap", "1,2,3,4"),
+        ],
+    )
+    def test_shortest_valid_point(self, capsys, which, point):
+        # m = 1 in every source kind: 2 flat, 3 quadric and 4 representative slots
+        code, out, err = run_cli(capsys, "map", "--which", which, "--point", point)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert len(data["output"]) == {"projective representative": 4, "de Sitter point": 3}[data["output_kind"]]
 
 
 class TestAnalyzeCommand:

@@ -8,69 +8,60 @@ from hypothesis.extra.numpy import arrays
 
 from confgeo import invariants
 from confgeo.catalog import build_instance
-from confgeo.chart import grid_points, shape_batch, shape_data
+from confgeo.chart import grid_points, shape_batch
 from confgeo.config import DEFAULT, FDConfig
-from confgeo.conformal_atlas import LiftedChart, lift_chart
+from confgeo.conformal_atlas import LiftedChart, lift_chart, sigma_rep_batch
 from confgeo.errors import ConsistencyError, ValidationError
 from confgeo.invariants import (
-    blaschke_and_b,
-    conformal_frame,
-    conformal_metric,
-    conformal_position,
-    covariant_derivatives,
-    curvature_of_g,
+    _gauss_rhs,
     evaluate_field,
     field_report,
     field_report_csv,
     FD_ESTIMATE,
     frame_route,
-    gauss_residual_with_b,
     grid_margin,
-    identity_residuals,
     run_cross_check,
 )
-from confgeo.pseudo_linalg import Signature, is_lightlike, pseudo_dot
+from confgeo.pseudo_linalg import Signature, pseudo_dot
+
+
+def _lift(sb):
+    """The light-cone lift rho (1, x) of shape data."""
+    return sb.rho[:, None] * np.concatenate([np.ones((sb.x.shape[0], 1)), sb.x], axis=1)
+
+
+def _is_null(Y, tol=1e-12):
+    return abs(pseudo_dot(Y, Y, Signature(2, Y.shape[0]).signs)) <= tol * np.sum(Y**2)
 
 
 class TestConformalPosition:
     def test_unit_factor_slot_order(self):
         # rho = 1, x = (0, ..., 0, 1): lift is (1, 0, ..., 0, 1), null
-        from confgeo.chart import ShapeData
-
         m = 3
         x = np.zeros(m + 2)
         x[-1] = 1.0
-        stub = ShapeData(
-            u=np.zeros(m),
-            x=x,
-            induced_metric=np.eye(m),
-            normal=np.zeros(m + 2),
-            h=np.zeros((m, m)),
-            h_frame=np.zeros((m, m)),
-            H=0.0,
-            rho=1.0,
-            frame=np.eye(m),
-            coframe=np.eye(m),
-        )
-        Y = conformal_position(stub)
+        Y = sigma_rep_batch("de_sitter", x[None], isometric=True)[0]
         expected = np.zeros(m + 3)
         expected[0] = 1.0
         expected[-1] = 1.0
-        assert np.array_equal(Y.coords, expected)
-        assert is_lightlike(Y)
+        assert np.array_equal(Y, expected)
+        assert _is_null(Y)
 
     def test_unit_point(self, sxh_chart):
-        s = shape_data(sxh_chart, np.array([0.5, 1.2, 0.6]))
-        Y = conformal_position(s)
-        assert Y.coords[0] == pytest.approx(s.rho)
-        assert is_lightlike(Y, 1e-12)
+        U = np.array([[0.5, 1.2, 0.6]])
+        sb = shape_batch(sxh_chart, U)
+        Y = frame_route(sxh_chart, U).Y[0]
+        assert np.allclose(Y, _lift(sb)[0], rtol=0, atol=1e-12)
+        assert Y[0] == pytest.approx(sb.rho[0])
+        assert _is_null(Y, 1e-12)
 
     def test_lightlike_on_wp(self, wp_lifted, rng):
         lo, hi = wp_lifted.domain.arrays()
-        for u in rng.uniform(lo + 0.1, hi - 0.1, size=(5, wp_lifted.m)):
-            Y = conformal_position(shape_data(wp_lifted, u))
-            val = pseudo_dot(Y.coords[None], Y.coords[None], Y.sig.signs)[0]
-            assert abs(val) <= 1e-9
+        U = rng.uniform(lo + 0.1, hi - 0.1, size=(5, wp_lifted.m))
+        Y = _lift(shape_batch(wp_lifted, U))
+        assert np.allclose(frame_route(wp_lifted, U).Y, Y, rtol=0, atol=1e-12)
+        val = pseudo_dot(Y, Y, Signature(2, Y.shape[1]).signs)
+        assert np.max(np.abs(val)) <= 1e-9
 
     def test_assembled_chart_lift_is_the_assembly(self, ex33_chart):
         # Y = rho (1, x) must reproduce the assembled light-cone immersion
@@ -92,9 +83,13 @@ class TestConformalPosition:
 
 class TestConformalMetric:
     def test_constant_factor_scales_metric(self, sxh_chart):
-        s = shape_data(sxh_chart, np.array([0.5, 1.2, 0.6]))
-        g, frame, coframe = conformal_metric(s)
-        assert np.allclose(g, s.rho**2 * s.induced_metric)
+        U = np.array([[0.5, 1.2, 0.6]])
+        sb = shape_batch(sxh_chart, U)
+        rho = sb.rho[0]
+        g = evaluate_field(sxh_chart, U, derivatives=False, curvature=False).metric[0]
+        frame = sb.frame[0] / rho
+        coframe = np.linalg.inv(sb.frame[0]) * rho
+        assert np.allclose(g, rho**2 * sb.metric[0])
         assert np.allclose(frame.T @ g @ frame, np.eye(3), atol=1e-12)
         assert np.allclose(coframe @ frame, np.eye(3), atol=1e-12)
 
@@ -112,11 +107,13 @@ class TestConformalMetric:
 
 class TestInvariantTensors:
     def test_trace_identities_at_point(self, ex33_chart):
-        t = blaschke_and_b(ex33_chart, np.array([0.1, 0.2, 1.2, 0.6]))
+        u = np.array([0.1, 0.2, 1.2, 0.6])
+        f = evaluate_field(ex33_chart, u[None], derivatives=False, curvature=True)
+        A, B, kappa = f.A[0], f.B[0], f.kappa[0]
         m = 4
-        assert np.trace(t.B) == pytest.approx(0.0, abs=1e-10)
-        assert np.sum(t.B**2) == pytest.approx((m - 1) / m, abs=1e-10)
-        assert np.trace(t.A) == pytest.approx((m**2 * t.kappa - 1) / (2 * m), abs=1e-8)
+        assert np.trace(B) == pytest.approx(0.0, abs=1e-10)
+        assert np.sum(B**2) == pytest.approx((m - 1) / m, abs=1e-10)
+        assert np.trace(A) == pytest.approx((m**2 * kappa - 1) / (2 * m), abs=1e-8)
 
     def test_frame_rotation_invariance(self, sxh_field, rng):
         Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
@@ -176,9 +173,10 @@ class TestCurvature:
     def test_flat_catalog_block(self, hxr_chart):
         # H^1 x R^2 lifts with unit conformal factor: the conformal metric is flat
         lifted = lift_chart(hxr_chart, "psi1")
-        R, ric, kappa = curvature_of_g(lifted, np.array([0.6, 0.9, 0.9]))
-        assert abs(kappa) <= 1e-11
-        assert np.max(np.abs(R)) <= 1e-11
+        u = np.array([0.6, 0.9, 0.9])
+        f = evaluate_field(lifted, u[None], derivatives=False, curvature=True)
+        assert abs(f.kappa[0]) <= 1e-11
+        assert np.max(np.abs(f.riemann[0])) <= 1e-11
 
     def test_sphere_block_sectional_curvature(self, ex33_field):
         # round factor of radius r: sectional curvature 1/r^2 = 3/8 in the
@@ -206,22 +204,18 @@ class TestCovariantDerivatives:
 
     def test_wrapper_returns_components(self, ex33_chart):
         U = grid_points(ex33_chart.domain, [3], margin=0.06)[:2]
-        td = covariant_derivatives(ex33_chart, U)
+        f = evaluate_field(ex33_chart, U, derivatives=True, curvature=True)
         m = 4
-        assert td.A_ijk.shape == (2, m, m, m)
-        assert td.B_ijk.shape == (2, m, m, m)
-        assert td.Phi_ij.shape == (2, m, m)
-        assert set(td.residuals) == {
-            "phi_codazzi_commutator",
-            "blaschke_codazzi",
-            "b_codazzi",
-        }
+        assert f.dA.shape == (2, m, m, m)
+        assert f.dB.shape == (2, m, m, m)
+        assert f.dPhi.shape == (2, m, m)
+        assert {"phi_codazzi_commutator", "blaschke_codazzi", "b_codazzi"} <= set(f.residuals)
 
 
 class TestIdentityResiduals:
     def test_full_suite_analytic_tier(self, sxh_chart):
         U = grid_points(sxh_chart.domain, [3], margin=0.06)
-        res = identity_residuals(sxh_chart, U)
+        res = evaluate_field(sxh_chart, U).residuals
         for key in (
             "phi_codazzi_commutator",
             "blaschke_codazzi",
@@ -238,7 +232,7 @@ class TestIdentityResiduals:
 
         fd_chart = sxh_chart.with_jet_mode("fd")
         U = grid_points(fd_chart.domain, [3], margin=required_margin(fd_chart))
-        res = identity_residuals(fd_chart, U)
+        res = evaluate_field(fd_chart, U).residuals
         assert max(res.values()) <= 1e-3
 
     def test_commutator_reduction_when_phi_vanishes(self, sxh_field):
@@ -260,7 +254,7 @@ class TestIdentityResiduals:
         deltas = [1e-3, 1e-2]
         for d in deltas:
             B = sxh_field.B + d * S[None, :, :]
-            resid.append(gauss_residual_with_b(sxh_field, B))
+            resid.append(np.max(np.abs(sxh_field.riemann - _gauss_rhs(sxh_field.A, B, sxh_field.m))))
         assert resid[0] > 50 * base
         ratio = resid[1] / resid[0]
         assert 5 < ratio < 20  # linear response to within the quadratic tail
@@ -279,12 +273,6 @@ class TestFrameRoute:
         U = grid_points(fd_chart.domain, [3], margin=required_margin(fd_chart))[:4]
         fr = frame_route(fd_chart, U)
         assert max(fr.relations.values()) <= 1e-5
-
-    def test_conformal_frame_wrapper(self, sxh_chart):
-        cf = conformal_frame(sxh_chart, np.array([0.5, 1.2, 0.6]))
-        sig = cf.Y.sig
-        assert sig == Signature(2, 6)
-        assert max(cf.relations.values()) <= 1e-12
 
     def test_native_picture_matches_lifted_computation(self, hxr_chart):
         # invariants computed in the flat picture agree with the lifted ones

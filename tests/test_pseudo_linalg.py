@@ -4,16 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from confgeo.errors import DimensionMismatchError, RegularityError, ValidationError
+from confgeo.conformal_atlas import ProjectivePoint
+from confgeo.errors import InputError, RegularityError, ValidationError
 from confgeo.pseudo_linalg import (
     PseudoVector,
     Signature,
-    SymMatrix,
     cluster_eigenvalues,
-    gram_schmidt_spacelike,
-    inner,
-    is_lightlike,
-    sym_eigen,
+    form_signs as signs,
+    pseudo_dot,
+    triangular_frame,
 )
 
 
@@ -23,19 +22,17 @@ def pv(coords, s):
 
 
 class TestInner:
+    """The indefinite inner product `pseudo_dot`."""
+
     def test_single_time_slot(self):
-        assert inner(pv([1, 0], 1), pv([1, 0], 1)) == -1.0
+        assert pseudo_dot(np.array([1.0, 0]), np.array([1.0, 0]), signs(1, 2)) == -1.0
 
     def test_orthogonal_slots(self):
-        assert inner(pv([1, 0], 1), pv([0, 1], 1)) == 0.0
+        assert pseudo_dot(np.array([1.0, 0]), np.array([0, 1.0]), signs(1, 2)) == 0.0
 
     def test_two_time_slots(self):
-        v = pv([1, 1, 1, 0, 0], 2)
-        assert inner(v, v) == pytest.approx(-1.0)
-
-    def test_signature_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            inner(pv([1, 0], 1), pv([1, 0], 0))
+        v = np.array([1.0, 1, 1, 0, 0])
+        assert pseudo_dot(v, v, signs(2, 5)) == pytest.approx(-1.0)
 
     @given(
         u=arrays(float, 5, elements=st.floats(-10, 10)),
@@ -44,105 +41,75 @@ class TestInner:
         a=st.floats(-5, 5),
     )
     def test_bilinear_symmetric(self, u, v, w, a):
-        s = 2
-        left = inner(pv(u + a * w, s), pv(v, s))
-        right = inner(pv(u, s), pv(v, s)) + a * inner(pv(w, s), pv(v, s))
+        s = signs(2, 5)
+        left = pseudo_dot(u + a * w, v, s)
+        right = pseudo_dot(u, v, s) + a * pseudo_dot(w, v, s)
         assert left == pytest.approx(right, abs=1e-7)
-        assert inner(pv(u, s), pv(v, s)) == pytest.approx(inner(pv(v, s), pv(u, s)))
+        assert pseudo_dot(u, v, s) == pytest.approx(pseudo_dot(v, u, s))
 
     @given(u=arrays(float, 3, elements=st.floats(-10, 10)))
     def test_time_slot_vectors_nonpositive(self, u):
         v = np.concatenate([u, np.zeros(2)])
-        assert inner(pv(v, 3), pv(v, 3)) <= 0.0
+        assert pseudo_dot(v, v, signs(3, 5)) <= 0.0
 
 
 class TestLightlike:
+    """Null representatives: `ProjectivePoint.is_null`."""
+
     def test_balanced(self):
-        assert is_lightlike(pv([1, 0, 1, 0, 0], 2))
+        assert ProjectivePoint(pv([1, 0, 1, 0, 0], 2)).is_null()
 
     def test_timelike(self):
-        assert not is_lightlike(pv([1, 0, 0, 0, 0], 2))
+        assert not ProjectivePoint(pv([1, 0, 0, 0, 0], 2)).is_null()
 
     def test_zero_vector(self):
-        assert not is_lightlike(pv([0, 0, 0, 0, 0], 2))
+        with pytest.raises(InputError):
+            ProjectivePoint(pv([0, 0, 0, 0, 0], 2))
 
     def test_flat_embedding_image(self):
         # canonical flat-form representative of u = (1, 1, 0): (2u1, q+1, q-1, 2u')
         u = np.array([1.0, 1.0, 0.0])
         q = -u[0] ** 2 + u[1] ** 2 + u[2] ** 2
         rep = np.array([2 * u[0], q + 1, q - 1, 2 * u[1], 2 * u[2]])
-        assert is_lightlike(pv(rep, 2))
+        assert ProjectivePoint(pv(rep, 2)).is_null()
+
+
+def frame_of(vectors, s):
+    """The vectors E = V F that triangular_frame makes of the columns of V
+    from their Gram matrix: Gram-Schmidt in the column order."""
+    V = np.asarray(vectors, dtype=float).T
+    g = V.T @ np.diag(signs(s, V.shape[0])) @ V
+    return V @ triangular_frame(g[None])[0]
 
 
 class TestGramSchmidt:
+    """Orthonormal frames in the coordinate order: `triangular_frame`."""
+
     def test_already_triangular(self):
-        out = gram_schmidt_spacelike([pv([0, 2, 0], 1), pv([0, 1, 1], 1)])
-        assert np.allclose(out[0].coords, [0, 1, 0])
-        assert np.allclose(out[1].coords, [0, 0, 1])
+        E = frame_of([[0, 2, 0], [0, 1, 1]], 1)
+        assert np.allclose(E[:, 0], [0, 1, 0])
+        assert np.allclose(E[:, 1], [0, 0, 1])
 
     def test_normalization_with_time_component(self):
-        out = gram_schmidt_spacelike([pv([1, 2, 0], 1)])
-        assert np.allclose(out[0].coords, np.array([1, 2, 0]) / np.sqrt(3))
+        E = frame_of([[1, 2, 0]], 1)
+        assert np.allclose(E[:, 0], np.array([1, 2, 0]) / np.sqrt(3))
 
     def test_lightlike_pivot_rejected(self):
         with pytest.raises(RegularityError):
-            gram_schmidt_spacelike([pv([1, 1, 0], 1)])
+            frame_of([[1, 1, 0]], 1)
 
-    @given(
-        data=arrays(
-            float,
-            (3, 6),
-            elements=st.floats(-3, 3),
-        )
-    )
+    def test_indefinite_metric_rejected(self):
+        with pytest.raises(RegularityError, match="not positive definite"):
+            triangular_frame(np.array([[[1.0, 0.0], [0.0, -1.0]]]))
+
+    @given(M=arrays(float, st.integers(2, 5).map(lambda k: (k, k)), elements=st.floats(-3, 3)))
     @settings(max_examples=50)
-    def test_orthonormal_and_spanning(self, data):
-        # zero the time slots so the family is space-like whenever independent
-        data[:, :2] = 0.0
-        vecs = [pv(row, 2) for row in data]
-        try:
-            out = gram_schmidt_spacelike(vecs)
-        except RegularityError:
-            return
-        G = np.array([[inner(a, b) for b in out] for a in out])
-        assert np.allclose(G, np.eye(3), atol=1e-10)
-        # same span: each input is a combination of the outputs
-        E = np.stack([e.coords for e in out])
-        for row in data:
-            coef = np.linalg.lstsq(E.T, row, rcond=None)[0]
-            assert np.allclose(E.T @ coef, row, atol=1e-8)
-
-
-class TestSymEigen:
-    def test_diagonal(self):
-        w, _ = sym_eigen(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [1, 2, 3])
-
-    def test_offdiagonal(self):
-        w, _ = sym_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(w, [-1, 1])
-
-    def test_reconstruction(self, rng):
-        M = rng.normal(size=(5, 5))
-        M = M + M.T
-        w, Q = sym_eigen(M)
-        assert np.max(np.abs(Q @ np.diag(w) @ Q.T - M)) <= 1e-12 * max(1, np.max(np.abs(M)))
-        assert np.max(np.abs(Q.T @ Q - np.eye(5))) <= 1e-12
-
-    def test_conjugation_invariance(self, rng):
-        M = rng.normal(size=(4, 4))
-        M = M + M.T
-        R, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        w1, _ = sym_eigen(M)
-        w2, _ = sym_eigen(R @ M @ R.T)
-        assert np.allclose(w1, w2, atol=1e-12 * max(1, np.max(np.abs(w1))))
-
-    def test_sym_matrix_storage_exact(self):
-        M = SymMatrix(3)
-        M.set_entry(0, 2, 0.123456)
-        assert M.entry(2, 0) == M.entry(0, 2)
-        arr = M.to_array()
-        assert arr[0, 2] == arr[2, 0]
+    def test_orthonormal_and_spanning(self, M):
+        g = M.T @ M + np.eye(M.shape[0])
+        F = triangular_frame(g[None])[0]
+        assert np.allclose(F.T @ g @ F, np.eye(M.shape[0]), atol=1e-10)
+        assert np.all(np.tril(F, -1) == 0.0)
+        assert np.all(np.diag(F) > 0.0)  # so the first k columns span the first k axes
 
 
 class TestClusterEigenvalues:
