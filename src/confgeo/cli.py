@@ -277,10 +277,14 @@ def _cmd_map(args) -> int:
     m = MAP_TAGS[which].source_m(n)
     if m < 1:
         raise InputError(f"{which} needs a point of at least {n - m + 1} coordinates (m >= 1), got {n}")
-    # an overflow either raises here or leaves a non-finite output
+    # an overflow either raises here or leaves a non-finite output; a point
+    # or an output whose squares overflow has no form value in double
+    # precision, so it counts as an overflow too
     try:
         with np.errstate(over="raise", invalid="raise"):
+            np.sum(np.square(pt))
             out = _map_point(which, pt, m)
+            np.sum(np.square(out["output"]))
         finite = bool(np.all(np.isfinite(out["output"])))
     except FloatingPointError:
         finite = False

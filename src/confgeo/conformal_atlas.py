@@ -58,7 +58,9 @@ class ProjectivePoint:
         return self.rep.sig.total - 3
 
     def is_null(self, tol: float = 1e-12) -> bool:
-        c = self.rep.coords
+        # the test is scale-free; scaling by the largest entry keeps the
+        # squares finite for any finite representative
+        c = self.rep.coords / np.max(np.abs(self.rep.coords))
         val = float(np.sum(c * c * self.rep.sig.signs))
         return abs(val) <= tol * float(np.sum(c * c))
 
@@ -145,10 +147,11 @@ def _check_on_form(kind: str, X: np.ndarray, tol: float) -> None:
     if kind == LORENTZ_FLAT:
         return
     sig = Signature(2 if kind == ANTI_DE_SITTER else 1, X.shape[1])
-    val = pseudo_dot(X, X, sig.signs)
     target = 1.0 if kind == DE_SITTER else -1.0
-    resid = np.max(np.abs(val - target))
-    if resid > tol:
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.max(np.abs(pseudo_dot(X, X, sig.signs) - target))
+    # an overflowing <x,x> reads inf or nan, and `resid > tol` is False for nan
+    if not resid <= tol:
         raise InputError(
             f"point is off the {kind} space form: |<x,x> - ({target})| = {resid:.3e}"
         )

@@ -22,12 +22,14 @@ point, whatever the jet source: the exact series of formula charts or the
 least-squares fit of FD charts (fd.py).  The shape series of that jet
 (chart.shape_series: x, the normal, h, H, rho^2, g0, whose order-0
 coefficients are the centre values) feed the closed formulas, which give
-rho, H and the series of A, B, Phi and of the conformal metric, whose
-Christoffels come out to order 1.  The same series give the frame route
-the lift Y to order 2 and g, its frame and xi to order 1.  Every
-derivative of these derived fields -- the curvature, the covariant
-derivatives and the frame route's E_i Y, E_j E_i Y and E_i xi -- is read
-off with Series.grad at the points themselves.
+rho, H and the series of A, B, Phi and of the conformal metric g =
+rho^2 g0 to order 1, whose Christoffels follow from those of g0 by the
+conformal change (see _series_invariants), so only g0 is inverted.  The
+same series give the frame route the lift Y to order 2 and g, its frame
+and xi to order 1.  Every derivative of these derived fields -- the
+curvature, the covariant derivatives and the frame route's E_i Y,
+E_j E_i Y and E_i xi -- is read off with Series.grad at the points
+themselves.
 evaluate_field(cross_check=True) therefore makes one order-5 jet call per
 batch (order 4 without covariant derivatives), and the cross-check
 compares the two formula routes, exact up to roundoff.
@@ -102,13 +104,12 @@ def grid_margin(chart: ImmersionChart) -> float:
 # coordinate-level invariants (one shared pass)
 # ---------------------------------------------------------------------------
 
-def _closed_formulas(h, H, g0, g0inv, rho, dlr, d2lr, dg0, dH):
+def _closed_formulas(h, H, g0, g0inv, rho, dlr, d2lr, gam0, dH):
     """Coordinate components of A, B and Phi from the shape data.
 
     Works on arrays and on Taylor series alike: d2lr are the plain second
-    partials of log rho and dg0[n,i,j,k] = d_k g0_ij.
+    partials of log rho and gam0 the Christoffels of g0.
     """
-    gam0 = christoffel(g0inv, dg0)
     hess = d2lr - einsum("ngab,ng->nab", gam0, dlr)
     grad2 = einsum("na,nab,nb->n", dlr, g0inv, dlr)
     A = -(hess - einsum("na,nb->nab", dlr, dlr) + H[:, None, None] * h) - 0.5 * (
@@ -158,22 +159,36 @@ def _series_invariants(
     Returns the shape series and the series of A, B, Phi, the conformal
     metric g and its Christoffels Gam.  Each derivative costs one order:
     log rho's Hessian and with it A carry order K - 4 (see jet_order), g
-    order 2 and Gam order 1, and every series is cut to the order its
-    result needs.
+    and Gam order 1, and every series is cut to the order its result needs.
+    Gam follows from the Christoffels Gam0 of g0 by the conformal change
+    g = rho^2 g0:
+
+        Gam^c_ab = Gam0^c_ab + d^c_a dlr_b + d^c_b dlr_a - g0_ab g0^cd dlr_d
+
+    with dlr = d log rho, so g is never inverted.
     """
     K = jet_order(derivatives)
     if jet.order < K:
         raise ValidationError(f"the field needs a jet of order {K}, got {jet.order}")
     s = shape_series(chart, U, jet.truncate(K), cfg)
     dlr = (0.5 * taylor.log(s.rho2)).grad()
+    g0, g0inv = s.g0.truncate(1), s.g0inv.truncate(1)
+    gam0 = christoffel(g0inv, s.g0.truncate(2).grad())
     k = K - 4  # the order of A, B and Phi
     A, B, Phi = _closed_formulas(
         s.h.truncate(k), s.H.truncate(k), s.g0.truncate(k), s.g0inv.truncate(k),
-        taylor.sqrt(s.rho2.truncate(k)), dlr.truncate(k), dlr.grad(), s.g0.grad().truncate(k),
+        taylor.sqrt(s.rho2.truncate(k)), dlr.truncate(k), dlr.grad(), gam0.truncate(k),
         s.H.grad().truncate(k),
     )
-    g = s.rho2.truncate(2)[:, None, None] * s.g0.truncate(2)
-    Gam = christoffel(taylor.inv(g.truncate(1)), g.grad())
+    g = s.rho2.truncate(1)[:, None, None] * g0
+    d1 = dlr.truncate(1)
+    eye = np.eye(chart.m)
+    Gam = (
+        gam0
+        + d1[:, None, None, :] * eye[:, :, None]
+        + d1[:, None, :, None] * eye[:, None, :]
+        - einsum("nab,nc->ncab", g0, einsum("ncd,nd->nc", g0inv, d1))
+    )
     return s, A, B, Phi, g, Gam
 
 

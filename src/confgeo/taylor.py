@@ -18,7 +18,10 @@ Derivatives* (2nd ed., ch. 13):
 * d/du_a shifts the coefficients down one degree, so it costs one order;
 * a univariate function is f(a0 + t) = sum_k f^(k)(a0)/k! t^k over the
   nilpotent part t, summed by Horner's rule, each stage only to the order
-  that its later factors of t leave;
+  that its later factors of t leave; on a coordinate line u_a + t_a (a
+  series that `Series.variables` made) t^k is the monomial t_a^k, so the
+  coefficients are written onto the pure powers of t_a without a product,
+  bit for bit what Horner's rule gives;
 * a matrix inverse is the Neumann series around the centre value, and the
   normal and the triangular frame are fixed degree by degree from their
   centre values; step k of the inverse and of the normal runs at order k,
@@ -99,6 +102,13 @@ def _pairs(m: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     prod = prod[perm]
     starts = np.searchsorted(prod, np.arange(len(mons)))
     return _frozen(left[perm]), _frozen(right[perm]), _frozen(starts)
+
+
+@lru_cache(maxsize=None)
+def _line_table(m: int, order: int) -> np.ndarray:
+    """(m, order + 1): monomial index of t_a^k at [a, k]."""
+    powers = np.arange(order + 1)[:, None, None] * np.eye(m, dtype=np.int64)
+    return _frozen(_lookup(m, order, powers).T.copy())
 
 
 @lru_cache(maxsize=None)
@@ -185,6 +195,8 @@ class Series:
         self.c = c
         self.m = m
         self.order = order
+        # the axis a of a coordinate line u_a + t_a; only `variables` sets it
+        self.line: int | None = None
 
     @classmethod
     def constant(cls, value, m: int, order: int) -> "Series":
@@ -202,6 +214,7 @@ class Series:
             s = cls.constant(U[:, a], m, order)
             if order >= 1:
                 s.c[1 + a] = 1.0  # degree-1 monomials come in axis order
+            s.line = a
             out.append(s)
         return out
 
@@ -416,8 +429,16 @@ def _compose(s: Series, coeffs: list[np.ndarray]) -> Series:
     The stage that adds coeffs[k] is multiplied by t^k later on, so it runs
     at order K - k; t has no constant term, so the zero top coefficient that
     padding gives the previous stage never reaches the product.
+
+    On a coordinate line t = t_a, and coeffs[k] goes straight to t_a^k.
+    Horner's rule multiplies a finite coeffs[k] by exact ones and adds
+    exact zeros, which turns -0.0 into +0.0; adding 0.0 does the same here.
     """
     K = s.order
+    if s.line is not None and K >= 1:
+        c = np.zeros((n_monomials(s.m, K),) + np.shape(coeffs[0]))
+        c[_line_table(s.m, K)[s.line]] = np.stack(coeffs) + 0.0
+        return Series(c, s.m, K)
     t = s.nilpotent()
     out = Series.constant(coeffs[K], s.m, 0)
     for k in range(K - 1, -1, -1):

@@ -79,6 +79,21 @@ class TestEmbed:
         with pytest.raises(InputError):
             embed(np.array([1.0, 1.0, 1.0, 1.0]), "sigma1")
 
+    def test_overflowing_form_rejected_without_warning(self):
+        # <x,x> = 1e400 - 1e400 overflows to nan, which compares false
+        # against any tolerance; warnings are errors in this suite
+        with pytest.raises(InputError):
+            embed(np.array([1e200, 1e200, 0.0, 0.0]), "sigma1")
+        with pytest.raises(InputError):
+            compose_maps("tau^1", np.array([1e200, 0.0, 1e200, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1.0])
+    def test_null_test_is_scale_free(self, scale):
+        null = PseudoVector(scale * np.array([1.0, 0.0, 1.0, 0.0, 0.0]), Signature(2, 5))
+        timelike = PseudoVector(scale * np.array([2.0, 1.0, 0.0, 0.0, 0.0]), Signature(2, 5))
+        assert ProjectivePoint(null).is_null()
+        assert not ProjectivePoint(timelike).is_null()
+
 
 class TestPsi:
     def test_left_inverse_of_de_sitter_embedding(self, rng):

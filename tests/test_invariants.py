@@ -358,6 +358,35 @@ class TestConnectionAndCurvature:
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
 
+class TestConformalChristoffels:
+    """The Christoffels of g = rho^2 g0 come from those of g0 by the
+    conformal change; inverting the order-2 series of g and differentiating
+    it gives the same series up to roundoff."""
+
+    @pytest.mark.parametrize(
+        "name,jet_mode",
+        [("graph_lifted", "analytic"), ("graph_lifted", "fd"), ("sxh_chart", "analytic"), ("ex33_chart", "analytic")],
+    )
+    def test_conformal_change_matches_the_inverse_of_g(self, request, name, jet_mode):
+        chart = request.getfixturevalue(name).with_jet_mode(jet_mode)
+        U = _fd_grid(chart)
+        jet = chart.jet(U, invariants.jet_order(True))
+        s, _, _, _, g, Gam = invariants._series_invariants(chart, U, jet, DEFAULT, True)
+        g2 = s.rho2.truncate(2)[:, None, None] * s.g0.truncate(2)
+        direct = invariants.christoffel(invariants.taylor.inv(g2.truncate(1)), g2.grad())
+        assert Gam.order == direct.order == 1
+        assert np.max(np.abs(Gam.c - direct.c)) <= 1e-12 * np.max(np.abs(direct.c))
+        assert np.array_equal(g.c, g2.truncate(1).c)
+
+    def test_field_inverts_only_the_induced_metric(self, ex33_chart, monkeypatch):
+        U = _fd_grid(ex33_chart)[:3]
+        calls = []
+        inv = invariants.taylor.inv
+        monkeypatch.setattr(invariants.taylor, "inv", lambda s: calls.append(s.shape) or inv(s))
+        evaluate_field(ex33_chart, U, cross_check=True)
+        assert calls == [(3, 4, 4)]  # g0 of the 3 points, m = 4
+
+
 FD_CHARTS = ("sxh_chart", "hxr_lifted", "hxh_lifted", "wp_lifted", "ex33_chart", "graph_lifted")
 FIELD_KEYS = ("A", "B", "Phi", "dA", "dB", "dPhi", "riemann")
 

@@ -113,6 +113,55 @@ def test_univariate_matches_sympy_series(label, series_fn, sympy_fn):
         assert np.allclose(out.c[:, n], expected, rtol=1e-13, atol=1e-14), label
 
 
+LINE_FUNCTIONS = [
+    ("sin", taylor.sin, True),
+    ("cos", taylor.cos, True),
+    ("sinh", taylor.sinh, True),
+    ("cosh", taylor.cosh, True),
+    ("exp", taylor.exp, True),
+    ("log", taylor.log, False),
+    ("sqrt", taylor.sqrt, False),
+    ("pow -1", lambda s: taylor.power(s, -1), False),
+]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("K", range(6))
+def test_coordinate_lines_compose_bitwise_as_horner(m, K):
+    # the closed form on u_a + t_a gives Horner's coefficients bit for bit,
+    # signs of zero included (-sin(0) is -0.0, which Horner's sums make +0.0)
+    rng = np.random.default_rng(10 * m + K)
+    U = rng.uniform(0.2, 1.5, size=(4, m))
+    U_zero = U.copy()
+    U_zero[0] = 0.0
+    for label, fn, at_zero in LINE_FUNCTIONS:
+        for a, u in enumerate(taylor.Series.variables(U_zero if at_zero else U, K)):
+            assert u.line == a
+            plain = taylor.Series(u.c.copy(), m, K)
+            assert plain.line is None
+            out, ref = fn(u).c, fn(plain).c
+            assert np.array_equal(out, ref), (label, a)
+            assert np.array_equal(np.signbit(out), np.signbit(ref)), (label, a)
+
+
+def test_only_variables_mark_coordinate_lines():
+    u, v = taylor.Series.variables(np.array([[0.3, 0.4]]), 3)
+    assert (u.line, v.line) == (0, 1)
+    for derived in (2.0 * u, u + 0.0, u * v, -u, u.truncate(2), u[:1], u.nilpotent(), taylor.sin(u)):
+        assert derived.line is None
+
+
+def test_coordinate_line_composes_without_products(monkeypatch):
+    (u,) = taylor.Series.variables(np.array([[0.0], [0.7]]), 5)
+    calls = []
+    reduce_pairs = taylor._reduce_pairs
+    monkeypatch.setattr(taylor, "_reduce_pairs", lambda *a: calls.append(a) or reduce_pairs(*a))
+    taylor.cos(u)
+    assert calls == []
+    taylor.cos(u + 0.0)
+    assert calls
+
+
 def test_scalar_arguments_fall_through_to_numpy():
     assert taylor.cos(0.5) == np.cos(0.5)
     assert np.array_equal(taylor.sqrt(np.array([4.0, 9.0])), [2.0, 3.0])
