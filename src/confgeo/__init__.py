@@ -32,7 +32,7 @@ from .classifier import (
     gate_parallel,
     gate_phi,
 )
-from .config import FDConfig, NumericsConfig, DEFAULT
+from .config import NumericsConfig, DEFAULT
 from .conformal_atlas import (
     ConformalMapTag,
     ProjectivePoint,

@@ -36,7 +36,7 @@ from .chart import (
     grid_points,
     shape_series,
 )
-from .config import DEFAULT, NumericsConfig
+from .config import NumericsConfig
 from .errors import ConstructionError, ValidationError
 
 
@@ -253,7 +253,7 @@ def _core_box(count: int):
     return _hyper_box(count, first_range=(-0.45, 0.45)) if count == 1 else _hyper_box(count)
 
 
-def _ads_core(m: int, K: int, j: int, r: float | None, cfg: NumericsConfig) -> CoreHypersurface:
+def _ads_core(m: int, K: int, j: int, r: float | None) -> CoreHypersurface:
     """Maximal cylinder H^j x H^{K-j} inside the anti-de Sitter quadric of radius r.
 
     Maximality fixes b1^2 = r^2 j/K, b2^2 = r^2 (K-j)/K; then |h|^2 = K/r^2,
@@ -266,7 +266,7 @@ def _ads_core(m: int, K: int, j: int, r: float | None, cfg: NumericsConfig) -> C
     else:
         r = float(r)
         excess = K / r**2 - target
-        if abs(excess) > cfg.fd_tol:
+        if abs(excess) > NumericsConfig.fd_tol:
             raise ValidationError(
                 f"core radius r={r} violates the squared-norm constraint "
                 f"|h|^2 = (m-1)/m by {excess:.3e}; solved value is {solved:.12g}"
@@ -287,7 +287,7 @@ def _ads_core(m: int, K: int, j: int, r: float | None, cfg: NumericsConfig) -> C
     return CoreHypersurface(ANTI_DE_SITTER, K, j, r, b1, b2, chart, target, m)
 
 
-def _ds_core_obstruction(m: int, K: int, j: int) -> str:
+def _ds_core_obstruction(K: int, j: int) -> str:
     """Quantify why the de Sitter cylinder family is never maximal.
 
     Both principal-curvature groups of H^j x S^{K-j} inside a de Sitter
@@ -321,7 +321,6 @@ def make_example(
     K: int,
     split: int = 1,
     r: float | None = None,
-    cfg: NumericsConfig = DEFAULT,
 ) -> ImmersionChart:
     """Assembled hypersurface (core, round factor) / leading light-cone slot.
 
@@ -344,10 +343,10 @@ def make_example(
 
     if family == "ex32":
         raise ConstructionError(
-            "ex32 core construction infeasible: " + _ds_core_obstruction(m, K, j)
+            "ex32 core construction infeasible: " + _ds_core_obstruction(K, j)
         )
 
-    core = _ads_core(m, K, j, r, cfg)
+    core = _ads_core(m, K, j, r)
     rr = core.r
     core_formula = _two_hyperbolic(core.b1, core.b2, j)
 
@@ -386,7 +385,7 @@ class CoreReport:
     scalar_curvature_deviation: float
 
 
-def verify_core(core: CoreHypersurface, cfg: NumericsConfig = DEFAULT, counts: int = 3) -> CoreReport:
+def verify_core(core: CoreHypersurface, *, counts: int = 3) -> CoreReport:
     """Check maximality, |h|^2 and the Gauss-equation scalar curvature.
 
     The intrinsic scalar curvature is assembled through the Gauss equation
@@ -395,11 +394,11 @@ def verify_core(core: CoreHypersurface, cfg: NumericsConfig = DEFAULT, counts: i
     """
     K = core.K
     U = grid_points(core.chart.domain, [counts] * K)
-    s = shape_series(core.chart, U, core.chart.jet(U, 2), cfg, check_regular=False)
+    s = shape_series(core.chart, U, core.chart.jet(U, 2), check_regular=False)
     h2, H = s.h2.value, s.H.value
     c_amb = (1.0 if core.kind == DE_SITTER else -1.0) / core.r**2
     scalar = K * (K - 1) * c_amb + h2 - K**2 * H**2
-    if h2.max() < cfg.fd_tol:
+    if h2.max() < NumericsConfig.fd_tol:
         # totally geodesic candidates never meet |h|^2 = (m-1)/m
         return CoreReport(core.chart.name, float(np.max(np.abs(H))), float(core.target_h2), np.inf)
     return CoreReport(

@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .config import FDConfig, NumericsConfig, DEFAULT
+from .config import NumericsConfig
 from .errors import (
     ChartDomainError,
     DimensionMismatchError,
@@ -219,8 +219,11 @@ class ImmersionChart:
     are the only places a chart imports sympy.  Evaluator charts, and
     formula charts switched to FD jets, fit a polynomial to one evaluation
     on a sample cloud around each point and write its coefficients as the
-    same series.  Instances are immutable by convention; the compiled form
-    of sympy expressions is a cache, shared by the copies of a chart.
+    same series.  `fd_step` is the reach of that cloud, its largest offset
+    along each parameter axis, when positive; otherwise (None or <= 0) the
+    reach is fd.default_reach of the chart's dimension (0.1, and 0.15 at
+    m = 4).  Instances are immutable by convention; the compiled form of
+    sympy expressions is a cache, shared by the copies of a chart.
     """
 
     def __init__(
@@ -233,7 +236,7 @@ class ImmersionChart:
         syms=None,
         eval_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         jet_mode: str = "analytic",
-        fd: FDConfig | None = None,
+        fd_step: float | None = None,
         params: dict | None = None,
         template: str | None = None,
         guards: list | None = None,
@@ -263,7 +266,7 @@ class ImmersionChart:
         self._formula = formula
         self._eval_fn = eval_fn
         self.jet_mode = jet_mode
-        self.fd = fd or FDConfig()
+        self.fd_step = fd_step
         self.params = dict(params or {})
         self.template = template
         # the maximal core of an assembled catalog example (catalog.make_example)
@@ -334,7 +337,7 @@ class ImmersionChart:
         for analytic jets)."""
         if self.jet_mode != "fd":
             return 0.0
-        step = self.fd.step
+        step = self.fd_step
         return step if step is not None and step > 0 else default_reach(self.m)
 
     # -- jets ---------------------------------------------------------------
@@ -385,15 +388,16 @@ class ImmersionChart:
             name=name or f"{self.name}~affine", domain=dom, formula=formula, eval_fn=None
         )
 
-    def with_jet_mode(self, jet_mode: str, fd: FDConfig | None = None) -> "ImmersionChart":
-        return self._replace(jet_mode=jet_mode, fd=fd or self.fd)
+    def with_jet_mode(self, jet_mode: str, fd_step: float | None = None) -> "ImmersionChart":
+        """The chart with another jet mode; fd_step None keeps its step."""
+        return self._replace(jet_mode=jet_mode, fd_step=self.fd_step if fd_step is None else fd_step)
 
     def _replace(self, **changes) -> "ImmersionChart":
         """The chart rebuilt with some constructor arguments changed; it
         keeps the formula object, and with it any compiled form."""
         args = dict(
             name=self.name, m=self.m, ambient=self.ambient, domain=self.domain,
-            formula=self._formula, eval_fn=self._eval_fn, jet_mode=self.jet_mode, fd=self.fd,
+            formula=self._formula, eval_fn=self._eval_fn, jet_mode=self.jet_mode, fd_step=self.fd_step,
             params=self.params, template=self.template, core=self.core,
         )
         return ImmersionChart(**{**args, **changes})
@@ -446,7 +450,7 @@ def shape_series(
     chart: ImmersionChart,
     U: np.ndarray,
     jet: taylor.Series,
-    cfg: NumericsConfig = DEFAULT,
+    *,
     normal_sign: float = 1.0,
     check_regular: bool = True,
 ) -> ShapeSeries:
@@ -481,7 +485,7 @@ def shape_series(
     H = einsum("naa->n", P) / m
     h2 = einsum("nab,nba->n", P, P)
     rho2 = m / (m - 1) * (h2 - m * H**2)
-    if check_regular and np.any(rho2.value <= cfg.regularity_tol):
+    if check_regular and np.any(rho2.value <= NumericsConfig.regularity_tol):
         raise RegularityError(
             "totally umbilic locus: conformal factor rho^2 = "
             f"{float(np.min(rho2.value)):.3e} is not positive"
@@ -496,7 +500,7 @@ def shape_series(
 def shape_batch(
     chart: ImmersionChart,
     U: np.ndarray,
-    cfg: NumericsConfig = DEFAULT,
+    *,
     normal_sign: float = 1.0,
     check_regular: bool = True,
 ) -> ShapeBatch:
@@ -506,7 +510,7 @@ def shape_batch(
     negate while rho and the metric are unchanged.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    return shape_series(chart, U, chart.jet(U, 2), cfg, normal_sign, check_regular).sb
+    return shape_series(chart, U, chart.jet(U, 2), normal_sign=normal_sign, check_regular=check_regular).sb
 
 
 @dataclass
@@ -522,9 +526,7 @@ class RegularityReport:
     regular: bool
 
 
-def validate_regularity(
-    chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig = DEFAULT
-) -> RegularityReport:
+def validate_regularity(chart: ImmersionChart, U: np.ndarray) -> RegularityReport:
     """Report min rho^2, min induced-metric eigenvalue and ambient residuals.
 
     Never raises on degeneracy: the chart is flagged regular iff all sampled
@@ -532,12 +534,10 @@ def validate_regularity(
     nondegenerate tangent frame).
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    return regularity_from_jet(chart, U, chart.jet(U, 2), cfg)
+    return regularity_from_jet(chart, U, chart.jet(U, 2))
 
 
-def regularity_from_jet(
-    chart: ImmersionChart, U: np.ndarray, jet: taylor.Series, cfg: NumericsConfig = DEFAULT
-) -> RegularityReport:
+def regularity_from_jet(chart: ImmersionChart, U: np.ndarray, jet: taylor.Series) -> RegularityReport:
     """validate_regularity from an already evaluated jet of order >= 2."""
     dx = jet.grad().value
     signs = chart.ambient.signature.signs
@@ -546,7 +546,7 @@ def regularity_from_jet(
     min_eig = float(np.min(eigs))
     ambient = float(np.max(chart.ambient.quadric_residual(jet.value)))
     try:
-        s = shape_series(chart, U, jet.truncate(2), cfg, check_regular=False)
+        s = shape_series(chart, U, jet.truncate(2), check_regular=False)
         n = s.n.value
         min_rho2 = float(np.min(s.rho2.value))
         normal_resid = float(
@@ -558,11 +558,9 @@ def regularity_from_jet(
     except RegularityError:
         min_rho2 = 0.0
         normal_resid = np.inf
-    regular = (
-        min_rho2 > cfg.regularity_tol
-        and min_eig > cfg.regularity_tol
-        and ambient <= (cfg.ambient_tol if chart.jet_mode == "analytic" else cfg.fd_tol)
-    )
+    reg_tol = NumericsConfig.regularity_tol
+    ambient_tol = NumericsConfig.ambient_tol if chart.jet_mode == "analytic" else NumericsConfig.fd_tol
+    regular = min_rho2 > reg_tol and min_eig > reg_tol and ambient <= ambient_tol
     return RegularityReport(
         chart=chart.name,
         n_points=U.shape[0],
@@ -612,7 +610,7 @@ def chart_to_dict(chart: ImmersionChart) -> dict:
         "params": dict(chart.params),
         "domain": {"lo": list(chart.domain.lo), "hi": list(chart.domain.hi)},
         "jet": chart.jet_mode,
-        "fd": {"step": chart.fd.step},
+        "fd": {"step": chart.fd_step},
     }
 
 
@@ -642,8 +640,7 @@ def chart_from_dict(data: dict) -> ImmersionChart:
     real = isinstance(step, (int, float)) and not isinstance(step, bool)
     if step is not None and (not real or math.isnan(step)):
         raise ValidationError(f"FD step must be a real number or null, got {step!r}")
-    fd = FDConfig(step=step)
-    out = chart._replace(domain=box, jet_mode=jet_mode, fd=fd)
+    out = chart._replace(domain=box, jet_mode=jet_mode, fd_step=step)
     if lift is not None:
         from .conformal_atlas import lift_chart
 

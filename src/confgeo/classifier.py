@@ -321,7 +321,7 @@ def classify(
     counts = [counts] if isinstance(counts, int) else list(counts)
     work, U, jet = grid_jet(chart, counts, lift)
     notes = [] if work is chart else [f"lifted to the de Sitter picture via {lift}"]
-    reg = regularity_from_jet(work, U, jet, cfg)
+    reg = regularity_from_jet(work, U, jet)
     report = _inconclusive(work, U, cfg)
     if not reg.regular:
         report.residuals = {"min_rho2": reg.min_rho2, "min_metric_eig": reg.min_metric_eig}

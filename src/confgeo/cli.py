@@ -137,7 +137,7 @@ def _build_chart(args) -> "catalog.ImmersionChart":
 def _prepare_field(args):
     chart = _build_chart(args)
     work, U, jet = grid_jet(chart, args.grid, args.lift)
-    return chart, field_from_jet(work, U, jet, DEFAULT, derivatives=True, curvature=True)
+    return chart, field_from_jet(work, U, jet, derivatives=True, curvature=True)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +213,8 @@ def _cmd_verify_catalog(args) -> int:
             results[name] = entry
             continue
         work, U, jet = grid_jet(chart, args.grid)
-        reg = regularity_from_jet(work, U, jet, DEFAULT)
-        f = field_from_jet(work, U, jet, DEFAULT, derivatives=True, curvature=True, cross_check=True)
+        reg = regularity_from_jet(work, U, jet)
+        f = field_from_jet(work, U, jet, derivatives=True, curvature=True, cross_check=True)
         gates, res_ok = _residual_gates(f)
         cross = float(max(v for k, v in f.residuals.items() if k.startswith("cross_")))
         phi = float(np.max(f.phi_norm()))

@@ -33,7 +33,6 @@ from .chart import (
     AmbientForm,
     ImmersionChart,
 )
-from .config import FDConfig
 from .errors import ChartDomainError, DimensionMismatchError, InputError, ValidationError
 from .pseudo_linalg import PseudoVector, Signature, form_signs, pseudo_dot
 from .taylor import einsum
@@ -58,16 +57,26 @@ class ProjectivePoint:
         return self.rep.sig.total - 3
 
     def is_null(self, tol: float = 1e-12) -> bool:
-        # the test is scale-free; scaling by the largest entry keeps the
-        # squares finite for any finite representative
-        c = self.rep.coords / np.max(np.abs(self.rep.coords))
+        c = _scaled(self.rep.coords)
         val = float(np.sum(c * c * self.rep.sig.signs))
         return abs(val) <= tol * float(np.sum(c * c))
 
 
+def _scaled(c: np.ndarray) -> np.ndarray:
+    """Representatives (along the last axis) divided by their largest
+    absolute entry; a zero one stays zero.
+
+    Every test on representatives is scale-free; the largest entry of a
+    scaled one is 1, so its norm neither overflows nor underflows to 0,
+    whatever the finite scale.
+    """
+    peak = np.max(np.abs(c), axis=-1, keepdims=True)
+    return c / np.where(peak > 0, peak, 1.0)
+
+
 def projective_equal(p: ProjectivePoint, q: ProjectivePoint, tol: float = 1e-12) -> bool:
     """Scale-free comparison: |cos angle| > 1 - tol."""
-    a, b = p.rep.coords, q.rep.coords
+    a, b = _scaled(p.rep.coords), _scaled(q.rep.coords)
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0 or nb == 0:
         return False
@@ -79,19 +88,19 @@ def projective_equal(p: ProjectivePoint, q: ProjectivePoint, tol: float = 1e-12)
 
 def in_pi_plus(p: ProjectivePoint, tol: float = 1e-12) -> bool:
     """Hyperplane missed by the de Sitter embedding: first slot vanishes."""
-    c = p.rep.coords
+    c = _scaled(p.rep.coords)
     return abs(c[0]) <= tol * np.linalg.norm(c)
 
 
 def in_pi_minus(p: ProjectivePoint, tol: float = 1e-12) -> bool:
     """Hyperplane missed by the anti-de Sitter embedding: third slot vanishes."""
-    c = p.rep.coords
+    c = _scaled(p.rep.coords)
     return abs(c[2]) <= tol * np.linalg.norm(c)
 
 
 def in_pi(p: ProjectivePoint, tol: float = 1e-12) -> bool:
     """Hyperplane missed by the flat embedding: slots 2 and 3 agree."""
-    c = p.rep.coords
+    c = _scaled(p.rep.coords)
     return abs(c[1] - c[2]) <= tol * np.linalg.norm(c)
 
 
@@ -198,7 +207,7 @@ def psi_batch(alpha: int, reps, name: str = ""):
     second; psi2 = psi1 o t_swap.  Raises when the divisor (its centre value,
     for a series) vanishes; `name` names the lifted chart in the message.
     """
-    centre = _centre(reps)
+    centre = _scaled(_centre(reps))
     if np.any(np.abs(centre[:, alpha - 1]) <= 1e-12 * np.linalg.norm(centre, axis=1)):
         plane = "pi_plus" if alpha == 1 else "t_swap image of pi_plus"
         raise ChartDomainError(
@@ -335,7 +344,7 @@ class LiftedChart(ImmersionChart):
             base.domain,
             eval_fn=self.eval,
             jet_mode="fd",
-            fd=base.fd,
+            fd_step=base.fd_step,
             params={**base.params, "lift": lift},
             template=base.template,
         )
@@ -360,8 +369,8 @@ class LiftedChart(ImmersionChart):
     def fd_margin(self) -> float:
         return self.base.fd_margin()
 
-    def with_jet_mode(self, jet_mode: str, fd: FDConfig | None = None) -> "LiftedChart":
-        return LiftedChart(self.base.with_jet_mode(jet_mode, fd), self.M, self.alpha)
+    def with_jet_mode(self, jet_mode: str, fd_step: float | None = None) -> "LiftedChart":
+        return LiftedChart(self.base.with_jet_mode(jet_mode, fd_step), self.M, self.alpha)
 
     def reparametrized(self, A: np.ndarray, b: np.ndarray, name: str | None = None) -> "LiftedChart":
         return LiftedChart(self.base.reparametrized(A, b, name), self.M, self.alpha)

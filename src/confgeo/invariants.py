@@ -52,7 +52,7 @@ import numpy as np
 
 from . import taylor
 from .chart import DE_SITTER, ImmersionChart, ShapeBatch, ShapeSeries, grid_points, shape_series
-from .config import DEFAULT, FDConfig, NumericsConfig
+from .config import DEFAULT, NumericsConfig
 from .conformal_atlas import lift_chart, sigma_rep_batch
 from .errors import ConsistencyError, ValidationError
 from .pseudo_linalg import batched_normal, form_signs, pseudo_dot, triangular_frame
@@ -152,7 +152,7 @@ def grid_jet(
 
 
 def _series_invariants(
-    chart: ImmersionChart, U: np.ndarray, jet: taylor.Series, cfg: NumericsConfig, derivatives: bool
+    chart: ImmersionChart, U: np.ndarray, jet: taylor.Series, derivatives: bool
 ) -> tuple[ShapeSeries, taylor.Series, taylor.Series, taylor.Series, taylor.Series, taylor.Series]:
     """The closed formulas over Taylor series from one jet per point.
 
@@ -170,7 +170,7 @@ def _series_invariants(
     K = jet_order(derivatives)
     if jet.order < K:
         raise ValidationError(f"the field needs a jet of order {K}, got {jet.order}")
-    s = shape_series(chart, U, jet.truncate(K), cfg)
+    s = shape_series(chart, U, jet.truncate(K))
     dlr = (0.5 * taylor.log(s.rho2)).grad()
     g0, g0inv = s.g0.truncate(1), s.g0inv.truncate(1)
     gam0 = christoffel(g0inv, s.g0.truncate(2).grad())
@@ -231,17 +231,16 @@ class InvariantField:
 
     chart: ImmersionChart
     U: np.ndarray
-    cfg: NumericsConfig
     rho: np.ndarray
     H: np.ndarray
     x: np.ndarray
     normal: np.ndarray
-    metric0: np.ndarray
     metric: np.ndarray          # conformal metric, coordinates
     frame: np.ndarray           # conformal orthonormal frame coefficients
     A: np.ndarray               # (N, m, m)
     B: np.ndarray
     Phi: np.ndarray             # (N, m)
+    cfg: NumericsConfig = DEFAULT   # set by field_from_jet; classify_field gates at its classify_tol
     kappa: np.ndarray | None = None
     riemann: np.ndarray | None = None   # (N,m,m,m,m) frame components
     ricci: np.ndarray | None = None
@@ -309,18 +308,19 @@ def field_from_jet(
     jet_order(derivatives)."""
     _check_picture(chart)
     if chart.jet_mode != "fd":
-        fieldv, shape = _invariant_field(chart, U, jet, cfg, derivatives, curvature)
+        fieldv, shape = _invariant_field(chart, U, jet, derivatives, curvature)
         _attach_residuals(fieldv)
     else:
         # the fit and its companion fit go through the pipeline as one batch
-        companion = chart.with_jet_mode("fd", FDConfig(step=COMPANION_REACH * chart.fd_margin()))
+        companion = chart.with_jet_mode("fd", fd_step=COMPANION_REACH * chart.fd_margin())
         companion_jet = companion.jet(U, jet_order(derivatives))
         both = taylor.concatenate([jet, companion_jet], 0)
         n = U.shape[0]
-        stacked, shape = _invariant_field(chart, np.concatenate([U, U]), both, cfg, derivatives, curvature)
+        stacked, shape = _invariant_field(chart, np.concatenate([U, U]), both, derivatives, curvature)
         fieldv, shape = _points(stacked, slice(None, n)), _points(shape, slice(None, n))
         _attach_residuals(fieldv)
         _attach_fd_estimate(fieldv, _points(stacked, slice(n, None)))
+    fieldv.cfg = cfg
     if cross_check:
         run_cross_check(fieldv, shape)
     return fieldv
@@ -341,22 +341,20 @@ def _points(obj, sel: slice):
 
 
 def _invariant_field(
-    chart: ImmersionChart, U: np.ndarray, jet: taylor.Series, cfg: NumericsConfig, derivatives: bool, curvature: bool
+    chart: ImmersionChart, U: np.ndarray, jet: taylor.Series, derivatives: bool, curvature: bool
 ) -> tuple[InvariantField, ShapeSeries]:
     """The invariants in frame components, without residuals, and the shape
     series they came from."""
     m = chart.m
-    s, A, B, Phi, g, Gam = _series_invariants(chart, U, jet, cfg, derivatives)
+    s, A, B, Phi, g, Gam = _series_invariants(chart, U, jet, derivatives)
     Fg = triangular_frame(g.value)
     fieldv = InvariantField(
         chart=chart,
         U=U,
-        cfg=cfg,
         rho=s.sb.rho,
         H=s.sb.H,
         x=s.sb.x,
         normal=s.sb.normal,
-        metric0=s.sb.metric,
         metric=g.value,
         frame=Fg,
         A=_in_frame(A.value, Fg),
@@ -458,7 +456,7 @@ class FrameRoute:
 def frame_route(
     chart: ImmersionChart,
     U: np.ndarray,
-    cfg: NumericsConfig = DEFAULT,
+    *,
     shape: ShapeSeries | None = None,
 ) -> FrameRoute:
     """A and B from the frame equations of the light-cone lift.
@@ -476,7 +474,7 @@ def frame_route(
         raise ValidationError("frame route expects unit-radius quadric ambients")
     signs2 = form_signs(2, m + 3)
     if shape is None:
-        shape = shape_series(chart, U, chart.jet(U, 4), cfg)
+        shape = shape_series(chart, U, chart.jet(U, 4))
     # the lift Y = rho Z(x) to order 2; g, its frame F and xi to order 1
     x = shape.x.truncate(2)
     Z = sigma_rep_batch(kind, x, isometric=True)
@@ -547,7 +545,7 @@ def run_cross_check(f: InvariantField, shape: ShapeSeries | None = None) -> dict
     raises ConsistencyError when one of them exceeds crosscheck_factor times
     the tier tolerance (signals insufficient jet accuracy).
     """
-    fr = frame_route(f.chart, f.U, f.cfg, shape)
+    fr = frame_route(f.chart, f.U, shape=shape)
     diff = {
         f"cross_{key}": float(np.max(np.abs(frame - closed))) / (1.0 + float(np.max(np.abs(closed))))
         for key, frame, closed in (("a", fr.A, f.A), ("b", fr.B, f.B), ("phi", fr.Phi, f.Phi))

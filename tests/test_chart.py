@@ -20,7 +20,6 @@ from confgeo.chart import (
     regularity_from_jet,
     validate_regularity,
 )
-from confgeo.config import FDConfig
 from confgeo.conformal_atlas import lift_chart
 from confgeo.errors import DomainError, RegularityError, ValidationError
 from confgeo.fd import default_reach
@@ -29,7 +28,7 @@ from confgeo.invariants import grid_margin
 
 def fd_chart_from(fn, m, ambient, box, step=None):
     return ImmersionChart(
-        "fd-test", m, ambient, box, eval_fn=fn, jet_mode="fd", fd=FDConfig(step=step)
+        "fd-test", m, ambient, box, eval_fn=fn, jet_mode="fd", fd_step=step
     )
 
 
@@ -105,7 +104,7 @@ class TestJets:
     def test_fd_margin_is_the_cloud_reach(self, sxh_chart):
         assert sxh_chart.fd_margin() == 0.0
         assert sxh_chart.with_jet_mode("fd").fd_margin() == default_reach(3) == 0.1
-        assert sxh_chart.with_jet_mode("fd", FDConfig(step=0.05)).fd_margin() == 0.05
+        assert sxh_chart.with_jet_mode("fd", fd_step=0.05).fd_margin() == 0.05
 
     def test_jet_order_bounds(self, sxh_chart):
         with pytest.raises(ValidationError):
@@ -281,7 +280,7 @@ class TestChartFiles:
         assert np.allclose(sxh_chart.eval(u), loaded.eval(u))
 
     def test_round_trip_fd_fields(self, tmp_path, wp_chart):
-        fd_version = wp_chart.with_jet_mode("fd", FDConfig(step=0.05))
+        fd_version = wp_chart.with_jet_mode("fd", fd_step=0.05)
         d = chart_to_dict(fd_version)
         assert d["jet"] == "fd"
         assert d["fd"] == {"step": 0.05}
@@ -290,7 +289,7 @@ class TestChartFiles:
 
     def test_stencil_era_fd_fields_load(self, stencil_era_fd_chart_file, sxh_chart):
         loaded = load_chart(stencil_era_fd_chart_file)
-        assert loaded.jet_mode == "fd" and loaded.fd == FDConfig()
+        assert loaded.jet_mode == "fd" and loaded.fd_step is None
         assert chart_to_dict(loaded) == chart_to_dict(sxh_chart.with_jet_mode("fd"))
         assert chart_to_dict(loaded)["fd"] == {"step": None}
 

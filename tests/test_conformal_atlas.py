@@ -18,6 +18,7 @@ from confgeo.conformal_atlas import (
     lift_chart,
     projective_equal,
     psi,
+    psi_batch,
     sigma_rep_batch,
     t_swap,
 )
@@ -107,6 +108,25 @@ class TestPsi:
         assert np.allclose(out.coords, [0.5, math.sqrt(5) / 2, 0, 0])
         signs = form_signs(1, 4)
         assert pseudo_dot(out.coords[None], out.coords[None], signs)[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1.0])
+    def test_tests_on_representatives_are_scale_free(self, scale):
+        # [1:2:0:0:0] at any scale; the norms of the raw entries overflow
+        # (1e200) or underflow (1e-200), and warnings are errors in this suite
+        p = ProjectivePoint(PseudoVector(scale * np.array([1.0, 2.0, 0.0, 0.0, 0.0]), Signature(2, 5)))
+        q = ProjectivePoint(PseudoVector(np.array([1.0, 2.0, 0.0, 0.0, 0.0]), Signature(2, 5)))
+        assert np.array_equal(psi(1, p).coords, [2.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(psi(2, p).coords, [0.5, 0.0, 0.0, 0.0])
+        assert (in_pi_plus(p), in_pi_minus(p), in_pi(p)) == (False, True, False)
+        assert projective_equal(p, q) and projective_equal(q, p)
+        on_pi_plus = ProjectivePoint(PseudoVector(scale * np.array([0.0, 1.0, 1.0, 0.0, 0.0]), Signature(2, 5)))
+        assert in_pi_plus(on_pi_plus) and in_pi(on_pi_plus)
+        with pytest.raises(ChartDomainError, match="dividing slot 1 vanishes"):
+            psi(1, on_pi_plus)
+
+    def test_zero_representative_is_outside_the_domain(self):
+        with pytest.raises(ChartDomainError, match="dividing slot 1 vanishes"):
+            psi_batch(1, np.zeros((2, 5)))
 
     def test_excluded_hyperplane(self):
         rep = PseudoVector(np.array([0.0, 1.0, 1.0, 0.0, 0.0]), Signature(2, 5))

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from confgeo import invariants
 from confgeo.catalog import build_instance
 from confgeo.chart import grid_points, shape_batch
-from confgeo.config import DEFAULT, FDConfig
+from confgeo.config import DEFAULT
 from confgeo.conformal_atlas import LiftedChart, lift_chart, sigma_rep_batch
 from confgeo.errors import ConsistencyError, ValidationError
 from confgeo.invariants import (
@@ -323,7 +323,7 @@ class TestConnectionAndCurvature:
         chart = graph_lifted.with_jet_mode(jet_mode)
         U = _fd_grid(chart)
         jet = chart.jet(U, invariants.jet_order(True))
-        return invariants._series_invariants(chart, U, jet, DEFAULT, True)[1:]
+        return invariants._series_invariants(chart, U, jet, True)[1:]
 
     def test_riemann_symmetries_and_first_bianchi(self, graph_lifted, jet_mode):
         chart = graph_lifted.with_jet_mode(jet_mode)
@@ -371,7 +371,7 @@ class TestConformalChristoffels:
         chart = request.getfixturevalue(name).with_jet_mode(jet_mode)
         U = _fd_grid(chart)
         jet = chart.jet(U, invariants.jet_order(True))
-        s, _, _, _, g, Gam = invariants._series_invariants(chart, U, jet, DEFAULT, True)
+        s, _, _, _, g, Gam = invariants._series_invariants(chart, U, jet, True)
         g2 = s.rho2.truncate(2)[:, None, None] * s.g0.truncate(2)
         direct = invariants.christoffel(invariants.taylor.inv(g2.truncate(1)), g2.grad())
         assert Gam.order == direct.order == 1
@@ -441,7 +441,7 @@ class TestFDErrorEstimate:
         # at a reach of 0.01 the fit amplifies roundoff into errors of
         # 0.01-1, while every identity still holds on the fitted surface
         chart = request.getfixturevalue(name)
-        fd = chart.with_jet_mode("fd", FDConfig(step=0.01))
+        fd = chart.with_jet_mode("fd", fd_step=0.01)
         f = evaluate_field(fd, _fd_grid(chart.with_jet_mode("fd")))
         assert f.residuals[FD_ESTIMATE] > DEFAULT.residual_tol_fd
         for key, value in f.residuals.items():
@@ -455,9 +455,9 @@ class TestFDErrorEstimate:
         fd = graph_lifted.with_jet_mode("fd")
         U = _fd_grid(fd)[::2]
         K = invariants.jet_order(True)
-        companion = fd.with_jet_mode("fd", FDConfig(step=invariants.COMPANION_REACH * fd.fd_margin()))
-        two, shape = invariants._invariant_field(fd, U, fd.jet(U, K), DEFAULT, True, True)
-        other, _ = invariants._invariant_field(fd, U, companion.jet(U, K), DEFAULT, True, True)
+        companion = fd.with_jet_mode("fd", fd_step=invariants.COMPANION_REACH * fd.fd_margin())
+        two, shape = invariants._invariant_field(fd, U, fd.jet(U, K), True, True)
+        other, _ = invariants._invariant_field(fd, U, companion.jet(U, K), True, True)
         invariants._attach_residuals(two)
         invariants._attach_fd_estimate(two, other)
         if cross_check:
@@ -470,7 +470,7 @@ class TestFDErrorEstimate:
         )
         f = evaluate_field(fd, U, cross_check=cross_check)
         assert passes == [2 * U.shape[0]]
-        for key in FIELD_KEYS + ("rho", "H", "x", "normal", "metric0", "metric", "frame", "ricci", "kappa"):
+        for key in FIELD_KEYS + ("rho", "H", "x", "normal", "metric", "frame", "ricci", "kappa"):
             ref = getattr(two, key)
             assert getattr(f, key).shape == ref.shape, key
             assert np.max(np.abs(getattr(f, key) - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), key

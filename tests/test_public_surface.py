@@ -1,11 +1,19 @@
 """The package's public surface has one front door: every name that
 `confgeo/__init__.py` exports is either read by the library itself or
 documented in the README.  A name that neither the library nor the README
-uses is a second way in that nothing keeps in step with the pipeline."""
+uses is a second way in that nothing keeps in step with the pipeline.
+Likewise no function takes a parameter it never reads, and classify_tol is
+the one tolerance a caller sets."""
 
 import ast
 import re
+from dataclasses import fields, replace
 from pathlib import Path
+
+import pytest
+
+import confgeo
+from confgeo.config import DEFAULT, NumericsConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "confgeo"
@@ -54,3 +62,59 @@ def test_every_export_is_read_or_documented():
     used = names_read_in_src() | names_in_readme_backticks()
     assert [name for name in exported_names() if name not in used] == []
 
+
+
+# parameters kept although their function never reads them, each with why
+UNREAD_PARAMETERS_KEPT = {
+    # perfbench/workloads.py `cli_margin` passes a config; the parameter goes
+    # with the next benchmark change (ROADMAP item 3)
+    ("invariants.py", "required_margin", "cfg"),
+}
+
+
+def unread_parameters() -> set[tuple[str, str, str]]:
+    """(file, function, parameter) of every parameter, other than self and
+    cls, that its function's body never reads; nested functions count as
+    part of the body."""
+    unread = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread |= {(path.name, name, p) for p in params if p not in ("self", "cls") and p not in read}
+    return unread
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == UNREAD_PARAMETERS_KEPT
+
+
+def test_classify_tol_is_the_only_setting():
+    assert [f.name for f in fields(NumericsConfig)] == ["classify_tol"]
+    # the constant tolerances, pinned so that moving them cannot loosen one
+    assert (
+        NumericsConfig.analytic_tol,
+        NumericsConfig.fd_tol,
+        NumericsConfig.residual_tol_analytic,
+        NumericsConfig.residual_tol_fd,
+        NumericsConfig.trace_a_tol,
+        NumericsConfig.ambient_tol,
+        NumericsConfig.regularity_tol,
+        NumericsConfig.crosscheck_factor,
+    ) == (1e-8, 1e-5, 1e-5, 1e-3, 1e-6, 1e-9, 1e-10, 100.0)
+    assert (DEFAULT.classify_tol, DEFAULT.tier(True), DEFAULT.tier(False)) == (1e-4, 1e-8, 1e-5)
+    assert (DEFAULT.residual_tier(True), DEFAULT.residual_tier(False)) == (1e-5, 1e-3)
+    with pytest.raises(TypeError):
+        replace(DEFAULT, analytic_tol=1.0)
+    assert not hasattr(confgeo, "FDConfig")
