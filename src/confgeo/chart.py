@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .config import NumericsConfig
+from .config import GUARD_TOL, UNIT_RADIUS_TOL, NumericsConfig
 from .errors import (
     ChartDomainError,
     DimensionMismatchError,
@@ -74,6 +74,11 @@ class AmbientForm:
             raise ValidationError(f"unknown ambient kind {self.kind!r}")
         if self.kind != LORENTZ_FLAT and not self.radius > 0:
             raise ValidationError(f"ambient radius must be positive, got {self.radius}")
+
+    @property
+    def is_unit(self) -> bool:
+        """Radius 1 up to UNIT_RADIUS_TOL: the unit picture of a quadric."""
+        return abs(self.radius - 1.0) <= UNIT_RADIUS_TOL
 
     @property
     def embedding_dim(self) -> int:
@@ -301,11 +306,12 @@ class ImmersionChart:
 
     def _components(self, cols: list) -> list:
         """The formula's components at the columns; raises where a guard
-        denominator (its centre value, for series) vanishes."""
+        denominator (its centre value, for series) is below GUARD_TOL in
+        absolute value."""
         comps, guards = self._formula(*cols)
         for name, g in guards.items():
             centre = g.value if isinstance(g, taylor.Series) else g
-            if np.any(np.abs(np.asarray(centre, dtype=float)) < 1e-12):
+            if np.any(np.abs(np.asarray(centre, dtype=float)) < GUARD_TOL):
                 raise ChartDomainError(
                     f"chart {self.name!r}: denominator {name!r} vanishes at a requested point"
                 )

@@ -1,15 +1,47 @@
-"""Numerical configuration.
+"""Numerical configuration: every threshold the package decides by.
 
-The tolerances of the identity, regularity, cross-route and classification
-checks live here.  The tiers are constants, class attributes of
-NumericsConfig read through any instance:
+Each decision has one named constant here, and every call site reads it.
+The tiers are class attributes of NumericsConfig, read through any
+instance:
 
-* analytic_tol  -- identities checked on charts with exact (symbolic) jets
-* fd_tol        -- the same identities when jets come from FD (fitted) jets
+* analytic_tol          -- identities checked on charts with exact
+                           (symbolic) jets; also the strict tier of the
+                           frame relations and trace identities
+* fd_tol                -- the same identities when jets come from FD
+                           (fitted) jets; the catalog's core checks (an
+                           explicit core radius, the totally geodesic
+                           cut) read it too
+* residual_tol_analytic -- the integrability residual suite (which
+  residual_tol_fd          differentiates invariant fields), analytic / FD
+* trace_a_tol           -- the scalar-curvature trace tr A
+* ambient_tol           -- an analytic chart's points lie on its ambient
+                           form (FD charts: fd_tol)
+* regularity_tol        -- rho^2 and the smallest metric eigenvalue are
+                           bounded away from 0
+* crosscheck_factor     -- a cross-route mismatch above this times the
+                           tier is an error
 
-classify_tol, the relative tolerance of the classification gates, is the
-one setting: the only field of NumericsConfig (`confgeo classify
---classify-tol`).
+classify_tol, the relative tolerance of the classification gates and of
+eigenvalue clustering, is the one setting: the only field of
+NumericsConfig (`confgeo classify --classify-tol`).
+
+Module constants, one per decision outside the tiers:
+
+* CATALOG_CHECK_TOL -- cross-route agreement and largest |Phi| that
+                       verify-catalog requires of every catalog chart
+* UNIT_RADIUS_TOL   -- a quadric ambient is the unit picture
+                       (AmbientForm.is_unit: evaluate_field, frame_route,
+                       lift_chart)
+* ON_FORM_TOL       -- a point handed to embed or compose_maps lies on its
+                       space form
+* SCALE_FREE_TOL    -- a slot, the form value or the angle of homogeneous
+                       representatives vanishes, relative to their norm
+                       (psi, compose_maps, is_null, projective_equal,
+                       in_pi_plus, in_pi_minus, in_pi)
+* GUARD_TOL         -- a named denominator of a chart formula vanishes
+                       (absolute, see below)
+* NORMAL_LEAD_TOL   -- the component of a unit normal whose sign fixes its
+                       orientation (batched_normal)
 """
 
 from __future__ import annotations
@@ -23,6 +55,23 @@ from .errors import ValidationError
 # cross-route agreement and largest |Phi| that verify-catalog requires of
 # every catalog chart (every catalog chart has Phi = 0)
 CATALOG_CHECK_TOL = 1e-6
+
+# a quadric ambient is the unit picture when |radius - 1| is within this
+UNIT_RADIUS_TOL = 1e-14
+
+# a point given to embed or compose_maps is on its form when |<x,x> -+ 1| is within this
+ON_FORM_TOL = 1e-8
+
+# a slot, <c,c> or 1 - |cos angle| of representatives c vanishes relative to their norm
+SCALE_FREE_TOL = 1e-12
+
+# a chart formula's named denominator vanishes below this.  It is absolute:
+# a guard is a scalar of the chart's coordinates with nothing beside it to
+# be relative to, and the quotient it divides into is in the chart's units
+GUARD_TOL = 1e-12
+
+# a unit normal is oriented by its first component larger than this times its norm
+NORMAL_LEAD_TOL = 1e-9
 
 
 @dataclass(frozen=True)

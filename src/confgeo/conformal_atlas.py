@@ -33,6 +33,7 @@ from .chart import (
     AmbientForm,
     ImmersionChart,
 )
+from .config import ON_FORM_TOL, SCALE_FREE_TOL
 from .errors import ChartDomainError, DimensionMismatchError, InputError, ValidationError
 from .pseudo_linalg import PseudoVector, Signature, form_signs, pseudo_dot
 from .taylor import einsum
@@ -56,10 +57,10 @@ class ProjectivePoint:
     def m(self) -> int:
         return self.rep.sig.total - 3
 
-    def is_null(self, tol: float = 1e-12) -> bool:
+    def is_null(self) -> bool:
         c = _scaled(self.rep.coords)
         val = float(np.sum(c * c * self.rep.sig.signs))
-        return abs(val) <= tol * float(np.sum(c * c))
+        return abs(val) <= SCALE_FREE_TOL * float(np.sum(c * c))
 
 
 def _scaled(c: np.ndarray) -> np.ndarray:
@@ -74,34 +75,39 @@ def _scaled(c: np.ndarray) -> np.ndarray:
     return c / np.where(peak > 0, peak, 1.0)
 
 
-def projective_equal(p: ProjectivePoint, q: ProjectivePoint, tol: float = 1e-12) -> bool:
-    """Scale-free comparison: |cos angle| > 1 - tol."""
+def _slot_vanishes(reps: np.ndarray, slot: int) -> np.ndarray:
+    """Where a slot of representatives (along the last axis) vanishes:
+    |c_slot| <= SCALE_FREE_TOL * |c| on the scaled representative c."""
+    c = _scaled(reps)
+    return np.abs(c[..., slot]) <= SCALE_FREE_TOL * np.linalg.norm(c, axis=-1)
+
+
+def projective_equal(p: ProjectivePoint, q: ProjectivePoint) -> bool:
+    """Scale-free comparison: |cos angle| > 1 - SCALE_FREE_TOL."""
     a, b = _scaled(p.rep.coords), _scaled(q.rep.coords)
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0 or nb == 0:
         return False
-    return abs(float(np.dot(a, b))) / (na * nb) > 1.0 - tol
+    return abs(float(np.dot(a, b))) / (na * nb) > 1.0 - SCALE_FREE_TOL
 
 
 # canonical hyperplanes, permuted from their usual slot order to ours:
 # each is the set a given sigma misses.
 
-def in_pi_plus(p: ProjectivePoint, tol: float = 1e-12) -> bool:
+def in_pi_plus(p: ProjectivePoint) -> bool:
     """Hyperplane missed by the de Sitter embedding: first slot vanishes."""
-    c = _scaled(p.rep.coords)
-    return abs(c[0]) <= tol * np.linalg.norm(c)
+    return bool(_slot_vanishes(p.rep.coords, 0))
 
 
-def in_pi_minus(p: ProjectivePoint, tol: float = 1e-12) -> bool:
+def in_pi_minus(p: ProjectivePoint) -> bool:
     """Hyperplane missed by the anti-de Sitter embedding: third slot vanishes."""
-    c = _scaled(p.rep.coords)
-    return abs(c[2]) <= tol * np.linalg.norm(c)
+    return bool(_slot_vanishes(p.rep.coords, 2))
 
 
-def in_pi(p: ProjectivePoint, tol: float = 1e-12) -> bool:
+def in_pi(p: ProjectivePoint) -> bool:
     """Hyperplane missed by the flat embedding: slots 2 and 3 agree."""
     c = _scaled(p.rep.coords)
-    return abs(c[1] - c[2]) <= tol * np.linalg.norm(c)
+    return abs(c[1] - c[2]) <= SCALE_FREE_TOL * np.linalg.norm(c)
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +158,16 @@ def _centre(x):
     return x.value if isinstance(x, taylor.Series) else x
 
 
-def _check_on_form(kind: str, X: np.ndarray, tol: float) -> None:
+def _check_on_form(kind: str, X: np.ndarray) -> None:
     if kind == LORENTZ_FLAT:
         return
     sig = Signature(2 if kind == ANTI_DE_SITTER else 1, X.shape[1])
     target = 1.0 if kind == DE_SITTER else -1.0
     with np.errstate(over="ignore", invalid="ignore"):
         resid = np.max(np.abs(pseudo_dot(X, X, sig.signs) - target))
-    # an overflowing <x,x> reads inf or nan, and `resid > tol` is False for nan
-    if not resid <= tol:
+    # an overflowing <x,x> reads inf or nan, and `resid > ON_FORM_TOL` is
+    # False for nan
+    if not resid <= ON_FORM_TOL:
         raise InputError(
             f"point is off the {kind} space form: |<x,x> - ({target})| = {resid:.3e}"
         )
@@ -175,7 +182,7 @@ def embed(point, which: str) -> ProjectivePoint:
     if x.ndim != 1:
         raise InputError("embed expects a single point")
     X = x[None, :]
-    _check_on_form(tag.source_kind, X, 1e-8)
+    _check_on_form(tag.source_kind, X)
     rep = sigma_rep_batch(tag.source_kind, X)[0]
     return ProjectivePoint(PseudoVector(rep, Signature(2, rep.shape[0])))
 
@@ -207,8 +214,7 @@ def psi_batch(alpha: int, reps, name: str = ""):
     second; psi2 = psi1 o t_swap.  Raises when the divisor (its centre value,
     for a series) vanishes; `name` names the lifted chart in the message.
     """
-    centre = _scaled(_centre(reps))
-    if np.any(np.abs(centre[:, alpha - 1]) <= 1e-12 * np.linalg.norm(centre, axis=1)):
+    if np.any(_slot_vanishes(_centre(reps), alpha - 1)):
         plane = "pi_plus" if alpha == 1 else "t_swap image of pi_plus"
         raise ChartDomainError(
             f"psi{alpha}{' of ' + name if name else ''} undefined: "
@@ -311,11 +317,10 @@ def compose_maps(which: str, point):
         point = np.asarray(point, dtype=float)
     single = point.ndim == 1
     X = point[None, :] if single else point
-    _check_on_form(tag.source_kind, _centre(X), 1e-8)
+    _check_on_form(tag.source_kind, _centre(X))
     reps = sigma_rep_batch(tag.source_kind, X)
     reps = einsum("nj,ij->ni", reps, tag.permutation(reps.shape[1] - 3))
-    centre = _centre(reps)
-    if np.any(np.abs(centre[:, tag.alpha - 1]) <= 1e-12 * (1.0 + np.linalg.norm(centre, axis=1))):
+    if np.any(_slot_vanishes(_centre(reps), tag.alpha - 1)):
         raise ChartDomainError(f"{which} undefined: denominator {tag.denominator!r} vanishes")
     out = psi_batch(tag.alpha, reps)
     return out[0] if single else out
@@ -391,7 +396,7 @@ def lift_chart(chart: ImmersionChart, which: str) -> LiftedChart:
     kind = chart.ambient.kind
     if tag.source_kind not in (None, kind):
         raise ValidationError(f"{which} lifts {tag.source_kind} charts, not {kind}")
-    if kind == DE_SITTER and abs(chart.ambient.radius - 1.0) > 1e-14:
+    if kind == DE_SITTER and not chart.ambient.is_unit:
         raise ValidationError("only unit de Sitter charts can be re-lifted")
     return LiftedChart(chart, _slot_permutation(kind, chart.m), tag.alpha)
 

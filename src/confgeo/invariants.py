@@ -122,7 +122,7 @@ def _closed_formulas(h, H, g0, g0inv, rho, dlr, d2lr, gam0, dH):
 
 
 def _check_picture(chart: ImmersionChart) -> None:
-    if chart.ambient.kind != DE_SITTER or abs(chart.ambient.radius - 1.0) > 1e-12:
+    if chart.ambient.kind != DE_SITTER or not chart.ambient.is_unit:
         raise ValidationError(
             "conformal invariants are computed in the unit de Sitter picture; "
             f"lift chart {chart.name!r} first (conformal_atlas.lift_chart)"
@@ -470,7 +470,7 @@ def frame_route(
     U = np.atleast_2d(np.asarray(U, dtype=float))
     m = chart.m
     kind = chart.ambient.kind
-    if kind != "lorentz_flat" and abs(chart.ambient.radius - 1.0) > 1e-12:
+    if kind != "lorentz_flat" and not chart.ambient.is_unit:
         raise ValidationError("frame route expects unit-radius quadric ambients")
     signs2 = form_signs(2, m + 3)
     if shape is None:

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import NORMAL_LEAD_TOL
 from .errors import DimensionMismatchError, RegularityError, ValidationError
 
 
@@ -53,9 +54,7 @@ class PseudoVector:
         object.__setattr__(self, "coords", coords)
 
 
-def cluster_eigenvalues(
-    values: Sequence[float], rel_tol: float = 1e-6
-) -> list[tuple[float, int]]:
+def cluster_eigenvalues(values: Sequence[float], rel_tol: float) -> list[tuple[float, int]]:
     """Greedy gap clustering of a sorted spectrum.
 
     Consecutive values within rel_tol * scale merge, scale = max(1, spectral
@@ -100,8 +99,9 @@ def batched_normal(rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
     rows: (N, d-1, d).  Uses the generalized cross product: the Euclidean
     cofactor normal of the rows, then signs applied to convert Euclidean
     orthogonality into form orthogonality.  Deterministic orientation: the
-    first component exceeding 1e-9 * |n| is made negative.  Smooth in the
-    rows as long as that component stays away from zero on the patch.
+    first component exceeding NORMAL_LEAD_TOL * |n| is made negative.
+    Smooth in the rows as long as that component stays away from zero on
+    the patch.
     """
     N, k, d = rows.shape
     if k != d - 1:
@@ -123,7 +123,7 @@ def batched_normal(rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
     # orientation rule
     mags = np.abs(n)
     norms = np.linalg.norm(n, axis=1, keepdims=True)
-    lead = np.argmax(mags > 1e-9 * norms, axis=1)
+    lead = np.argmax(mags > NORMAL_LEAD_TOL * norms, axis=1)
     flip = n[np.arange(N), lead] > 0
     n[flip] *= -1.0
     return n

@@ -264,7 +264,7 @@ class Series:
             raise ValueError("an order-0 series has no derivative")
         src, fac = _grad_table(self.m, self.order)
         d = self.c[src] * fac.reshape(fac.shape + (1,) * self.ndim)
-        return Series(np.moveaxis(d, 0, -1), self.m, self.order - 1)
+        return Series(_move_axis(d, 0, d.ndim - 1), self.m, self.order - 1)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -337,17 +337,18 @@ def _move_axis(x: np.ndarray, src: int, dst: int) -> np.ndarray:
 
 
 def _point_last(sub: str, x, p: str):
-    """(subscripts, array) of an operand with its point axis moved last: a
-    series' coefficients (Q, N, *rest) copied in C order to (Q, *rest, N),
-    a per-point array viewed with that axis last; an array without the point
-    letter as it is."""
+    """(subscripts, array) of an operand with its point axis moved last, in
+    C order: a series' coefficients (Q, N, *rest) to (Q, *rest, N), a
+    per-point array to (*rest, N); an array without the point letter as it
+    is.  einsum runs several times faster on contiguous operands than on
+    the strided views."""
     if isinstance(x, Series):
         if not sub.startswith(p):
             raise ValueError(f"series subscripts {sub!r} do not start with the point letter {p!r}")
         return sub[1:] + p, _move_axis(x.c, 1, x.c.ndim - 1).copy()
     if p not in sub:
         return sub, x
-    return sub.replace(p, "") + p, _move_axis(x, sub.index(p), x.ndim - 1)
+    return sub.replace(p, "") + p, np.ascontiguousarray(_move_axis(x, sub.index(p), x.ndim - 1))
 
 
 def _contract(ta: str, a, tb: str, b, tout: str):

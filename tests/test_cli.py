@@ -402,3 +402,25 @@ def test_catalog_classify_loads_no_sympy(tmp_path):
     assert len(seen) == 6
     for run, result in seen.items():
         assert result == [0, "ParallelB", []], run
+
+
+def test_analytic_report_does_not_depend_on_the_thread_count():
+    """`classify` of an analytic chart prints the same bytes with one and
+    with two BLAS/OpenMP threads.  FD charts are left out: their reports
+    still move with the thread count (ROADMAP item 6)."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    outs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "confgeo.cli", "classify", "--catalog", "sxh", "--grid", "3"],
+            capture_output=True,
+            env={
+                **os.environ,
+                "PYTHONPATH": path,
+                "OMP_NUM_THREADS": threads,
+                "OPENBLAS_NUM_THREADS": threads,
+            },
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,22 @@ from confgeo.conformal_atlas import (
 )
 from confgeo.errors import ChartDomainError, InputError, ValidationError
 from confgeo.pseudo_linalg import PseudoVector, Signature, form_signs, pseudo_dot
+
+
+def _unit_peak(p: ProjectivePoint) -> np.ndarray:
+    return p.rep.coords / np.max(np.abs(p.rep.coords))
+
+
+def null_within(p: ProjectivePoint, tol: float) -> bool:
+    """ProjectivePoint.is_null's test at a tolerance of the caller's."""
+    c = _unit_peak(p)
+    return abs(float(np.sum(c * c * p.rep.sig.signs))) <= tol * float(np.sum(c * c))
+
+
+def projective_equal_within(p: ProjectivePoint, q: ProjectivePoint, tol: float) -> bool:
+    """projective_equal's test at a tolerance of the caller's."""
+    a, b = _unit_peak(p), _unit_peak(q)
+    return abs(float(np.dot(a, b))) / (np.linalg.norm(a) * np.linalg.norm(b)) > 1.0 - tol
 
 
 def random_de_sitter(rng, m, n=20):
@@ -65,15 +82,15 @@ class TestEmbed:
         m = 3
         for u in random_de_sitter(rng, m, 25):
             p = embed(u, "sigma1")
-            assert p.is_null(1e-12)
+            assert p.is_null()
             assert not in_pi_plus(p)
         for y in random_anti_de_sitter(rng, m, 25):
             p = embed(y, "sigma-1")
-            assert p.is_null(1e-12)
+            assert p.is_null()
             assert not in_pi_minus(p)
         for u in rng.normal(size=(25, m + 1)):
             p = embed(u, "sigma0")
-            assert p.is_null(1e-12)
+            assert p.is_null()
             assert not in_pi(p)
 
     def test_off_form_rejected(self):
@@ -188,7 +205,7 @@ class TestComposedMaps:
             for u in pts:
                 rep = embed(u, sigma).rep.coords
                 permuted = ProjectivePoint(PseudoVector(P @ rep, Signature(2, m + 3)))
-                assert permuted.is_null(1e-10)
+                assert null_within(permuted, 1e-10)
                 expected = psi(tag.alpha, permuted).coords
                 assert np.allclose(compose_maps(which, u), expected, atol=1e-12)
 
@@ -200,6 +217,29 @@ class TestComposedMaps:
         v = np.array([0.0, 0.3, 0.4, 0.5])
         with pytest.raises(ChartDomainError, match="u_1"):
             compose_maps("sigma^2", v)
+
+    @pytest.mark.parametrize(
+        "which,point",
+        [
+            ("sigma^2", [1.3e-12, 0.3, 0.4, 0.5]),
+            ("sigma^2", [0.5e-12, 0.3, 0.4, 0.5]),
+            ("tau^1", [1.5e-12, 1.0, 0.0, 0.0, 0.0]),
+            ("tau^1", [0.5e-12, 1.0, 0.0, 0.0, 0.0]),
+        ],
+    )
+    def test_denominator_rule_is_psis(self, which, point):
+        # near a named denominator, a composite is defined exactly where psi
+        # of its permuted representative is
+        tag = MAP_TAGS[which]
+        sigma = "sigma0" if which.startswith("sigma") else "sigma-1"
+        rep = tag.permutation(tag.source_m(len(point))) @ embed(point, sigma).rep.coords
+        try:
+            expected = psi(tag.alpha, ProjectivePoint(PseudoVector(rep, Signature(2, rep.shape[0]))))
+        except ChartDomainError:
+            with pytest.raises(ChartDomainError, match=re.escape(tag.denominator)):
+                compose_maps(which, point)
+        else:
+            assert np.array_equal(compose_maps(which, point), expected.coords)
 
     def test_unknown_map(self):
         with pytest.raises(ValidationError):
@@ -216,7 +256,7 @@ class TestTSwap:
         for u in random_de_sitter(rng, 3, 10):
             p = embed(u, "sigma1")
             swapped = ProjectivePoint(t_swap(p.rep))
-            assert swapped.is_null(1e-12)
+            assert swapped.is_null()
 
     def test_conformal_position_of_swapped_lift(self, sxh_chart):
         # the light-cone lift of the second coordinate chart is the slot swap
@@ -231,7 +271,7 @@ class TestTSwap:
         for a, b in zip(Y1, Y2):
             pa = ProjectivePoint(PseudoVector(t_swap(a), sig))
             pb = ProjectivePoint(PseudoVector(b, sig))
-            assert projective_equal(pa, pb, tol=1e-8)
+            assert projective_equal_within(pa, pb, 1e-8)
 
 
 class TestConformality:

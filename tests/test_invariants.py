@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from confgeo import invariants
 from confgeo.catalog import build_instance
-from confgeo.chart import grid_points, shape_batch
+from confgeo.chart import DE_SITTER, AmbientForm, ImmersionChart, grid_points, shape_batch
 from confgeo.config import DEFAULT
 from confgeo.conformal_atlas import LiftedChart, lift_chart, sigma_rep_batch
 from confgeo.errors import ConsistencyError, ValidationError
@@ -162,6 +162,28 @@ class TestInvariantTensors:
     def test_requires_de_sitter_picture(self, hxr_chart):
         with pytest.raises(ValidationError, match="lift"):
             evaluate_field(hxr_chart, np.array([[0.5, 0.9, 0.9]]))
+
+    @pytest.mark.parametrize("excess,refused", [(1e-13, True), (1e-15, False)])
+    def test_one_unit_radius_rule(self, sxh_chart, excess, refused):
+        # the invariants, the frame route and the psi2 re-lift all need the
+        # unit de Sitter picture, and decide it by the same rule
+        m = sxh_chart.m
+        chart = ImmersionChart(
+            sxh_chart.name, m, AmbientForm(DE_SITTER, m + 1, 1.0 + excess), sxh_chart.domain,
+            formula=sxh_chart._formula,
+        )
+        U = grid_points(chart.domain, [3], margin=0.05)[:2]
+        calls = [
+            lambda: evaluate_field(chart, U, derivatives=False, curvature=False),
+            lambda: frame_route(chart, U),
+            lambda: lift_chart(chart, "psi2"),
+        ]
+        for call in calls:
+            if refused:
+                with pytest.raises(ValidationError):
+                    call()
+            else:
+                call()
 
 
 class TestCurvature:

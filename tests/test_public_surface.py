@@ -3,7 +3,8 @@
 documented in the README.  A name that neither the library nor the README
 uses is a second way in that nothing keeps in step with the pipeline.
 Likewise no function takes a parameter it never reads, and classify_tol is
-the one tolerance a caller sets."""
+the one tolerance a caller sets, and every threshold is a named constant
+of config.py."""
 
 import ast
 import re
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import confgeo
+from confgeo import config
 from confgeo.config import DEFAULT, NumericsConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -100,6 +102,44 @@ def test_every_parameter_is_read():
     assert unread_parameters() == UNREAD_PARAMETERS_KEPT
 
 
+# float literals below 1 kept as a threshold outside config.py, each with why
+THRESHOLD_LITERALS_KEPT: dict[tuple[str, str, float], str] = {}
+
+
+def threshold_literals() -> set[tuple[str, str, float]]:
+    """(file, function, value) of every nonzero float literal below 1 in
+    absolute value that sits inside a comparison or is itself a parameter's
+    default, in every module but config.py; `function` is the innermost
+    enclosing def, or "" at module level."""
+    found = set()
+
+    def small_floats(nodes):
+        return [
+            n.value
+            for n in nodes
+            if isinstance(n, ast.Constant) and isinstance(n.value, float) and 0 < abs(n.value) < 1
+        ]
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            owner = getattr(node, "name", "<lambda>")
+            defaults = node.args.defaults + node.args.kw_defaults
+            found.update((path.name, owner, v) for v in small_floats(defaults))
+        if isinstance(node, ast.Compare):
+            found.update((path.name, owner, v) for v in small_floats(ast.walk(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "config.py":
+            visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_every_threshold_is_named_in_config():
+    assert threshold_literals() == set(THRESHOLD_LITERALS_KEPT)
+
+
 def test_classify_tol_is_the_only_setting():
     assert [f.name for f in fields(NumericsConfig)] == ["classify_tol"]
     # the constant tolerances, pinned so that moving them cannot loosen one
@@ -113,6 +153,14 @@ def test_classify_tol_is_the_only_setting():
         NumericsConfig.regularity_tol,
         NumericsConfig.crosscheck_factor,
     ) == (1e-8, 1e-5, 1e-5, 1e-3, 1e-6, 1e-9, 1e-10, 100.0)
+    assert (
+        config.CATALOG_CHECK_TOL,
+        config.UNIT_RADIUS_TOL,
+        config.ON_FORM_TOL,
+        config.SCALE_FREE_TOL,
+        config.GUARD_TOL,
+        config.NORMAL_LEAD_TOL,
+    ) == (1e-6, 1e-14, 1e-8, 1e-12, 1e-12, 1e-9)
     assert (DEFAULT.classify_tol, DEFAULT.tier(True), DEFAULT.tier(False)) == (1e-4, 1e-8, 1e-5)
     assert (DEFAULT.residual_tier(True), DEFAULT.residual_tier(False)) == (1e-5, 1e-3)
     with pytest.raises(TypeError):
