@@ -13,7 +13,6 @@ from .chart import (
     Box,
     ImmersionChart,
     RegularityReport,
-    ShapeBatch,
     chart_from_dict,
     chart_to_dict,
     grid_points,

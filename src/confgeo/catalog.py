@@ -36,7 +36,7 @@ from .chart import (
     grid_points,
     shape_series,
 )
-from .config import NumericsConfig
+from .config import CORE_RADIUS_TOL, TOTALLY_GEODESIC_TOL
 from .errors import ConstructionError, ValidationError
 
 
@@ -78,22 +78,17 @@ def _two_hyperbolic(a: float, b: float, k: int):
     return formula
 
 
-def _angle_box(count: int, first_range=(0.9, 1.7), rest_range=(0.25, 1.05)):
-    los, his = [], []
-    for i in range(count):
-        lo, hi = first_range if i == 0 else rest_range
-        los.append(lo)
-        his.append(hi)
-    return los, his
+# (lo, hi) of the first and of every further coordinate in the box of a
+# sphere factor's angles and of a hyperbolic factor's parameters
+_ANGLES = ((0.9, 1.7), (0.25, 1.05))
+_HYPERBOLIC = ((0.35, 0.95), (0.3, 1.0))
 
 
-def _hyper_box(count: int, first_range=(0.35, 0.95), rest_range=(0.3, 1.0)):
-    los, his = [], []
-    for i in range(count):
-        lo, hi = first_range if i == 0 else rest_range
-        los.append(lo)
-        his.append(hi)
-    return los, his
+def _box(count: int, first: tuple[float, float], rest: tuple[float, float]):
+    """(los, his) of a factor with `count` coordinates: the range `first`
+    for its first coordinate and `rest` for the others."""
+    ranges = [first if i == 0 else rest for i in range(count)]
+    return [lo for lo, _ in ranges], [hi for _, hi in ranges]
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +116,7 @@ def make_hxr(m: int, k: int) -> ImmersionChart:
     def formula(*u):
         return hyperbolic_components(1.0, u[:k]) + list(u[k:]), {}
 
-    lo_t, hi_t = _hyper_box(k)
+    lo_t, hi_t = _box(k, *_HYPERBOLIC)
     # flat coordinates stay away from |v| = 0: the flat-form embedding is
     # singular there (1 + <u,u> = |v|^2 for this chart)
     lo = lo_t + [0.65] * (m - k)
@@ -147,8 +142,8 @@ def make_sxh(m: int, k: int, a: float) -> ImmersionChart:
     def formula(*u):
         return hyperbolic_components(b, u[:k]) + sphere_components(a, u[k:]), {}
 
-    lo_t, hi_t = _hyper_box(k)
-    lo_s, hi_s = _angle_box(m - k)
+    lo_t, hi_t = _box(k, *_HYPERBOLIC)
+    lo_s, hi_s = _box(m - k, *_ANGLES)
     return ImmersionChart(
         f"sxh(m={m},k={k},a={a})",
         m,
@@ -169,8 +164,8 @@ def make_hxh(m: int, k: int, a: float) -> ImmersionChart:
     _check_range(m >= 2, f"hxh requires m >= 2, got m={m}")
     _check_range(1 <= k <= m - 1, f"hxh requires 1 <= k <= m-1, got k={k}, m={m}")
     _check_range(0 < a < 1, f"hxh requires 0 < a < 1, got a={a}")
-    lo_w, hi_w = _hyper_box(k)
-    lo_z, hi_z = _hyper_box(m - k)
+    lo_w, hi_w = _box(k, *_HYPERBOLIC)
+    lo_z, hi_z = _box(m - k, *_HYPERBOLIC)
     return ImmersionChart(
         f"hxh(m={m},k={k},a={a})",
         m,
@@ -200,8 +195,8 @@ def make_wp(m: int, p: int, q: int, a: float) -> ImmersionChart:
         cone = hyperbolic_components(b, u[:q]) + sphere_components(a, u[q:q + p])
         return [t * c for c in cone] + list(u[q + p + 1:]), {}
 
-    lo_s, hi_s = _hyper_box(q, first_range=(0.1, 1.1))
-    lo_p, hi_p = _angle_box(p, first_range=(0.2, 1.3))
+    lo_s, hi_s = _box(q, (0.1, 1.1), _HYPERBOLIC[1])
+    lo_p, hi_p = _box(p, (0.2, 1.3), _ANGLES[1])
     lo = lo_s + lo_p + [0.7] + [-0.55] * (m - p - q - 1)
     hi = hi_s + hi_p + [1.8] + [0.55] * (m - p - q - 1)
     return ImmersionChart(
@@ -250,7 +245,7 @@ def _core_box(count: int):
     """Box of one core factor H^count.  A 1-dimensional factor is a
     hyperbola, regular through its vertex at 0; in higher dimension the first
     coordinate is polar, and its box stays off the pole at 0."""
-    return _hyper_box(count, first_range=(-0.45, 0.45)) if count == 1 else _hyper_box(count)
+    return _box(count, (-0.45, 0.45), _HYPERBOLIC[1]) if count == 1 else _box(count, *_HYPERBOLIC)
 
 
 def _ads_core(m: int, K: int, j: int, r: float | None) -> CoreHypersurface:
@@ -266,7 +261,7 @@ def _ads_core(m: int, K: int, j: int, r: float | None) -> CoreHypersurface:
     else:
         r = float(r)
         excess = K / r**2 - target
-        if abs(excess) > NumericsConfig.fd_tol:
+        if abs(excess) > CORE_RADIUS_TOL:
             raise ValidationError(
                 f"core radius r={r} violates the squared-norm constraint "
                 f"|h|^2 = (m-1)/m by {excess:.3e}; solved value is {solved:.12g}"
@@ -330,7 +325,8 @@ def make_example(
 
     ex32 would need a maximal core inside a de Sitter quadric; the only
     closed-form candidates (two-factor cylinders) are never maximal, so a
-    ConstructionError carrying the solver residual is raised.
+    ConstructionError carrying the obstruction note of _ds_core_obstruction
+    is raised.
     """
     family = family.lower()
     m, K, j = int(m), int(K), int(split)
@@ -360,7 +356,7 @@ def make_example(
 
     lo = list(core.chart.domain.lo)
     hi = list(core.chart.domain.hi)
-    lo_s, hi_s = _angle_box(m - K)
+    lo_s, hi_s = _box(m - K, *_ANGLES)
     lo += lo_s
     hi += hi_s
     return ImmersionChart(
@@ -394,11 +390,11 @@ def verify_core(core: CoreHypersurface, *, counts: int = 3) -> CoreReport:
     """
     K = core.K
     U = grid_points(core.chart.domain, [counts] * K)
-    s = shape_series(core.chart, U, core.chart.jet(U, 2), check_regular=False)
+    s = shape_series(core.chart, core.chart.jet(U, 2))
     h2, H = s.h2.value, s.H.value
     c_amb = (1.0 if core.kind == DE_SITTER else -1.0) / core.r**2
     scalar = K * (K - 1) * c_amb + h2 - K**2 * H**2
-    if h2.max() < NumericsConfig.fd_tol:
+    if h2.max() < TOTALLY_GEODESIC_TOL:
         # totally geodesic candidates never meet |h|^2 = (m-1)/m
         return CoreReport(core.chart.name, float(np.max(np.abs(H))), float(core.target_h2), np.inf)
     return CoreReport(

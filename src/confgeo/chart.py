@@ -7,8 +7,8 @@ polynomial fits, fd.py); conformal_atlas.LiftedChart
 composes a chart with a coordinate map of the conformal space.  Every jet
 is a truncated Taylor series, and shape data are computed once, as series
 of a jet (shape_series): from a jet of order K they carry order K - 2, and
-the centre values (ShapeBatch) are their order-0 coefficients, so
-shape_batch is that body on a 2-jet.  Shape data follows the conventions:
+their order-0 coefficients are the centre values, so shape_batch is that
+body on a 2-jet.  Shape data follows the conventions:
 
     h(X, Y) = <D_X n, Y>  = -<n, D_X D_Y x>      (time-like unit normal n)
     H       = (1/m) tr_{g0} h
@@ -41,12 +41,7 @@ from .errors import (
 )
 from . import taylor
 from .fd import default_reach, fit_series
-from .pseudo_linalg import (
-    Signature,
-    batched_normal,
-    pseudo_dot,
-    triangular_frame,
-)
+from .pseudo_linalg import Signature, batched_normal, pseudo_dot
 from .taylor import einsum
 
 DE_SITTER = "de_sitter"
@@ -415,58 +410,28 @@ class ImmersionChart:
 
 
 @dataclass
-class ShapeBatch:
-    """First/second fundamental data at a batch of points (coordinate components)."""
-
-    chart: ImmersionChart
-    U: np.ndarray       # (N, m)
-    x: np.ndarray       # (N, c)
-    dx: np.ndarray      # (N, c, m)
-    d2x: np.ndarray     # (N, c, m, m)
-    metric: np.ndarray  # induced metric g0 (N, m, m)
-    metric_inv: np.ndarray
-    normal: np.ndarray  # (N, c)
-    h: np.ndarray       # scalar second fundamental form, coords (N, m, m)
-    H: np.ndarray       # (N,)
-    rho: np.ndarray     # (N,)
-    frame: np.ndarray   # induced-orthonormal frame coefficients F0 (N, m, m)
-
-    @property
-    def signs(self) -> np.ndarray:
-        return self.chart.ambient.signature.signs
-
-
-@dataclass
 class ShapeSeries:
-    """Shape data as Taylor series around the points, all of one order, and
-    their centre values as a ShapeBatch."""
+    """Shape data as Taylor series around the points, all of one order; the
+    centre values are their order-0 coefficients (`.value`)."""
 
-    sb: ShapeBatch
-    x: taylor.Series
-    g0: taylor.Series
-    n: taylor.Series
-    h: taylor.Series
+    x: taylor.Series        # (N, c)
+    g0: taylor.Series       # induced metric (N, m, m)
+    n: taylor.Series        # oriented time-like unit normal (N, c)
+    h: taylor.Series        # scalar second fundamental form, coords (N, m, m)
     g0inv: taylor.Series
-    H: taylor.Series
+    H: taylor.Series        # (N,)
     h2: taylor.Series       # |h|^2 in the induced metric
     rho2: taylor.Series
 
 
-def shape_series(
-    chart: ImmersionChart,
-    U: np.ndarray,
-    jet: taylor.Series,
-    *,
-    normal_sign: float = 1.0,
-    check_regular: bool = True,
-) -> ShapeSeries:
+def shape_series(chart: ImmersionChart, jet: taylor.Series) -> ShapeSeries:
     """Shape data of any ambient form from a jet of order K >= 2.
 
-    h needs the second jet of x, so every series carries order K - 2; the
-    ShapeBatch holds their order-0 coefficients.  Raises RegularityError
-    when the normal is not time-like, when g0 or the normal system is
-    singular and, with `check_regular`, on the totally umbilic locus
-    rho^2 <= regularity_tol.
+    h needs the second jet of x, so every series carries order K - 2.
+    Raises RegularityError when the normal is not time-like or when g0 or
+    the normal system is singular.  Shape data exist on the totally umbilic
+    locus rho^2 = 0 too; the stages that take rho or log rho refuse it
+    (invariants._refuse_umbilic).
     """
     signs = chart.ambient.signature.signs
     m = chart.m
@@ -479,7 +444,7 @@ def shape_series(
     if chart.ambient.kind != LORENTZ_FLAT:
         rows = taylor.concatenate([rows, x[:, None, :]], axis=1)
     try:
-        n = taylor.normal(rows, signs, batched_normal(rows.value, signs) * normal_sign)
+        n = taylor.normal(rows, signs, batched_normal(rows.value, signs))
     except np.linalg.LinAlgError as exc:
         raise RegularityError(f"normal system singular: {exc}") from exc
     h = -einsum("nc,c,ncab->nab", n, signs, d2x)
@@ -491,32 +456,13 @@ def shape_series(
     H = einsum("naa->n", P) / m
     h2 = einsum("nab,nba->n", P, P)
     rho2 = m / (m - 1) * (h2 - m * H**2)
-    if check_regular and np.any(rho2.value <= NumericsConfig.regularity_tol):
-        raise RegularityError(
-            "totally umbilic locus: conformal factor rho^2 = "
-            f"{float(np.min(rho2.value)):.3e} is not positive"
-        )
-    sb = ShapeBatch(
-        chart, U, x.value, dx.value, d2x.value, g0.value, g0inv.value, n.value, h.value, H.value,
-        np.sqrt(np.maximum(rho2.value, 0.0)), triangular_frame(g0.value),
-    )
-    return ShapeSeries(sb, x, g0, n, h, g0inv, H, h2, rho2)
+    return ShapeSeries(x, g0, n, h, g0inv, H, h2, rho2)
 
 
-def shape_batch(
-    chart: ImmersionChart,
-    U: np.ndarray,
-    *,
-    normal_sign: float = 1.0,
-    check_regular: bool = True,
-) -> ShapeBatch:
-    """Induced metric, oriented normal, h, H, rho on a batch of points.
-
-    normal_sign = -1 flips the deterministic orientation rule; h and H then
-    negate while rho and the metric are unchanged.
-    """
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    return shape_series(chart, U, chart.jet(U, 2), normal_sign=normal_sign, check_regular=check_regular).sb
+def shape_batch(chart: ImmersionChart, U: np.ndarray) -> ShapeSeries:
+    """Shape data at a batch of points: the order-0 ShapeSeries of a 2-jet,
+    whose `.value`s are the induced metric, normal, h, H and rho^2 at U."""
+    return shape_series(chart, chart.jet(U, 2))
 
 
 @dataclass
@@ -552,7 +498,7 @@ def regularity_from_jet(chart: ImmersionChart, U: np.ndarray, jet: taylor.Series
     min_eig = float(np.min(eigs))
     ambient = float(np.max(chart.ambient.quadric_residual(jet.value)))
     try:
-        s = shape_series(chart, U, jet.truncate(2), check_regular=False)
+        s = shape_series(chart, jet.truncate(2))
         n = s.n.value
         min_rho2 = float(np.min(s.rho2.value))
         normal_resid = float(

@@ -8,9 +8,7 @@ instance:
                            (symbolic) jets; also the strict tier of the
                            frame relations and trace identities
 * fd_tol                -- the same identities when jets come from FD
-                           (fitted) jets; the catalog's core checks (an
-                           explicit core radius, the totally geodesic
-                           cut) read it too
+                           (fitted) jets
 * residual_tol_analytic -- the integrability residual suite (which
   residual_tol_fd          differentiates invariant fields), analytic / FD
 * trace_a_tol           -- the scalar-curvature trace tr A
@@ -29,6 +27,10 @@ Module constants, one per decision outside the tiers:
 
 * CATALOG_CHECK_TOL -- cross-route agreement and largest |Phi| that
                        verify-catalog requires of every catalog chart
+* CORE_RADIUS_TOL   -- an explicit ex33 core radius r meets the core's
+                       squared-norm constraint (catalog._ads_core)
+* TOTALLY_GEODESIC_TOL -- a catalog core is totally geodesic
+                       (catalog.verify_core)
 * UNIT_RADIUS_TOL   -- a quadric ambient is the unit picture
                        (AmbientForm.is_unit: evaluate_field, frame_route,
                        lift_chart)
@@ -55,6 +57,12 @@ from .errors import ValidationError
 # cross-route agreement and largest |Phi| that verify-catalog requires of
 # every catalog chart (every catalog chart has Phi = 0)
 CATALOG_CHECK_TOL = 1e-6
+
+# an explicit ex33 core radius r is accepted when |K/r^2 - (m-1)/m| is within this
+CORE_RADIUS_TOL = 1e-5
+
+# verify_core reports a core as totally geodesic when its largest |h|^2 is below this
+TOTALLY_GEODESIC_TOL = 1e-5
 
 # a quadric ambient is the unit picture when |radius - 1| is within this
 UNIT_RADIUS_TOL = 1e-14

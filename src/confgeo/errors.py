@@ -44,4 +44,4 @@ class ConsistencyError(ComputationError):
 
 
 class ConstructionError(ComputationError):
-    """A requested catalog construction is infeasible; message carries the residual."""
+    """A requested catalog construction is infeasible; message carries the obstruction."""

@@ -51,10 +51,10 @@ from dataclasses import dataclass, field as dc_field, fields, replace
 import numpy as np
 
 from . import taylor
-from .chart import DE_SITTER, ImmersionChart, ShapeBatch, ShapeSeries, grid_points, shape_series
+from .chart import DE_SITTER, ImmersionChart, ShapeSeries, grid_points, shape_series
 from .config import DEFAULT, NumericsConfig
 from .conformal_atlas import lift_chart, sigma_rep_batch
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, RegularityError, ValidationError
 from .pseudo_linalg import batched_normal, form_signs, pseudo_dot, triangular_frame
 from .taylor import einsum
 
@@ -151,8 +151,18 @@ def grid_jet(
     return work, U, work.jet(U, jet_order(derivatives=True))
 
 
+def _refuse_umbilic(rho2: taylor.Series) -> None:
+    """Raise RegularityError on the totally umbilic locus rho^2 <=
+    regularity_tol, where rho and log rho are undefined."""
+    if np.any(rho2.value <= NumericsConfig.regularity_tol):
+        raise RegularityError(
+            "totally umbilic locus: conformal factor rho^2 = "
+            f"{float(np.min(rho2.value)):.3e} is not positive"
+        )
+
+
 def _series_invariants(
-    chart: ImmersionChart, U: np.ndarray, jet: taylor.Series, derivatives: bool
+    chart: ImmersionChart, jet: taylor.Series, derivatives: bool
 ) -> tuple[ShapeSeries, taylor.Series, taylor.Series, taylor.Series, taylor.Series, taylor.Series]:
     """The closed formulas over Taylor series from one jet per point.
 
@@ -165,12 +175,14 @@ def _series_invariants(
 
         Gam^c_ab = Gam0^c_ab + d^c_a dlr_b + d^c_b dlr_a - g0_ab g0^cd dlr_d
 
-    with dlr = d log rho, so g is never inverted.
+    with dlr = d log rho, so g is never inverted.  Raises RegularityError
+    on the totally umbilic locus.
     """
     K = jet_order(derivatives)
     if jet.order < K:
         raise ValidationError(f"the field needs a jet of order {K}, got {jet.order}")
-    s = shape_series(chart, U, jet.truncate(K))
+    s = shape_series(chart, jet.truncate(K))
+    _refuse_umbilic(s.rho2)
     dlr = (0.5 * taylor.log(s.rho2)).grad()
     g0, g0inv = s.g0.truncate(1), s.g0inv.truncate(1)
     gam0 = christoffel(g0inv, s.g0.truncate(2).grad())
@@ -327,16 +339,13 @@ def field_from_jet(
 
 
 def _points(obj, sel: slice):
-    """Copy of a per-point record (InvariantField, ShapeSeries, ShapeBatch)
-    with every array and series, nested records included, cut to the points
-    `sel`."""
+    """Copy of a per-point record (InvariantField, ShapeSeries) with every
+    array and series cut to the points `sel`."""
     cut = {}
     for f in fields(obj):
         v = getattr(obj, f.name)
         if isinstance(v, (np.ndarray, taylor.Series)):
             cut[f.name] = v[sel]
-        elif isinstance(v, ShapeBatch):
-            cut[f.name] = _points(v, sel)
     return replace(obj, **cut)
 
 
@@ -346,15 +355,15 @@ def _invariant_field(
     """The invariants in frame components, without residuals, and the shape
     series they came from."""
     m = chart.m
-    s, A, B, Phi, g, Gam = _series_invariants(chart, U, jet, derivatives)
+    s, A, B, Phi, g, Gam = _series_invariants(chart, jet, derivatives)
     Fg = triangular_frame(g.value)
     fieldv = InvariantField(
         chart=chart,
         U=U,
-        rho=s.sb.rho,
-        H=s.sb.H,
-        x=s.sb.x,
-        normal=s.sb.normal,
+        rho=np.sqrt(s.rho2.value),
+        H=s.H.value,
+        x=s.x.value,
+        normal=s.n.value,
         metric=g.value,
         frame=Fg,
         A=_in_frame(A.value, Fg),
@@ -465,7 +474,8 @@ def frame_route(
     unit radius for the quadrics); the conformal-space machinery is shared,
     only the homogeneous representative differs.  The derivatives of the
     lift come from the shape series of an order-4 jet, or of `shape` when
-    the caller already holds them.
+    the caller already holds them.  Raises RegularityError on the totally
+    umbilic locus.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     m = chart.m
@@ -474,7 +484,8 @@ def frame_route(
         raise ValidationError("frame route expects unit-radius quadric ambients")
     signs2 = form_signs(2, m + 3)
     if shape is None:
-        shape = shape_series(chart, U, chart.jet(U, 4))
+        shape = shape_series(chart, chart.jet(U, 4))
+    _refuse_umbilic(shape.rho2)
     # the lift Y = rho Z(x) to order 2; g, its frame F and xi to order 1
     x = shape.x.truncate(2)
     Z = sigma_rep_batch(kind, x, isometric=True)

@@ -20,10 +20,11 @@ from confgeo.chart import (
     regularity_from_jet,
     validate_regularity,
 )
+from confgeo.config import NumericsConfig
 from confgeo.conformal_atlas import lift_chart
 from confgeo.errors import DomainError, RegularityError, ValidationError
 from confgeo.fd import default_reach
-from confgeo.invariants import grid_margin
+from confgeo.invariants import evaluate_field, frame_route, grid_margin
 
 
 def fd_chart_from(fn, m, ambient, box, step=None):
@@ -131,36 +132,28 @@ class TestShapeData:
         # closed forms for S^2(sqrt2) x H^1(-1): rho^2 = 1/2, |H| = 2 sqrt2 / 3,
         # principal curvatures {sqrt2, 1/sqrt2 x2} up to the orientation sign
         U = grid_points(sxh_chart.domain, [3], margin=0.02)
-        sb = shape_batch(sxh_chart, U)
-        assert np.allclose(sb.rho**2, 0.5, atol=1e-12)
-        assert np.allclose(np.abs(sb.H), 2 * math.sqrt(2) / 3, atol=1e-12)
-        pc = np.sort(np.abs(np.linalg.eigvals(np.einsum("nij,njk->nik", sb.metric_inv, sb.h))), axis=1)
+        s = shape_batch(sxh_chart, U)
+        assert np.allclose(s.rho2.value, 0.5, atol=1e-12)
+        assert np.allclose(np.abs(s.H.value), 2 * math.sqrt(2) / 3, atol=1e-12)
+        pc = np.sort(np.abs(np.linalg.eigvals(np.einsum("nij,njk->nik", s.g0inv.value, s.h.value))), axis=1)
         assert np.allclose(pc, [1 / math.sqrt(2), 1 / math.sqrt(2), math.sqrt(2)], atol=1e-10)
 
     def test_assembled_chart_conformal_factor_is_leading_slot(self, ex33_chart):
         # the conformal factor must equal the leading coordinate of the core
         U = grid_points(ex33_chart.domain, [3], margin=0.02)
-        sb = shape_batch(ex33_chart, U)
+        s = shape_batch(ex33_chart, U)
         r = ex33_chart.params["r"]
         b1 = r * math.sqrt(0.5)
         y0 = b1 * np.cosh(U[:, 0])
-        assert np.allclose(sb.rho, y0, atol=1e-8)
-
-    def test_normal_flip_symmetry(self, sxh_chart):
-        u = np.array([0.5, 1.2, 0.6])
-        plus = shape_batch(sxh_chart, u[None], normal_sign=1.0)
-        minus = shape_batch(sxh_chart, u[None], normal_sign=-1.0)
-        assert np.allclose(plus.h[0], -minus.h[0], atol=1e-12)
-        assert plus.H[0] == pytest.approx(-minus.H[0])
-        assert plus.rho[0] == pytest.approx(minus.rho[0])
+        assert np.allclose(np.sqrt(s.rho2.value), y0, atol=1e-8)
 
     def test_normal_is_unit_timelike_and_orthogonal(self, wp_chart):
         U = grid_points(wp_chart.domain, [3], margin=0.02)
-        sb = shape_batch(wp_chart, U)
-        signs = sb.signs
-        nn = np.einsum("nc,c,nc->n", sb.normal, signs, sb.normal)
+        n = shape_batch(wp_chart, U).n.value
+        signs = wp_chart.ambient.signature.signs
+        nn = np.einsum("nc,c,nc->n", n, signs, n)
         assert np.allclose(nn, -1.0, atol=1e-9)
-        ndx = np.einsum("nc,c,nci->ni", sb.normal, signs, sb.dx)
+        ndx = np.einsum("nc,c,nci->ni", n, signs, wp_chart.jet(U, 1).grad().value)
         assert np.max(np.abs(ndx)) <= 1e-9
 
     @pytest.mark.parametrize("name", ["sxh_chart", "wp_lifted", "ex33_chart"])
@@ -169,17 +162,12 @@ class TestShapeData:
         # order-5 jet carry the same centre values
         chart = request.getfixturevalue(name)
         U = grid_points(chart.domain, [3], margin=0.06)
-        sb = shape_batch(chart, U)
-        jet = chart.jet(U, 5)
-        s = shape_series(chart, U, jet)
+        centre = shape_batch(chart, U)
+        s = shape_series(chart, chart.jet(U, 5))
+        assert centre.rho2.order == 0
         assert s.rho2.order == 3
-        for key in ("x", "normal", "metric", "h", "H", "rho"):
-            want, got = getattr(sb, key), getattr(s.sb, key)
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), key
-        # the flipped normal negates n, h and H and keeps rho
-        flip = shape_series(chart, U, jet, normal_sign=-1.0)
-        for key, sign in (("n", -1.0), ("h", -1.0), ("H", -1.0), ("rho2", 1.0)):
-            want, got = sign * getattr(s, key).c, getattr(flip, key).c
+        for key in ("x", "n", "g0", "h", "H", "rho2"):
+            want, got = getattr(centre, key).value, getattr(s, key).value
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), key
 
     def test_ambient_constraint(self, ex33_chart):
@@ -201,10 +189,10 @@ class TestShapeData:
         v = np.linalg.solve(A, u - b)
         s1 = shape_batch(chart, u[None])
         s2 = shape_batch(re, v[None])
-        assert s1.rho[0] == pytest.approx(s2.rho[0], rel=1e-6)
-        assert abs(s1.H[0]) == pytest.approx(abs(s2.H[0]), rel=1e-6)
-        pc1 = np.sort(np.abs(np.linalg.eigvals(np.linalg.inv(s1.metric[0]) @ s1.h[0])))
-        pc2 = np.sort(np.abs(np.linalg.eigvals(np.linalg.inv(s2.metric[0]) @ s2.h[0])))
+        assert math.sqrt(s1.rho2.value[0]) == pytest.approx(math.sqrt(s2.rho2.value[0]), rel=1e-6)
+        assert abs(s1.H.value[0]) == pytest.approx(abs(s2.H.value[0]), rel=1e-6)
+        pc1 = np.sort(np.abs(np.linalg.eigvals(np.linalg.inv(s1.g0.value[0]) @ s1.h.value[0])))
+        pc2 = np.sort(np.abs(np.linalg.eigvals(np.linalg.inv(s2.g0.value[0]) @ s2.h.value[0])))
         assert np.allclose(pc1, pc2, rtol=1e-6)
 
 
@@ -225,8 +213,13 @@ class TestRegularity:
         rep = validate_regularity(chart, U)
         assert not rep.regular
         assert rep.min_rho2 <= 1e-10
-        with pytest.raises(RegularityError):
-            shape_batch(chart, U)
+        # shape data exist on the umbilic locus; the invariants and the
+        # frame route, which take rho, refuse it
+        assert np.min(shape_batch(chart, U).rho2.value) <= NumericsConfig.regularity_tol
+        message = "totally umbilic locus: conformal factor rho\\^2 = .* is not positive"
+        for call in (evaluate_field, frame_route):
+            with pytest.raises(RegularityError, match=message):
+                call(chart, U)
 
     @pytest.mark.parametrize(
         "name,order",

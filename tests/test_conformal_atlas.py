@@ -263,10 +263,10 @@ class TestTSwap:
         # of the original lift, projectively
         second = lift_chart(sxh_chart, "psi2")
         U = grid_points(sxh_chart.domain, [3], margin=0.03)
-        sb1 = shape_batch(sxh_chart, U)
-        sb2 = shape_batch(second, U)
-        Y1 = np.concatenate([sb1.rho[:, None], sb1.rho[:, None] * sb1.x], axis=1)
-        Y2 = np.concatenate([sb2.rho[:, None], sb2.rho[:, None] * sb2.x], axis=1)
+        Y1, Y2 = (
+            np.sqrt(s.rho2.value)[:, None] * np.concatenate([np.ones((U.shape[0], 1)), s.x.value], axis=1)
+            for s in (shape_batch(sxh_chart, U), shape_batch(second, U))
+        )
         sig = Signature(2, sxh_chart.m + 3)
         for a, b in zip(Y1, Y2):
             pa = ProjectivePoint(PseudoVector(t_swap(a), sig))

@@ -22,12 +22,13 @@ from confgeo.invariants import (
     grid_margin,
     run_cross_check,
 )
-from confgeo.pseudo_linalg import Signature, pseudo_dot
+from confgeo.pseudo_linalg import Signature, pseudo_dot, triangular_frame
 
 
-def _lift(sb):
-    """The light-cone lift rho (1, x) of shape data."""
-    return sb.rho[:, None] * np.concatenate([np.ones((sb.x.shape[0], 1)), sb.x], axis=1)
+def _lift(s):
+    """The light-cone lift rho (1, x) of the centre values of shape data."""
+    x = s.x.value
+    return np.sqrt(s.rho2.value)[:, None] * np.concatenate([np.ones((x.shape[0], 1)), x], axis=1)
 
 
 def _is_null(Y, tol=1e-12):
@@ -49,10 +50,10 @@ class TestConformalPosition:
 
     def test_unit_point(self, sxh_chart):
         U = np.array([[0.5, 1.2, 0.6]])
-        sb = shape_batch(sxh_chart, U)
+        lift = _lift(shape_batch(sxh_chart, U))[0]
         Y = frame_route(sxh_chart, U).Y[0]
-        assert np.allclose(Y, _lift(sb)[0], rtol=0, atol=1e-12)
-        assert Y[0] == pytest.approx(sb.rho[0])
+        assert np.allclose(Y, lift, rtol=0, atol=1e-12)
+        assert Y[0] == pytest.approx(lift[0])
         assert _is_null(Y, 1e-12)
 
     def test_lightlike_on_wp(self, wp_lifted, rng):
@@ -67,8 +68,7 @@ class TestConformalPosition:
         # Y = rho (1, x) must reproduce the assembled light-cone immersion
         # (core coordinates followed by the sphere factor)
         U = grid_points(ex33_chart.domain, [3], margin=0.04)
-        sb = shape_batch(ex33_chart, U)
-        Y = np.concatenate([sb.rho[:, None], sb.rho[:, None] * sb.x], axis=1)
+        Y = _lift(shape_batch(ex33_chart, U))
         core = ex33_chart.core
         core_pts = core.chart.eval(U[:, : core.K])
         r = core.r
@@ -84,20 +84,22 @@ class TestConformalPosition:
 class TestConformalMetric:
     def test_constant_factor_scales_metric(self, sxh_chart):
         U = np.array([[0.5, 1.2, 0.6]])
-        sb = shape_batch(sxh_chart, U)
-        rho = sb.rho[0]
+        s = shape_batch(sxh_chart, U)
+        rho = math.sqrt(s.rho2.value[0])
         g = evaluate_field(sxh_chart, U, derivatives=False, curvature=False).metric[0]
-        frame = sb.frame[0] / rho
-        coframe = np.linalg.inv(sb.frame[0]) * rho
-        assert np.allclose(g, rho**2 * sb.metric[0])
+        g0 = s.g0.value[0]
+        F0 = triangular_frame(s.g0.value)[0]  # induced-orthonormal frame
+        frame = F0 / rho
+        coframe = np.linalg.inv(F0) * rho
+        assert np.allclose(g, rho**2 * g0)
         assert np.allclose(frame.T @ g @ frame, np.eye(3), atol=1e-12)
         assert np.allclose(coframe @ frame, np.eye(3), atol=1e-12)
 
     def test_assembled_chart_product_metric(self, ex33_chart):
         # conformal metric = flat core block (b1^2, b2^2) + round sphere block
         U = grid_points(ex33_chart.domain, [3], margin=0.04)
-        sb = shape_batch(ex33_chart, U)
-        g = sb.rho[:, None, None] ** 2 * sb.metric
+        s = shape_batch(ex33_chart, U)
+        g = s.rho2.value[:, None, None] * s.g0.value
         r2 = ex33_chart.params["r"] ** 2
         for n in range(U.shape[0]):
             th1 = U[n, 2]
@@ -345,7 +347,7 @@ class TestConnectionAndCurvature:
         chart = graph_lifted.with_jet_mode(jet_mode)
         U = _fd_grid(chart)
         jet = chart.jet(U, invariants.jet_order(True))
-        return invariants._series_invariants(chart, U, jet, True)[1:]
+        return invariants._series_invariants(chart, jet, True)[1:]
 
     def test_riemann_symmetries_and_first_bianchi(self, graph_lifted, jet_mode):
         chart = graph_lifted.with_jet_mode(jet_mode)
@@ -393,7 +395,7 @@ class TestConformalChristoffels:
         chart = request.getfixturevalue(name).with_jet_mode(jet_mode)
         U = _fd_grid(chart)
         jet = chart.jet(U, invariants.jet_order(True))
-        s, _, _, _, g, Gam = invariants._series_invariants(chart, U, jet, True)
+        s, _, _, _, g, Gam = invariants._series_invariants(chart, jet, True)
         g2 = s.rho2.truncate(2)[:, None, None] * s.g0.truncate(2)
         direct = invariants.christoffel(invariants.taylor.inv(g2.truncate(1)), g2.grad())
         assert Gam.order == direct.order == 1

@@ -155,12 +155,14 @@ def test_classify_tol_is_the_only_setting():
     ) == (1e-8, 1e-5, 1e-5, 1e-3, 1e-6, 1e-9, 1e-10, 100.0)
     assert (
         config.CATALOG_CHECK_TOL,
+        config.CORE_RADIUS_TOL,
+        config.TOTALLY_GEODESIC_TOL,
         config.UNIT_RADIUS_TOL,
         config.ON_FORM_TOL,
         config.SCALE_FREE_TOL,
         config.GUARD_TOL,
         config.NORMAL_LEAD_TOL,
-    ) == (1e-6, 1e-14, 1e-8, 1e-12, 1e-12, 1e-9)
+    ) == (1e-6, 1e-5, 1e-5, 1e-14, 1e-8, 1e-12, 1e-12, 1e-9)
     assert (DEFAULT.classify_tol, DEFAULT.tier(True), DEFAULT.tier(False)) == (1e-4, 1e-8, 1e-5)
     assert (DEFAULT.residual_tier(True), DEFAULT.residual_tier(False)) == (1e-5, 1e-3)
     with pytest.raises(TypeError):
