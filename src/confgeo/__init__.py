@@ -34,7 +34,6 @@ from .classifier import (
 from .config import NumericsConfig, DEFAULT
 from .conformal_atlas import (
     ConformalMapTag,
-    ProjectivePoint,
     compose_maps,
     conformality_witness,
     embed,
@@ -63,6 +62,6 @@ from .invariants import (
     field_report_csv,
     frame_route,
 )
-from .pseudo_linalg import PseudoVector, Signature, cluster_eigenvalues
+from .pseudo_linalg import cluster_eigenvalues
 
 __version__ = "0.1.0"

@@ -41,7 +41,7 @@ from .errors import (
 )
 from . import taylor
 from .fd import default_reach, fit_series
-from .pseudo_linalg import Signature, batched_normal, pseudo_dot
+from .pseudo_linalg import batched_normal, form_signs, pseudo_dot
 from .taylor import einsum
 
 DE_SITTER = "de_sitter"
@@ -80,9 +80,9 @@ class AmbientForm:
         return self.dim if self.kind == LORENTZ_FLAT else self.dim + 1
 
     @property
-    def signature(self) -> Signature:
-        time = 2 if self.kind == ANTI_DE_SITTER else 1
-        return Signature(time, self.embedding_dim)
+    def signs(self) -> np.ndarray:
+        """diag of the ambient form on R^{embedding_dim}."""
+        return form_signs(2 if self.kind == ANTI_DE_SITTER else 1, self.embedding_dim)
 
     @property
     def quadric_value(self) -> float | None:
@@ -96,8 +96,7 @@ class AmbientForm:
         """|<x,x> - quadric constant| per point; zeros for the flat form."""
         if self.kind == LORENTZ_FLAT:
             return np.zeros(x.shape[0])
-        signs = self.signature.signs
-        return np.abs(pseudo_dot(x, x, signs) - self.quadric_value)
+        return np.abs(pseudo_dot(x, x, self.signs) - self.quadric_value)
 
 
 @dataclass(frozen=True)
@@ -294,7 +293,12 @@ class ImmersionChart:
             return None, None
         if isinstance(self._formula, ExprFormula):
             return self._formula.exprs, self._formula.syms
-        import sympy as sp
+        try:
+            import sympy as sp
+        except ImportError as exc:
+            raise ImportError(
+                f"chart {self.name!r}: its expressions need sympy; install confgeo[sympy]"
+            ) from exc
 
         syms = sp.symbols(f"u0:{self.m}")
         return sp.Matrix(self._formula(*syms)[0]), syms
@@ -433,7 +437,7 @@ def shape_series(chart: ImmersionChart, jet: taylor.Series) -> ShapeSeries:
     locus rho^2 = 0 too; the stages that take rho or log rho refuse it
     (invariants._refuse_umbilic).
     """
-    signs = chart.ambient.signature.signs
+    signs = chart.ambient.signs
     m = chart.m
     k = jet.order - 2
     dx = jet.grad()
@@ -492,7 +496,7 @@ def validate_regularity(chart: ImmersionChart, U: np.ndarray) -> RegularityRepor
 def regularity_from_jet(chart: ImmersionChart, U: np.ndarray, jet: taylor.Series) -> RegularityReport:
     """validate_regularity from an already evaluated jet of order >= 2."""
     dx = jet.grad().value
-    signs = chart.ambient.signature.signs
+    signs = chart.ambient.signs
     g0 = np.einsum("nci,c,ncj->nij", dx, signs, dx)
     eigs = np.linalg.eigvalsh(0.5 * (g0 + np.swapaxes(g0, 1, 2)))
     min_eig = float(np.min(eigs))

@@ -32,15 +32,8 @@ import numpy as np
 from . import catalog
 from .chart import load_chart, regularity_from_jet
 from .classifier import classify
-from .config import CATALOG_CHECK_TOL, DEFAULT, check_positive
-from .conformal_atlas import (
-    MAP_TAGS,
-    ProjectivePoint,
-    compose_maps,
-    embed,
-    psi,
-    t_swap,
-)
+from .config import CATALOG_CHECK_TOL, DEFAULT, ON_FORM_TOL, check_positive
+from .conformal_atlas import MAP_TAGS, compose_maps, embed, is_null, psi, t_swap
 from .errors import ComputationError, ConfGeoError, ConstructionError, InputError
 from .invariants import (
     field_from_jet,
@@ -48,7 +41,6 @@ from .invariants import (
     field_report_csv,
     grid_jet,
 )
-from .pseudo_linalg import PseudoVector, Signature
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +240,19 @@ def _parse_point(raw: str) -> np.ndarray:
 def _map_point(which: str, pt: np.ndarray, m: int) -> dict:
     out: dict = {"which": which, "input": [float(v) for v in pt]}
     if which in ("sigma0", "sigma1", "sigma-1"):
-        proj = embed(pt, which)
-        out["output"] = [float(v) for v in proj.rep.coords]
+        rep = embed(pt, which)
+        out["output"] = [float(v) for v in rep]
         out["output_kind"] = "projective representative"
-        out["lightlike"] = proj.is_null()
+        out["lightlike"] = is_null(rep)
     elif which in ("psi1", "psi2"):
-        proj = ProjectivePoint(PseudoVector(pt, Signature(2, pt.shape[0])))
-        result = psi(1 if which == "psi1" else 2, proj)
-        out["output"] = [float(v) for v in result.coords]
+        # a typed representative must be a point of the conformal space: not
+        # zero, and null to the tolerance typed space-form points get
+        if not np.any(pt):
+            raise InputError("zero vector does not represent a projective point")
+        if not is_null(pt, ON_FORM_TOL):
+            raise InputError(f"point is off the null cone: |<y,y>| > {ON_FORM_TOL:g} |y|^2")
+        result = psi(1 if which == "psi1" else 2, pt)
+        out["output"] = [float(v) for v in result]
         out["output_kind"] = "de Sitter point"
     elif which == "tswap":
         out["output"] = [float(v) for v in t_swap(pt)]

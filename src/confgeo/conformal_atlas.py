@@ -1,8 +1,10 @@
 """Conformal maps between the Lorentzian space forms and the conformal space.
 
 The conformal space is the projectivized null cone of R^{m+3} with two
-time-like slots.  Canonical slot convention everywhere: time-like slots
-first.  Each space form embeds by a homogeneous null representative:
+time-like slots.  A point is given by a representative, a plain array
+(..., m+3) with the time-like slots first, and every test on
+representatives is scale-free.  Each space form embeds by a homogeneous
+null representative:
 
     de Sitter        u  ->  (1, u)
     anti-de Sitter   y  ->  (y1, y2, 1, y')        (y = (y1, y2, y'))
@@ -34,33 +36,9 @@ from .chart import (
     ImmersionChart,
 )
 from .config import ON_FORM_TOL, SCALE_FREE_TOL
-from .errors import ChartDomainError, DimensionMismatchError, InputError, ValidationError
-from .pseudo_linalg import PseudoVector, Signature, form_signs, pseudo_dot
+from .errors import ChartDomainError, InputError, ValidationError
+from .pseudo_linalg import form_signs, pseudo_dot
 from .taylor import einsum
-
-CONFORMAL_TIME_SLOTS = 2
-
-
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """Homogeneous representative of a point of the conformal space."""
-
-    rep: PseudoVector
-
-    def __post_init__(self):
-        if self.rep.sig.time != CONFORMAL_TIME_SLOTS:
-            raise DimensionMismatchError("conformal-space representatives carry two time slots")
-        if not np.any(self.rep.coords):
-            raise InputError("zero vector does not represent a projective point")
-
-    @property
-    def m(self) -> int:
-        return self.rep.sig.total - 3
-
-    def is_null(self) -> bool:
-        c = _scaled(self.rep.coords)
-        val = float(np.sum(c * c * self.rep.sig.signs))
-        return abs(val) <= SCALE_FREE_TOL * float(np.sum(c * c))
 
 
 def _scaled(c: np.ndarray) -> np.ndarray:
@@ -82,9 +60,17 @@ def _slot_vanishes(reps: np.ndarray, slot: int) -> np.ndarray:
     return np.abs(c[..., slot]) <= SCALE_FREE_TOL * np.linalg.norm(c, axis=-1)
 
 
-def projective_equal(p: ProjectivePoint, q: ProjectivePoint) -> bool:
-    """Scale-free comparison: |cos angle| > 1 - SCALE_FREE_TOL."""
-    a, b = _scaled(p.rep.coords), _scaled(q.rep.coords)
+def is_null(rep: np.ndarray, tol: float = SCALE_FREE_TOL) -> bool:
+    """Whether a representative (m+3,) is null: |<c,c>| <= tol * |c|^2 on
+    the scaled representative c."""
+    c = _scaled(rep)
+    val = float(np.sum(c * c * form_signs(2, c.shape[0])))
+    return abs(val) <= tol * float(np.sum(c * c))
+
+
+def projective_equal(p: np.ndarray, q: np.ndarray) -> bool:
+    """Scale-free comparison of two representatives: |cos angle| > 1 - SCALE_FREE_TOL."""
+    a, b = _scaled(p), _scaled(q)
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0 or nb == 0:
         return False
@@ -94,19 +80,19 @@ def projective_equal(p: ProjectivePoint, q: ProjectivePoint) -> bool:
 # canonical hyperplanes, permuted from their usual slot order to ours:
 # each is the set a given sigma misses.
 
-def in_pi_plus(p: ProjectivePoint) -> bool:
+def in_pi_plus(rep: np.ndarray) -> bool:
     """Hyperplane missed by the de Sitter embedding: first slot vanishes."""
-    return bool(_slot_vanishes(p.rep.coords, 0))
+    return bool(_slot_vanishes(rep, 0))
 
 
-def in_pi_minus(p: ProjectivePoint) -> bool:
+def in_pi_minus(rep: np.ndarray) -> bool:
     """Hyperplane missed by the anti-de Sitter embedding: third slot vanishes."""
-    return bool(_slot_vanishes(p.rep.coords, 2))
+    return bool(_slot_vanishes(rep, 2))
 
 
-def in_pi(p: ProjectivePoint) -> bool:
+def in_pi(rep: np.ndarray) -> bool:
     """Hyperplane missed by the flat embedding: slots 2 and 3 agree."""
-    c = _scaled(p.rep.coords)
+    c = _scaled(rep)
     return abs(c[1] - c[2]) <= SCALE_FREE_TOL * np.linalg.norm(c)
 
 
@@ -161,10 +147,10 @@ def _centre(x):
 def _check_on_form(kind: str, X: np.ndarray) -> None:
     if kind == LORENTZ_FLAT:
         return
-    sig = Signature(2 if kind == ANTI_DE_SITTER else 1, X.shape[1])
+    signs = form_signs(2 if kind == ANTI_DE_SITTER else 1, X.shape[1])
     target = 1.0 if kind == DE_SITTER else -1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = np.max(np.abs(pseudo_dot(X, X, sig.signs) - target))
+        resid = np.max(np.abs(pseudo_dot(X, X, signs) - target))
     # an overflowing <x,x> reads inf or nan, and `resid > ON_FORM_TOL` is
     # False for nan
     if not resid <= ON_FORM_TOL:
@@ -173,8 +159,9 @@ def _check_on_form(kind: str, X: np.ndarray) -> None:
         )
 
 
-def embed(point, which: str) -> ProjectivePoint:
-    """Embed a space-form point into the conformal space, canonical slots."""
+def embed(point, which: str) -> np.ndarray:
+    """Embed a space-form point into the conformal space: its canonical
+    representative (m+3,), time-like slots first."""
     tag = MAP_TAGS.get(which)
     if tag is None or tag.source_kind is None or tag.alpha is not None:
         raise ValidationError(f"unknown embedding {which!r}; use sigma0, sigma1 or sigma-1")
@@ -183,46 +170,42 @@ def embed(point, which: str) -> ProjectivePoint:
         raise InputError("embed expects a single point")
     X = x[None, :]
     _check_on_form(tag.source_kind, X)
-    rep = sigma_rep_batch(tag.source_kind, X)[0]
-    return ProjectivePoint(PseudoVector(rep, Signature(2, rep.shape[0])))
+    return sigma_rep_batch(tag.source_kind, X)[0]
 
 
-def t_swap(w) -> np.ndarray | PseudoVector:
-    """Exchange the two time-like slots of a conformal-space representative."""
-    if isinstance(w, PseudoVector):
-        c = w.coords.copy()
-        c[[0, 1]] = c[[1, 0]]
-        return PseudoVector(c, w.sig)
+def t_swap(w) -> np.ndarray:
+    """Exchange the two time-like slots of representatives (along the last axis)."""
     arr = np.asarray(w, dtype=float).copy()
     arr[..., [0, 1]] = arr[..., [1, 0]]
     return arr
 
 
-def psi(alpha: int, p: ProjectivePoint) -> PseudoVector:
-    """Non-homogeneous coordinate map of one point: psi_batch on its representative."""
+def psi(alpha: int, reps, name: str = ""):
+    """Non-homogeneous coordinate map onto the unit de Sitter quadric.
+
+    `reps` is one null representative (m+3,) or a batch (N, m+3), an array
+    or a Taylor series; it is not checked to be null.  psi1 divides by the
+    first slot (undefined on pi_plus), psi2 by the second; psi2 = psi1 o
+    t_swap.  Raises when the divisor (its centre value, for a series)
+    vanishes, a zero representative included; `name` names the lifted
+    chart in the message.
+    """
     if alpha not in (1, 2):
         raise ValidationError(f"alpha must be 1 or 2, got {alpha}")
-    out = psi_batch(alpha, p.rep.coords[None, :])[0]
-    return PseudoVector(out, Signature(1, out.shape[0]))
-
-
-def psi_batch(alpha: int, reps, name: str = ""):
-    """Non-homogeneous coordinate map onto the unit de Sitter quadric, on
-    representatives (N, m+3) given as an array or a Taylor series.
-
-    psi1 divides by the first slot (undefined on pi_plus), psi2 by the
-    second; psi2 = psi1 o t_swap.  Raises when the divisor (its centre value,
-    for a series) vanishes; `name` names the lifted chart in the message.
-    """
-    if np.any(_slot_vanishes(_centre(reps), alpha - 1)):
+    if not isinstance(reps, taylor.Series):
+        reps = np.asarray(reps, dtype=float)
+    single = reps.ndim == 1
+    R = reps[None, :] if single else reps
+    if np.any(_slot_vanishes(_centre(R), alpha - 1)):
         plane = "pi_plus" if alpha == 1 else "t_swap image of pi_plus"
         raise ChartDomainError(
             f"psi{alpha}{' of ' + name if name else ''} undefined: "
             f"dividing slot {alpha} vanishes (representative on {plane})"
         )
-    keep = reps[:, 1] if alpha == 1 else reps[:, 0]
-    join = taylor.concatenate if isinstance(reps, taylor.Series) else np.concatenate
-    return join([keep[:, None], reps[:, 2:]], axis=1) / reps[:, alpha - 1][:, None]
+    keep = R[:, 1] if alpha == 1 else R[:, 0]
+    join = taylor.concatenate if isinstance(R, taylor.Series) else np.concatenate
+    out = join([keep[:, None], R[:, 2:]], axis=1) / R[:, alpha - 1][:, None]
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +305,7 @@ def compose_maps(which: str, point):
     reps = einsum("nj,ij->ni", reps, tag.permutation(reps.shape[1] - 3))
     if np.any(_slot_vanishes(_centre(reps), tag.alpha - 1)):
         raise ChartDomainError(f"{which} undefined: denominator {tag.denominator!r} vanishes")
-    out = psi_batch(tag.alpha, reps)
+    out = psi(tag.alpha, reps)
     return out[0] if single else out
 
 
@@ -337,7 +320,7 @@ class LiftedChart(ImmersionChart):
     Values and jets are the base chart's pushed through that map: a jet is
     the base jet's Taylor series composed exactly, so its accuracy is the
     base chart's, analytic or FD in the base's own picture.  The divisor is
-    checked by psi_batch's rule, on the centre values of a series.
+    checked by psi's rule, on the centre values of a series.
     """
 
     def __init__(self, base: ImmersionChart, M: np.ndarray, alpha: int):
@@ -363,7 +346,7 @@ class LiftedChart(ImmersionChart):
     def _lift(self, x):
         """The map of points x (N, d), given as an array or a Taylor series."""
         reps = einsum("nj,ij->ni", sigma_rep_batch(self.base.ambient.kind, x), self.M)
-        return psi_batch(self.alpha, reps, self.name)
+        return psi(self.alpha, reps, self.name)
 
     def eval(self, U: np.ndarray) -> np.ndarray:
         return self._lift(self.base.eval(U))

@@ -1,57 +1,20 @@
-"""Signature-aware linear algebra.
+"""Linear algebra of indefinite forms.
 
-Conventions: the quadratic form on R^{s+n} is diag(-1 x s, +1 x (n-s))
-with the time-like slots always occupying the FIRST s coordinates.
-Signature and PseudoVector are the immutable values the atlas's
-single-point maps take; every computation runs on batches, with the batch
-axis first (`pseudo_dot`, `batched_normal`, `triangular_frame`).
+Conventions: the quadratic form on R^n with s time-like slots is
+diag(-1 x s, +1 x (n-s)), the time-like slots always occupying the FIRST s
+coordinates; `form_signs(s, n)` is its diagonal.  Vectors are plain
+arrays, and every computation runs on batches, with the batch axis first
+(`pseudo_dot`, `batched_normal`, `triangular_frame`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .config import NORMAL_LEAD_TOL
 from .errors import DimensionMismatchError, RegularityError, ValidationError
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Signature (s, n): s time-like slots out of n total."""
-
-    time: int
-    total: int
-
-    def __post_init__(self):
-        if not (0 <= self.time <= self.total):
-            raise ValidationError(f"signature requires 0 <= s <= n, got s={self.time}, n={self.total}")
-
-    @property
-    def signs(self) -> np.ndarray:
-        out = np.ones(self.total)
-        out[: self.time] = -1.0
-        return out
-
-
-@dataclass(frozen=True)
-class PseudoVector:
-    """Coordinate vector together with the signature of its ambient form."""
-
-    coords: np.ndarray
-    sig: Signature
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.ndim != 1 or coords.shape[0] != self.sig.total:
-            raise DimensionMismatchError(
-                f"coordinate length {coords.shape} does not match signature n={self.sig.total}"
-            )
-        coords = coords.copy()
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
 
 
 def cluster_eigenvalues(values: Sequence[float], rel_tol: float) -> list[tuple[float, int]]:
@@ -85,7 +48,12 @@ def cluster_eigenvalues(values: Sequence[float], rel_tol: float) -> list[tuple[f
 # ---------------------------------------------------------------------------
 
 def form_signs(time: int, total: int) -> np.ndarray:
-    return Signature(time, total).signs
+    """diag of the form with `time` time-like slots out of `total`."""
+    if not (0 <= time <= total):
+        raise ValidationError(f"signature requires 0 <= s <= n, got s={time}, n={total}")
+    out = np.ones(total)
+    out[:time] = -1.0
+    return out
 
 
 def pseudo_dot(a: np.ndarray, b: np.ndarray, signs: np.ndarray) -> np.ndarray:

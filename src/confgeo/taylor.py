@@ -171,8 +171,11 @@ def _reduce_pairs(terms_of, m: int, order: int, per_pair: int) -> np.ndarray:
     """Sum from 0.0 of terms_of(left, right), the terms of the coefficient
     pairs with those indices, per product monomial over the pair table, each
     monomial's pairs added in table order.  The pairs go to terms_of in
-    slices that keep the gathered arrays near _CHUNK_BYTES."""
+    slices that keep the gathered arrays within _CHUNK_BYTES; the slice
+    length is a power of two, so that the layouts cached for one (m, order)
+    are few whatever the batch sizes."""
     step = max(1, _CHUNK_BYTES // (8 * max(1, per_pair)))
+    step = 1 << (step.bit_length() - 1)
     rows, left, right, slices = _pair_ranks(m, order, min(step, len(_pairs(m, order)[0])))
     acc = None
     for lo, hi, adds in slices:

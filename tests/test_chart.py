@@ -150,7 +150,7 @@ class TestShapeData:
     def test_normal_is_unit_timelike_and_orthogonal(self, wp_chart):
         U = grid_points(wp_chart.domain, [3], margin=0.02)
         n = shape_batch(wp_chart, U).n.value
-        signs = wp_chart.ambient.signature.signs
+        signs = wp_chart.ambient.signs
         nn = np.einsum("nc,c,nc->n", n, signs, n)
         assert np.allclose(nn, -1.0, atol=1e-9)
         ndx = np.einsum("nc,c,nci->ni", n, signs, wp_chart.jet(U, 1).grad().value)

@@ -93,7 +93,7 @@ MAP_GOLDEN = [
     ("sigma1", "2,2.2360679774997898,0,0", "262aac34e744fa9df57a074fda76178bc0339813bcd2ec149c474c30a4633736"),
     ("sigma-1", "0.6,0.8,0,0,0", "8f027936079026c1bb41013ae12ff48153c6ab042bb629fe436cec6ce0818700"),
     ("psi1", "1,2,2.2360679774997898,0,0", "4a3e0678ab9671d116ffd53504bf7ea35ddc009b067f7dc87a0e29de1b1b0718"),
-    ("psi2", "0.5,-1,0,0.3,0", "8775a8fe6214c9a21a08cf8007d9f9bd86327b6d1dc13f6b8ba5ed3abbccbf0c"),
+    ("psi2", "0.6,0.8,1,0,0", "5bbb1e29b11b4f5128b704a5aa8139ca273d212d26b193879fc2e75afe00f7c8"),
     ("tswap", "1,2,3,4", "035a639fe7f05f8dd97b70fc7451b26d3a810b01e0b10a46168187f8afba02cb"),
     ("sigma^1", "0.3,0.2,-0.1,0.5", "fdd8c163517fcba9acbd409b0feae51fa31b83eb85f0ce9ae7898216d8baa2d2"),
     ("sigma^2", "1,0.2,0.3,0.4", "bf2534f3c0f261d616d9c02f6ad94997f9845ef3839a1fe3ffb0c22e6a8fe892"),
@@ -143,6 +143,19 @@ class TestMapCommand:
         ],
     )
     def test_golden_domain_errors(self, capsys, which, point, line):
+        assert run_cli(capsys, "map", "--which", which, "--point", point) == (1, "", line)
+
+    @pytest.mark.parametrize(
+        "which,point,line",
+        [
+            ("psi1", "0,0,0,0,0", "error: zero vector does not represent a projective point\n"),
+            ("psi2", "0,0,0,0,0", "error: zero vector does not represent a projective point\n"),
+            ("psi1", "1,0,0,0,0", "error: point is off the null cone: |<y,y>| > 1e-08 |y|^2\n"),
+            ("psi2", "0.5,-1,0,0.3,0", "error: point is off the null cone: |<y,y>| > 1e-08 |y|^2\n"),
+        ],
+    )
+    def test_representative_refused(self, capsys, which, point, line):
+        # psi maps a point of the conformal space: a nonzero null representative
         assert run_cli(capsys, "map", "--which", which, "--point", point) == (1, "", line)
 
     @pytest.mark.parametrize(
@@ -424,3 +437,32 @@ def test_analytic_report_does_not_depend_on_the_thread_count():
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+# classify in a process that cannot import sympy, then touch chart.exprs
+WITHOUT_SYMPY = """
+import sys
+sys.modules["sympy"] = None
+from confgeo.catalog import build_instance
+from confgeo.cli import main
+code = main(["classify", "--catalog", "sxh", "--grid", "3"])
+try:
+    build_instance("sxh").exprs
+except ImportError as exc:
+    print(exc, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_classify_runs_without_sympy(capsys):
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SYMPY],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(capsys, "classify", "--catalog", "sxh", "--grid", "3")[1]
+    assert proc.stderr.startswith("chart 'sxh(")
+    assert proc.stderr.endswith("': its expressions need sympy; install confgeo[sympy]\n")

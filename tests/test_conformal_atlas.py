@@ -9,35 +9,28 @@ from confgeo.catalog import build_instance
 from confgeo.chart import grid_points, shape_batch
 from confgeo.conformal_atlas import (
     MAP_TAGS,
-    ProjectivePoint,
     compose_maps,
     conformality_witness,
     embed,
     in_pi,
     in_pi_minus,
     in_pi_plus,
+    is_null,
     lift_chart,
     projective_equal,
     psi,
-    psi_batch,
     sigma_rep_batch,
     t_swap,
 )
 from confgeo.errors import ChartDomainError, InputError, ValidationError
-from confgeo.pseudo_linalg import PseudoVector, Signature, form_signs, pseudo_dot
+from confgeo.pseudo_linalg import form_signs, pseudo_dot
 
 
-def _unit_peak(p: ProjectivePoint) -> np.ndarray:
-    return p.rep.coords / np.max(np.abs(p.rep.coords))
+def _unit_peak(p: np.ndarray) -> np.ndarray:
+    return p / np.max(np.abs(p))
 
 
-def null_within(p: ProjectivePoint, tol: float) -> bool:
-    """ProjectivePoint.is_null's test at a tolerance of the caller's."""
-    c = _unit_peak(p)
-    return abs(float(np.sum(c * c * p.rep.sig.signs))) <= tol * float(np.sum(c * c))
-
-
-def projective_equal_within(p: ProjectivePoint, q: ProjectivePoint, tol: float) -> bool:
+def projective_equal_within(p: np.ndarray, q: np.ndarray, tol: float) -> bool:
     """projective_equal's test at a tolerance of the caller's."""
     a, b = _unit_peak(p), _unit_peak(q)
     return abs(float(np.dot(a, b))) / (np.linalg.norm(a) * np.linalg.norm(b)) > 1.0 - tol
@@ -68,29 +61,29 @@ def random_anti_de_sitter(rng, m, n=20):
 class TestEmbed:
     def test_flat_origin(self):
         p = embed(np.zeros(3), "sigma0")
-        assert np.allclose(p.rep.coords, [0, 1, -1, 0, 0])
-        assert p.is_null()
+        assert np.allclose(p, [0, 1, -1, 0, 0])
+        assert is_null(p)
         assert not in_pi(p)
 
     def test_de_sitter_example(self):
         u = np.array([2.0, math.sqrt(5.0), 0.0, 0.0])
         p = embed(u, "sigma1")
-        assert np.allclose(p.rep.coords, [1, 2, math.sqrt(5), 0, 0])
-        assert p.is_null()
+        assert np.allclose(p, [1, 2, math.sqrt(5), 0, 0])
+        assert is_null(p)
 
     def test_images_lightlike_and_avoid_hyperplanes(self, rng):
         m = 3
         for u in random_de_sitter(rng, m, 25):
             p = embed(u, "sigma1")
-            assert p.is_null()
+            assert is_null(p)
             assert not in_pi_plus(p)
         for y in random_anti_de_sitter(rng, m, 25):
             p = embed(y, "sigma-1")
-            assert p.is_null()
+            assert is_null(p)
             assert not in_pi_minus(p)
         for u in rng.normal(size=(25, m + 1)):
             p = embed(u, "sigma0")
-            assert p.is_null()
+            assert is_null(p)
             assert not in_pi(p)
 
     def test_off_form_rejected(self):
@@ -107,54 +100,64 @@ class TestEmbed:
 
     @pytest.mark.parametrize("scale", [1e160, 1e-160, 1.0])
     def test_null_test_is_scale_free(self, scale):
-        null = PseudoVector(scale * np.array([1.0, 0.0, 1.0, 0.0, 0.0]), Signature(2, 5))
-        timelike = PseudoVector(scale * np.array([2.0, 1.0, 0.0, 0.0, 0.0]), Signature(2, 5))
-        assert ProjectivePoint(null).is_null()
-        assert not ProjectivePoint(timelike).is_null()
+        null = scale * np.array([1.0, 0.0, 1.0, 0.0, 0.0])
+        timelike = scale * np.array([2.0, 1.0, 0.0, 0.0, 0.0])
+        assert is_null(null)
+        assert not is_null(timelike)
 
 
 class TestPsi:
     def test_left_inverse_of_de_sitter_embedding(self, rng):
         for u in random_de_sitter(rng, 3, 100):
             out = psi(1, embed(u, "sigma1"))
-            assert np.max(np.abs(out.coords - u)) <= 1e-12
+            assert np.max(np.abs(out - u)) <= 1e-12
 
     def test_swapped_coordinate_map(self):
         u = np.array([2.0, math.sqrt(5.0), 0.0, 0.0])
         out = psi(2, embed(u, "sigma1"))
-        assert np.allclose(out.coords, [0.5, math.sqrt(5) / 2, 0, 0])
+        assert np.allclose(out, [0.5, math.sqrt(5) / 2, 0, 0])
         signs = form_signs(1, 4)
-        assert pseudo_dot(out.coords[None], out.coords[None], signs)[0] == pytest.approx(1.0)
+        assert pseudo_dot(out[None], out[None], signs)[0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200, 1.0])
     def test_tests_on_representatives_are_scale_free(self, scale):
         # [1:2:0:0:0] at any scale; the norms of the raw entries overflow
         # (1e200) or underflow (1e-200), and warnings are errors in this suite
-        p = ProjectivePoint(PseudoVector(scale * np.array([1.0, 2.0, 0.0, 0.0, 0.0]), Signature(2, 5)))
-        q = ProjectivePoint(PseudoVector(np.array([1.0, 2.0, 0.0, 0.0, 0.0]), Signature(2, 5)))
-        assert np.array_equal(psi(1, p).coords, [2.0, 0.0, 0.0, 0.0])
-        assert np.array_equal(psi(2, p).coords, [0.5, 0.0, 0.0, 0.0])
+        p = scale * np.array([1.0, 2.0, 0.0, 0.0, 0.0])
+        q = np.array([1.0, 2.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(psi(1, p), [2.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(psi(2, p), [0.5, 0.0, 0.0, 0.0])
         assert (in_pi_plus(p), in_pi_minus(p), in_pi(p)) == (False, True, False)
         assert projective_equal(p, q) and projective_equal(q, p)
-        on_pi_plus = ProjectivePoint(PseudoVector(scale * np.array([0.0, 1.0, 1.0, 0.0, 0.0]), Signature(2, 5)))
+        on_pi_plus = scale * np.array([0.0, 1.0, 1.0, 0.0, 0.0])
         assert in_pi_plus(on_pi_plus) and in_pi(on_pi_plus)
         with pytest.raises(ChartDomainError, match="dividing slot 1 vanishes"):
             psi(1, on_pi_plus)
 
     def test_zero_representative_is_outside_the_domain(self):
         with pytest.raises(ChartDomainError, match="dividing slot 1 vanishes"):
-            psi_batch(1, np.zeros((2, 5)))
+            psi(1, np.zeros((2, 5)))
+        with pytest.raises(ChartDomainError, match="dividing slot 1 vanishes"):
+            psi(1, np.zeros(5))
 
     def test_excluded_hyperplane(self):
-        rep = PseudoVector(np.array([0.0, 1.0, 1.0, 0.0, 0.0]), Signature(2, 5))
         with pytest.raises(ChartDomainError):
-            psi(1, ProjectivePoint(rep))
+            psi(1, np.array([0.0, 1.0, 1.0, 0.0, 0.0]))
+
+    def test_point_batch_and_series_agree(self, rng):
+        reps = np.stack([embed(u, "sigma1") for u in random_de_sitter(rng, 3, 8)])
+        for alpha in (1, 2):
+            batch = psi(alpha, reps)
+            assert np.array_equal(batch, np.stack([psi(alpha, r) for r in reps]))
+            series = psi(alpha, taylor.Series(np.stack([reps, 0.1 * rng.normal(size=reps.shape)]), 1, 1))
+            assert series.order == 1
+            np.testing.assert_allclose(series.value, batch, rtol=1e-15, atol=0)
 
     def test_images_on_unit_quadric(self, rng):
         signs = form_signs(1, 5)
         for y in random_anti_de_sitter(rng, 3, 20):
             out = psi(2, embed(y, "sigma-1"))
-            val = pseudo_dot(out.coords[None], out.coords[None], signs)[0]
+            val = pseudo_dot(out[None], out[None], signs)[0]
             assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -203,10 +206,9 @@ class TestComposedMaps:
             P = tag.permutation(m)
             sigma = "sigma0" if which.startswith("sigma") else "sigma-1"
             for u in pts:
-                rep = embed(u, sigma).rep.coords
-                permuted = ProjectivePoint(PseudoVector(P @ rep, Signature(2, m + 3)))
-                assert null_within(permuted, 1e-10)
-                expected = psi(tag.alpha, permuted).coords
+                permuted = P @ embed(u, sigma)
+                assert is_null(permuted, 1e-10)
+                expected = psi(tag.alpha, permuted)
                 assert np.allclose(compose_maps(which, u), expected, atol=1e-12)
 
     def test_named_denominators(self):
@@ -232,14 +234,14 @@ class TestComposedMaps:
         # of its permuted representative is
         tag = MAP_TAGS[which]
         sigma = "sigma0" if which.startswith("sigma") else "sigma-1"
-        rep = tag.permutation(tag.source_m(len(point))) @ embed(point, sigma).rep.coords
+        rep = tag.permutation(tag.source_m(len(point))) @ embed(point, sigma)
         try:
-            expected = psi(tag.alpha, ProjectivePoint(PseudoVector(rep, Signature(2, rep.shape[0]))))
+            expected = psi(tag.alpha, rep)
         except ChartDomainError:
             with pytest.raises(ChartDomainError, match=re.escape(tag.denominator)):
                 compose_maps(which, point)
         else:
-            assert np.array_equal(compose_maps(which, point), expected.coords)
+            assert np.array_equal(compose_maps(which, point), expected)
 
     def test_unknown_map(self):
         with pytest.raises(ValidationError):
@@ -254,9 +256,7 @@ class TestTSwap:
 
     def test_lightlike_preserved(self, rng):
         for u in random_de_sitter(rng, 3, 10):
-            p = embed(u, "sigma1")
-            swapped = ProjectivePoint(t_swap(p.rep))
-            assert swapped.is_null()
+            assert is_null(t_swap(embed(u, "sigma1")))
 
     def test_conformal_position_of_swapped_lift(self, sxh_chart):
         # the light-cone lift of the second coordinate chart is the slot swap
@@ -267,11 +267,8 @@ class TestTSwap:
             np.sqrt(s.rho2.value)[:, None] * np.concatenate([np.ones((U.shape[0], 1)), s.x.value], axis=1)
             for s in (shape_batch(sxh_chart, U), shape_batch(second, U))
         )
-        sig = Signature(2, sxh_chart.m + 3)
         for a, b in zip(Y1, Y2):
-            pa = ProjectivePoint(PseudoVector(t_swap(a), sig))
-            pb = ProjectivePoint(PseudoVector(b, sig))
-            assert projective_equal_within(pa, pb, 1e-8)
+            assert projective_equal_within(t_swap(a), b, 1e-8)
 
 
 class TestConformality:

@@ -22,7 +22,7 @@ from confgeo.invariants import (
     grid_margin,
     run_cross_check,
 )
-from confgeo.pseudo_linalg import Signature, pseudo_dot, triangular_frame
+from confgeo.pseudo_linalg import form_signs, pseudo_dot, triangular_frame
 
 
 def _lift(s):
@@ -32,7 +32,7 @@ def _lift(s):
 
 
 def _is_null(Y, tol=1e-12):
-    return abs(pseudo_dot(Y, Y, Signature(2, Y.shape[0]).signs)) <= tol * np.sum(Y**2)
+    return abs(pseudo_dot(Y, Y, form_signs(2, Y.shape[0]))) <= tol * np.sum(Y**2)
 
 
 class TestConformalPosition:
@@ -61,7 +61,7 @@ class TestConformalPosition:
         U = rng.uniform(lo + 0.1, hi - 0.1, size=(5, wp_lifted.m))
         Y = _lift(shape_batch(wp_lifted, U))
         assert np.allclose(frame_route(wp_lifted, U).Y, Y, rtol=0, atol=1e-12)
-        val = pseudo_dot(Y, Y, Signature(2, Y.shape[1]).signs)
+        val = pseudo_dot(Y, Y, form_signs(2, Y.shape[1]))
         assert np.max(np.abs(val)) <= 1e-9
 
     def test_assembled_chart_lift_is_the_assembly(self, ex33_chart):
@@ -583,7 +583,7 @@ class TestConformalInvariance:
         for chart in (sxh_chart, ex33_chart, graph_chart):
             d = chart.m + 3
             T = _conformal_move(d, turn, rapidities, slots, spin)
-            signs = np.diag(Signature(2, d).signs)
+            signs = np.diag(form_signs(2, d))
             assert np.allclose(T.T @ signs @ T, signs, rtol=0, atol=1e-14)
             ref = lift_chart(chart, "psi1")
             moved = LiftedChart(chart, T @ ref.M, 1)

@@ -18,6 +18,7 @@ from confgeo.catalog import build_instance
 from confgeo.chart import AmbientForm, Box, ImmersionChart, grid_points
 from confgeo.conformal_atlas import LiftedChart, lift_chart, sigma_rep
 from confgeo.errors import ValidationError
+from confgeo.invariants import evaluate_field
 from confgeo.pseudo_linalg import batched_normal, form_signs, triangular_frame
 
 
@@ -228,6 +229,22 @@ def test_product_in_several_slices_sums_pairs_in_table_order():
     a = taylor.Series(rng.normal(size=(n, *shape)), m, order)
     b = taylor.Series(rng.normal(size=(n, *shape)), m, order)
     assert np.array_equal((a * b).c, _table_order_sum(a.c[left] * b.c[right], m, order))
+
+
+def test_pair_layouts_do_not_grow_with_batch_sizes():
+    # one field at 100 points, then one at each size up to 128: the slices
+    # of the pair table depend on the batch size, but the layouts cached
+    # for them are not one per size
+    chart = build_instance("ex33")
+    lo, hi = chart.domain.arrays()
+    rng = np.random.default_rng(0)
+    taylor._pair_ranks.cache_clear()
+    sizes = []
+    for N in range(100, 129):
+        evaluate_field(chart, rng.uniform(lo + 0.05, hi - 0.05, size=(N, chart.m)))
+        sizes.append(taylor._pair_ranks.cache_info().currsize)
+    # a batch size at most 1.28 times another halves a slice at most once
+    assert sizes[-1] <= 2 * sizes[0], sizes
 
 
 def test_contraction_sums_pairs_in_table_order():
