@@ -35,7 +35,9 @@ Module constants, one per decision outside the tiers:
                        (AmbientForm.is_unit: evaluate_field, frame_route,
                        lift_chart)
 * ON_FORM_TOL       -- a point handed to embed or compose_maps lies on its
-                       space form
+                       space form; a representative typed to
+                       `map --which psi1|psi2` is null
+                       (|<c,c>| <= ON_FORM_TOL |c|^2, cli._map_point)
 * SCALE_FREE_TOL    -- a slot, the form value or the angle of homogeneous
                        representatives vanishes, relative to their norm
                        (psi, compose_maps, is_null, projective_equal,

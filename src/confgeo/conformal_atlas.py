@@ -303,9 +303,12 @@ def compose_maps(which: str, point):
     _check_on_form(tag.source_kind, _centre(X))
     reps = sigma_rep_batch(tag.source_kind, X)
     reps = einsum("nj,ij->ni", reps, tag.permutation(reps.shape[1] - 3))
-    if np.any(_slot_vanishes(_centre(reps), tag.alpha - 1)):
-        raise ChartDomainError(f"{which} undefined: denominator {tag.denominator!r} vanishes")
-    out = psi(tag.alpha, reps)
+    try:
+        out = psi(tag.alpha, reps)
+    except ChartDomainError:
+        raise ChartDomainError(
+            f"{which} undefined: denominator {tag.denominator!r} vanishes"
+        ) from None
     return out[0] if single else out
 
 
