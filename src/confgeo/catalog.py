@@ -409,19 +409,6 @@ def verify_core(core: CoreHypersurface, *, counts: int = 3) -> CoreReport:
 # default instances
 # ---------------------------------------------------------------------------
 
-def make_product(family: str, m: int, k: int, a: float | None = None) -> ImmersionChart:
-    family = family.lower()
-    if family == "hxr":
-        return make_hxr(m, k)
-    if family in ("sxh", "hxh") and a is None:
-        raise ValidationError(f"{family} requires a parameter a")
-    if family == "sxh":
-        return make_sxh(m, k, a)
-    if family == "hxh":
-        return make_hxh(m, k, a)
-    raise ValidationError(f"unknown product family {family!r}; use hxr, sxh or hxh")
-
-
 # each family's defaults, naming every parameter it takes; these are also the
 # instances exercised by the verification suite, and ex32 is listed so the
 # infeasibility surfaces through the same path as everything else
@@ -433,6 +420,9 @@ DEFAULT_INSTANCES: dict[str, dict] = {
     "ex33": {"m": 4, "K": 2, "split": 1, "r": None},
     "ex32": {"m": 4, "K": 2, "split": 1, "r": None},
 }
+
+# the builder of each family but the assembled examples (make_example)
+_BUILDERS = {"hxr": make_hxr, "sxh": make_sxh, "hxh": make_hxh, "wp": make_wp}
 
 
 def build_instance(name: str, **overrides) -> ImmersionChart:
@@ -451,8 +441,6 @@ def build_instance(name: str, **overrides) -> ImmersionChart:
                 f"{name} takes no parameter {key!r}; its parameters are {', '.join(params)}"
             )
     params.update({k: v for k, v in overrides.items() if v is not None})
-    if name == "wp":
-        return make_wp(**params)
     if name in ("ex32", "ex33"):
         return make_example(name, **params)
-    return make_product(name, **params)
+    return _BUILDERS[name](**params)

@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from . import taylor
-from .fd import default_reach, fit_series
+from .fd import MAX_ORDER, default_reach, fit_series
 from .pseudo_linalg import batched_normal, form_signs, pseudo_dot
 from .taylor import einsum
 
@@ -348,14 +348,14 @@ class ImmersionChart:
     # -- jets ---------------------------------------------------------------
 
     def jet(self, U: np.ndarray, order: int) -> taylor.Series:
-        """Taylor series of x up to `order` (<= 5) around each point of U.
+        """Taylor series of x up to `order` (<= fd.MAX_ORDER) around each point of U.
 
         Analytic charts run their formula on series; FD charts take the
         coefficients of the least-squares polynomial fitted around each
         point (fd.fit_series).
         """
-        if not (0 <= order <= 5):
-            raise ValidationError(f"jet order must be within 0..5, got {order}")
+        if not (0 <= order <= MAX_ORDER):
+            raise ValidationError(f"jet order must be within 0..{MAX_ORDER}, got {order}")
         U = np.atleast_2d(np.asarray(U, dtype=float))
         if self.jet_mode == "analytic":
             return self._taylor_series(U, order)

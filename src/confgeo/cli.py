@@ -94,17 +94,17 @@ def _write_report(text: str, out: str | None) -> None:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+# the catalog family parameters, each a flag --<name> of its type
+_FAMILY_FLAGS = (
+    ("m", int), ("k", int), ("a", float), ("p", int), ("q", int), ("K", int), ("split", int), ("r", float),
+)
+
+
 def _add_chart_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--catalog", type=str, help="catalog chart name (hxr, sxh, hxh, wp, ex32, ex33)")
     p.add_argument("--chart-file", type=str, help="chart definition JSON file")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--split", type=int, default=None)
-    p.add_argument("--r", type=float, default=None)
+    for name, kind in _FAMILY_FLAGS:
+        p.add_argument(f"--{name}", type=kind, default=None)
     p.add_argument("--lift", type=str, default="psi1", choices=["psi1", "psi2"])
 
 
@@ -119,9 +119,7 @@ def _build_chart(args) -> "catalog.ImmersionChart":
     if args.chart_file:
         return load_chart(args.chart_file)
     overrides = {
-        key: getattr(args, key)
-        for key in ("m", "k", "a", "p", "q", "K", "split", "r")
-        if getattr(args, key, None) is not None
+        name: getattr(args, name) for name, _ in _FAMILY_FLAGS if getattr(args, name) is not None
     }
     return catalog.build_instance(args.catalog, **overrides)
 

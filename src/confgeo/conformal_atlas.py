@@ -37,7 +37,7 @@ from .chart import (
 )
 from .config import ON_FORM_TOL, SCALE_FREE_TOL
 from .errors import ChartDomainError, InputError, ValidationError
-from .pseudo_linalg import form_signs, pseudo_dot
+from .pseudo_linalg import form_signs
 from .taylor import einsum
 
 
@@ -145,17 +145,17 @@ def _centre(x):
 
 
 def _check_on_form(kind: str, X: np.ndarray) -> None:
+    """Refuse points X (N, d) off the unit quadric of form `kind`."""
     if kind == LORENTZ_FLAT:
         return
-    signs = form_signs(2 if kind == ANTI_DE_SITTER else 1, X.shape[1])
-    target = 1.0 if kind == DE_SITTER else -1.0
+    form = AmbientForm(kind, X.shape[1] - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = np.max(np.abs(pseudo_dot(X, X, signs) - target))
+        resid = np.max(form.quadric_residual(X))
     # an overflowing <x,x> reads inf or nan, and `resid > ON_FORM_TOL` is
     # False for nan
     if not resid <= ON_FORM_TOL:
         raise InputError(
-            f"point is off the {kind} space form: |<x,x> - ({target})| = {resid:.3e}"
+            f"point is off the {kind} space form: |<x,x> - ({form.quadric_value})| = {resid:.3e}"
         )
 
 
@@ -212,37 +212,26 @@ def psi(alpha: int, reps, name: str = ""):
 # composed maps onto the de Sitter picture
 # ---------------------------------------------------------------------------
 
-def _perm_flat(m: int) -> np.ndarray:
-    """Signed permutation turning the canonical flat representative
-    (2u1, q+1, q-1, 2u') into the arrangement (q+1, 2u1, 2u', 1-q)."""
-    d = m + 3
-    P = np.zeros((d, d))
-    P[0, 1] = 1.0
-    P[1, 0] = 1.0
-    for j in range(m):
-        P[2 + j, 3 + j] = 1.0
-    P[d - 1, 2] = -1.0
-    return P
-
-
-def _perm_ads(m: int) -> np.ndarray:
-    """Permutation moving the constant slot of the anti-de Sitter
-    representative (y1, y2, 1, y') to the end: (y1, y2, y', 1)."""
-    d = m + 3
-    P = np.zeros((d, d))
-    P[0, 0] = 1.0
-    P[1, 1] = 1.0
-    for j in range(m):
-        P[2 + j, 3 + j] = 1.0
-    P[d - 1, 2] = 1.0
-    return P
+# the arrangement psi_alpha o sigma is written in, per source form: the
+# canonical slots of its two leading entries and the sign of its last entry,
+# canonical slot 2; the entries between are slots 3, 4, ... in order
+#   flat            (2u1, q+1, q-1, 2u')  ->  (q+1, 2u1, 2u', 1-q)
+#   anti-de Sitter  (y1, y2, 1, y')       ->  (y1, y2, y', 1)
+_ARRANGEMENTS = {LORENTZ_FLAT: ((1, 0), -1.0), ANTI_DE_SITTER: ((0, 1), 1.0)}
 
 
 def _slot_permutation(kind: str | None, m: int) -> np.ndarray:
     """Signed slot permutation that psi_alpha o sigma applies to the canonical
     representative of a point of form `kind`; the identity on de Sitter."""
-    build = {LORENTZ_FLAT: _perm_flat, ANTI_DE_SITTER: _perm_ads}.get(kind)
-    return np.eye(m + 3) if build is None else build(m)
+    d = m + 3
+    if kind not in _ARRANGEMENTS:
+        return np.eye(d)
+    lead, last_sign = _ARRANGEMENTS[kind]
+    P = np.zeros((d, d))
+    P[[0, 1], lead] = 1.0
+    P[np.arange(2, d - 1), np.arange(3, d)] = 1.0
+    P[d - 1, 2] = last_sign
+    return P
 
 
 @dataclass(frozen=True)
@@ -357,9 +346,6 @@ class LiftedChart(ImmersionChart):
     def jet(self, U: np.ndarray, order: int) -> taylor.Series:
         return self._lift(self.base.jet(U, order))
 
-    def fd_margin(self) -> float:
-        return self.base.fd_margin()
-
     def with_jet_mode(self, jet_mode: str, fd_step: float | None = None) -> "LiftedChart":
         return LiftedChart(self.base.with_jet_mode(jet_mode, fd_step), self.M, self.alpha)
 
@@ -391,17 +377,6 @@ def lift_chart(chart: ImmersionChart, which: str) -> LiftedChart:
 # conformality witness
 # ---------------------------------------------------------------------------
 
-def _tangent_basis(kind: str, x: np.ndarray) -> np.ndarray:
-    """Orthogonal-complement basis of the position row on quadric forms."""
-    d = x.shape[0]
-    if kind == LORENTZ_FLAT:
-        return np.eye(d)
-    signs = form_signs(2 if kind == ANTI_DE_SITTER else 1, d)
-    row = (x * signs)[None, :]
-    _, _, Vt = np.linalg.svd(row)
-    return Vt[1:]  # (d-1, d) spanning the form-orthogonal complement of x
-
-
 def conformality_witness(
     map_fn: Callable[[taylor.Series], taylor.Series],
     source_kind: str,
@@ -417,8 +392,12 @@ def conformality_witness(
     gradient is the exact differential.  The basis is form-orthogonal to x,
     so on a quadric that series stays on the source form to first order.
     """
-    basis = _tangent_basis(source_kind, x)
     src_signs = form_signs(2 if source_kind == ANTI_DE_SITTER else 1, x.shape[0])
+    if source_kind == LORENTZ_FLAT:
+        basis = np.eye(x.shape[0])
+    else:
+        # (d-1, d) spanning the form-orthogonal complement of the position
+        basis = np.linalg.svd((x * src_signs)[None, :])[2][1:]
     G = np.einsum("ac,c,bc->ab", basis, src_signs, basis)
     line = taylor.Series(np.concatenate([x[None, :], basis]), basis.shape[0], 1)
     D = map_fn(line).grad().value.T  # (k, target_dim)

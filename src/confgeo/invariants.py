@@ -51,7 +51,7 @@ from dataclasses import dataclass, field as dc_field, fields, replace
 import numpy as np
 
 from . import taylor
-from .chart import DE_SITTER, ImmersionChart, ShapeSeries, grid_points, shape_series
+from .chart import DE_SITTER, LORENTZ_FLAT, ImmersionChart, ShapeSeries, grid_points, shape_series
 from .config import DEFAULT, NumericsConfig
 from .conformal_atlas import lift_chart, sigma_rep_batch
 from .errors import ConsistencyError, RegularityError, ValidationError
@@ -480,7 +480,7 @@ def frame_route(
     U = np.atleast_2d(np.asarray(U, dtype=float))
     m = chart.m
     kind = chart.ambient.kind
-    if kind != "lorentz_flat" and not chart.ambient.is_unit:
+    if kind != LORENTZ_FLAT and not chart.ambient.is_unit:
         raise ValidationError("frame route expects unit-radius quadric ambients")
     signs2 = form_signs(2, m + 3)
     if shape is None:
@@ -609,7 +609,7 @@ def field_report(f: InvariantField) -> dict:
 
 
 def field_report_csv(f: InvariantField) -> str:
-    """Flat CSV of the per-point records."""
+    """Flat CSV of field_report's per-point records."""
     m = f.m
     res_keys = sorted(f.residual_fields)
     header = (
@@ -620,18 +620,11 @@ def field_report_csv(f: InvariantField) -> str:
         + ["Phi_norm"]
         + [f"residual_{k}" for k in res_keys]
     )
-    A_eigs = f.A_eigs()
-    B_eigs = f.B_eigs()
-    phin = f.phi_norm()
     lines = [",".join(header)]
-    for n in range(f.U.shape[0]):
-        row = (
-            [format(v, ".17g") for v in f.U[n]]
-            + [format(f.rho[n], ".17g"), format(f.H[n], ".17g")]
-            + [format(v, ".17g") for v in A_eigs[n]]
-            + [format(v, ".17g") for v in B_eigs[n]]
-            + [format(phin[n], ".17g")]
-            + [format(f.residual_fields[k][n], ".17g") for k in res_keys]
-        )
-        lines.append(",".join(row))
+    for rec in field_report(f)["points"]:
+        row = [
+            *rec["u"], rec["rho"], rec["H"], *rec["A_eigs"], *rec["B_eigs"], rec["Phi_norm"],
+            *(rec["residuals"][k] for k in res_keys),
+        ]
+        lines.append(",".join(format(v, ".17g") for v in row))
     return "\n".join(lines) + "\n"

@@ -12,7 +12,6 @@ from confgeo.catalog import (
     make_example,
     make_hxh,
     make_hxr,
-    make_product,
     make_sxh,
     make_wp,
     verify_core,
@@ -83,15 +82,6 @@ class TestParameterValidation:
     def test_example_split_bound(self):
         with pytest.raises(ValidationError, match="split"):
             make_example("ex33", 4, 2, split=2)
-
-    def test_unknown_product(self):
-        with pytest.raises(ValidationError):
-            make_product("sxs", 3, 1, 2.0)
-
-    @pytest.mark.parametrize("family", ["sxh", "hxh"])
-    def test_product_without_radius(self, family):
-        with pytest.raises(ValidationError, match="requires a parameter a"):
-            make_product(family, 3, 1)
 
     @pytest.mark.parametrize("a", [math.inf, 1e200])
     def test_warp_radius_must_be_finite(self, a):

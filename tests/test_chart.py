@@ -126,6 +126,17 @@ class TestJets:
         assert np.array_equal(expr_chart.eval(U), plain.eval(U))
         assert np.array_equal(expr_chart.jet(U, 5).c, plain.jet(U, 5).c)
 
+    def test_reparametrized_expressions_substitute_the_affine_map(self, graph_chart, rng):
+        # `exprs` of a reparametrized expression chart runs the compiled
+        # formula on sympy columns, which substitutes them into the expressions
+        A = np.eye(3) + 0.15 * rng.normal(size=(3, 3))
+        b = 0.05 * rng.normal(size=3)
+        re = graph_chart.reparametrized(A, b)
+        u = sp.symbols("u0:3")
+        shifted = [sum(A[i, j] * u[j] for j in range(3)) + b[i] for i in range(3)]
+        expected = graph_chart.exprs.subs(dict(zip(graph_chart.syms, shifted)), simultaneous=True)
+        assert re.exprs == expected
+
 
 class TestShapeData:
     def test_product_chart_oracle(self, sxh_chart):

@@ -292,6 +292,47 @@ class TestSyntheticBranches:
         rep = classify_field(f)
         assert rep.branch == BRANCH_INCONCLUSIVE
 
+    # the exits below are pinned before ROADMAP item 1 rewrites the gates
+
+    def test_varying_spectrum_is_inconclusive(self):
+        f = synthetic_field([0.2, 0.2, -0.2, -0.2], [C, -C, 0, 0])
+        f.A[0] += 1e-2 * np.eye(4)  # one point's spectrum shifted by 1e-2
+        rep = classify_field(f)
+        assert (rep.branch, rep.failing_gate) == (BRANCH_INCONCLUSIVE, "eigenvalue_constancy")
+        assert rep.notes == [
+            "Blaschke eigenvalues vary over the grid by 8.333e-03 (allowed 1.000e-04) "
+            "although the parallel gate passed"
+        ]
+
+    def test_non_commuting_b_is_inconclusive(self):
+        f = synthetic_field([-0.1, -0.1, 0.2, 0.2], [C, -C, 0, 0])
+        # B turned by 0.3 rad in the plane of axes 1 and 2, one in each A-block
+        c, s = math.cos(0.3), math.sin(0.3)
+        R = np.eye(4)
+        R[1:3, 1:3] = [[c, -s], [s, c]]
+        f.B = np.einsum("ab,nbc,dc->nad", R, f.B, R)
+        rep = classify_field(f)
+        assert (rep.branch, rep.failing_gate) == (BRANCH_INCONCLUSIVE, "commutator")
+        assert rep.notes == [
+            "[A, B] norm 5.187e-02 exceeds tolerance although the conformal form vanishes"
+        ]
+
+    def test_non_parallel_b_with_three_clusters_is_inconclusive(self):
+        f = synthetic_field([-0.2, 0.1, 0.3, 0.3], [C, -C, 0, 0], dB=0.1)
+        rep = classify_field(f)
+        assert (rep.branch, rep.failing_gate) == (BRANCH_INCONCLUSIVE, "two_block_structure")
+        assert rep.notes == ["non-parallel B with t=3; the classification admits only t=2 here"]
+
+    def test_negative_checks_the_zero_block_curvature(self, rng):
+        # S's value sqrt(0.4) on the zero block gives it curvature 0.4 = -2 lambda
+        s = math.sqrt(0.4)
+        f = rotated_field([-0.2, -0.2, 0.2, 0.2], [C, -C, 0, 0], [0.3, 0.3, s, s], rng)
+        f.dB = np.full_like(f.dB, 0.1)
+        rep = classify_field(f)
+        assert (rep.branch, rep.failing_gate) == (BRANCH_NEGATIVE, None)
+        assert rep.notes == ["zero B-block is cluster 1 (eigenvalue 0.2, multiplicity 2)"]
+        assert rep.residuals["zero_block_curvature_vs_minus_2lambda"] <= 1e-14
+
 
 class TestClassifyPipeline:
     @pytest.mark.parametrize("name", ["hxr", "sxh", "hxh", "wp", "ex33"])

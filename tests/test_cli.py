@@ -78,6 +78,13 @@ class TestClassifyCommand:
         assert data["branch"] == "Inconclusive"
         assert data["failing_gate"] == "regularity"
 
+    def test_valid_classify_tol_is_reported(self, capsys):
+        code, out, err = run_cli(
+            capsys, "classify", "--catalog", "sxh", "--grid", "3", "--classify-tol", "1e-3"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["tolerances"]["classify_tol"] == 0.001
+
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_invalid_classify_tol_exit_code(self, capsys, tol):
         code, out, err = run_cli(
@@ -85,6 +92,33 @@ class TestClassifyCommand:
         )
         assert code == 1 and out == ""
         assert err.startswith("error:") and "--classify-tol" in err
+
+
+# sha256 of the exact stdout of the analytic reports at grid 3; FD reports
+# are left out, as they still depend on the BLAS thread count (ROADMAP item 6)
+REPORT_GOLDEN = [
+    (("classify", "--catalog", "hxr"), "7495aeb3aab68a974d05ad0728d55ecd3a5987dd1f5a9f4a34ca0cf306d707a1"),
+    (("analyze", "--catalog", "hxr", "--format", "csv"), "b35433f9efcd21f8ae65036ed01199c7854cc8f270b0de0d5dacf65f9beb080f"),
+    (("classify", "--catalog", "sxh"), "f6170639eb968745f31d39eb1483555cbb2e2c2de7048bfc62716b524da61a51"),
+    (("analyze", "--catalog", "sxh", "--format", "csv"), "0d7bccfc14c2aa1240dd5815d0de17f50eac5508525d2e8c9563b57197f21a55"),
+    (("classify", "--catalog", "hxh"), "bcd5c045e0fffb2668cea794befaaed6380ada7b917f8caf7180395d8befd574"),
+    (("analyze", "--catalog", "hxh", "--format", "csv"), "393f8ff6c294e0ca5fe7a996368fac9b7fb3d0ef9eaf7bb1538e2745f60b356b"),
+    (("classify", "--catalog", "wp"), "2cceda9a6c4a97cc55f9f5687301e075c9aa347814f8277e91f54afc1d1cc8ee"),
+    (("analyze", "--catalog", "wp", "--format", "csv"), "f2094c14c31df99aae065434c1fddf762412622d4d491c1041b6c95c2d3485b5"),
+    (("classify", "--catalog", "ex33"), "b7f532a8fef5367a260998b3d209a31aedefa30df4b311df5827c2c31d5d9a5e"),
+    (("analyze", "--catalog", "ex33", "--format", "csv"), "700c899622102d8f1eba58d4544d3a6d1fa79b9aa8500b687899832b36444502"),
+    (("verify-catalog",), "3d2a304cea91f78f374c6b6e6c66290172af59a0e9a66af5dec35184645113dd"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", REPORT_GOLDEN,
+    ids=["-".join(a for a in argv if not a.startswith("--")) for argv, _ in REPORT_GOLDEN],
+)
+def test_golden_report(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv, "--grid", "3")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
 # sha256 of the exact `map` stdout at one point per MAP_TAGS entry
@@ -289,6 +323,13 @@ class TestAnalyzeCommand:
         code, _, err = run_cli(capsys, "residuals", "--chart-file", str(path))
         assert code == 1
         assert err.startswith("error:") and "'p'" in err and "m, k, a" in err
+
+    def test_computation_error_writes_a_partial_report(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "analyze", "--catalog", "ex32", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("computation error: ex32 core construction infeasible: ")
+        assert json.loads(path.read_text()) == {"error": err.removeprefix("computation error: ").rstrip("\n")}
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(capsys, "analyze")
