@@ -107,11 +107,32 @@ def _warp_radius(family: str, a: float) -> float:
     return math.sqrt(a**2 - 1)
 
 
+def _split(family: str, m: int, k: int) -> tuple[int, int]:
+    """(m, k) of a split product of a k- and an (m-k)-dimensional factor."""
+    m, k = int(m), int(k)
+    _check_range(m >= 2, f"{family} requires m >= 2, got m={m}")
+    _check_range(1 <= k <= m - 1, f"{family} requires 1 <= k <= m-1, got k={k}, m={m}")
+    return m, k
+
+
+def _split_product(family: str, m: int, k: int, kind: str, lo: list, hi: list, formula, **params):
+    """The chart of a split product in the unit form `kind`; its name shows
+    the parameters as passed, its params hold them as floats."""
+    shown = "".join(f",{key}={value}" for key, value in params.items())
+    return ImmersionChart(
+        f"{family}(m={m},k={k}{shown})",
+        m,
+        AmbientForm(kind, m + 1),
+        Box(tuple(lo), tuple(hi)),
+        formula=formula,
+        params={"k": k, **{key: float(value) for key, value in params.items()}},
+        template=family,
+    )
+
+
 def make_hxr(m: int, k: int) -> ImmersionChart:
     """H^k x R^{m-k} in the Lorentz flat form R^{m+1} (1 time slot)."""
-    m, k = int(m), int(k)
-    _check_range(m >= 2, f"hxr requires m >= 2, got m={m}")
-    _check_range(1 <= k <= m - 1, f"hxr requires 1 <= k <= m-1, got k={k}, m={m}")
+    m, k = _split("hxr", m, k)
 
     def formula(*u):
         return hyperbolic_components(1.0, u[:k]) + list(u[k:]), {}
@@ -119,24 +140,14 @@ def make_hxr(m: int, k: int) -> ImmersionChart:
     lo_t, hi_t = _box(k, *_HYPERBOLIC)
     # flat coordinates stay away from |v| = 0: the flat-form embedding is
     # singular there (1 + <u,u> = |v|^2 for this chart)
-    lo = lo_t + [0.65] * (m - k)
-    hi = hi_t + [1.45] * (m - k)
-    return ImmersionChart(
-        f"hxr(m={m},k={k})",
-        m,
-        AmbientForm(LORENTZ_FLAT, m + 1),
-        Box(tuple(lo), tuple(hi)),
-        formula=formula,
-        params={"k": k},
-        template="hxr",
+    return _split_product(
+        "hxr", m, k, LORENTZ_FLAT, lo_t + [0.65] * (m - k), hi_t + [1.45] * (m - k), formula
     )
 
 
 def make_sxh(m: int, k: int, a: float) -> ImmersionChart:
     """S^{m-k}(a) x H^k(-1/(a^2-1)) in the unit de Sitter quadric."""
-    m, k = int(m), int(k)
-    _check_range(m >= 2, f"sxh requires m >= 2, got m={m}")
-    _check_range(1 <= k <= m - 1, f"sxh requires 1 <= k <= m-1, got k={k}, m={m}")
+    m, k = _split("sxh", m, k)
     b = _warp_radius("sxh", a)
 
     def formula(*u):
@@ -144,15 +155,7 @@ def make_sxh(m: int, k: int, a: float) -> ImmersionChart:
 
     lo_t, hi_t = _box(k, *_HYPERBOLIC)
     lo_s, hi_s = _box(m - k, *_ANGLES)
-    return ImmersionChart(
-        f"sxh(m={m},k={k},a={a})",
-        m,
-        AmbientForm(DE_SITTER, m + 1, 1.0),
-        Box(tuple(lo_t + lo_s), tuple(hi_t + hi_s)),
-        formula=formula,
-        params={"k": k, "a": float(a)},
-        template="sxh",
-    )
+    return _split_product("sxh", m, k, DE_SITTER, lo_t + lo_s, hi_t + hi_s, formula, a=a)
 
 
 def make_hxh(m: int, k: int, a: float) -> ImmersionChart:
@@ -160,21 +163,12 @@ def make_hxh(m: int, k: int, a: float) -> ImmersionChart:
 
     Canonical slots: the two time coordinates of the factors come first.
     """
-    m, k = int(m), int(k)
-    _check_range(m >= 2, f"hxh requires m >= 2, got m={m}")
-    _check_range(1 <= k <= m - 1, f"hxh requires 1 <= k <= m-1, got k={k}, m={m}")
+    m, k = _split("hxh", m, k)
     _check_range(0 < a < 1, f"hxh requires 0 < a < 1, got a={a}")
     lo_w, hi_w = _box(k, *_HYPERBOLIC)
     lo_z, hi_z = _box(m - k, *_HYPERBOLIC)
-    return ImmersionChart(
-        f"hxh(m={m},k={k},a={a})",
-        m,
-        AmbientForm(ANTI_DE_SITTER, m + 1, 1.0),
-        Box(tuple(lo_w + lo_z), tuple(hi_w + hi_z)),
-        formula=_two_hyperbolic(a, math.sqrt(1 - a**2), k),
-        params={"k": k, "a": float(a)},
-        template="hxh",
-    )
+    formula = _two_hyperbolic(a, math.sqrt(1 - a**2), k)
+    return _split_product("hxh", m, k, ANTI_DE_SITTER, lo_w + lo_z, hi_w + hi_z, formula, a=a)
 
 
 def make_wp(m: int, p: int, q: int, a: float) -> ImmersionChart:

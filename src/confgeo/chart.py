@@ -309,8 +309,7 @@ class ImmersionChart:
         absolute value."""
         comps, guards = self._formula(*cols)
         for name, g in guards.items():
-            centre = g.value if isinstance(g, taylor.Series) else g
-            if np.any(np.abs(np.asarray(centre, dtype=float)) < GUARD_TOL):
+            if np.any(np.abs(np.asarray(taylor.centre(g), dtype=float)) < GUARD_TOL):
                 raise ChartDomainError(
                     f"chart {self.name!r}: denominator {name!r} vanishes at a requested point"
                 )

@@ -64,13 +64,17 @@ class EigenStructure:
 class ClassificationReport:
     chart: str
     branch: str
-    anchor: str
     residuals: dict
     eigen: EigenStructure | None
     tolerances: dict
     grid: dict
     failing_gate: str | None = None
     notes: list[str] = dc_field(default_factory=list)
+
+    @property
+    def anchor(self) -> str:
+        """The sentence that places the branch in the classification."""
+        return ANCHORS[self.branch]
 
     def to_dict(self) -> dict:
         return {
@@ -214,7 +218,6 @@ def _inconclusive(chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig) -> 
     return ClassificationReport(
         chart=chart.name,
         branch=BRANCH_INCONCLUSIVE,
-        anchor=ANCHORS[BRANCH_INCONCLUSIVE],
         residuals={},
         eigen=None,
         tolerances={
@@ -238,7 +241,6 @@ def classify_field(f: InvariantField) -> ClassificationReport:
     report.residuals["grad_b_norm"] = grad_b
     if not ok_a:
         report.branch = BRANCH_NOT_PARALLEL_A
-        report.anchor = ANCHORS[report.branch]
         return report
     if not ok_phi:
         report.failing_gate = "conformal_form"
@@ -266,11 +268,9 @@ def classify_field(f: InvariantField) -> ClassificationReport:
         report.residuals["bibj_residual"] = check_bibj(eigen)
     if eigen.t == 1:
         report.branch = BRANCH_ISOTROPIC
-        report.anchor = ANCHORS[report.branch]
         return report
     if ok_b:
         report.branch = BRANCH_PARALLEL_B
-        report.anchor = ANCHORS[report.branch]
         return report
     # non-parallel B: the two-block structure must hold
     if eigen.t != 2:
@@ -300,7 +300,6 @@ def classify_field(f: InvariantField) -> ClassificationReport:
     if curv is not None:
         report.residuals["zero_block_curvature_vs_minus_2lambda"] = abs(curv[0] + 2.0 * lam)
     report.branch = BRANCH_POSITIVE if lam > 0 else BRANCH_NEGATIVE
-    report.anchor = ANCHORS[report.branch]
     return report
 
 

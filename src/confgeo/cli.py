@@ -236,12 +236,11 @@ def _parse_point(raw: str) -> np.ndarray:
 
 
 def _map_point(which: str, pt: np.ndarray, m: int) -> dict:
+    tag = MAP_TAGS[which]
     out: dict = {"which": which, "input": [float(v) for v in pt]}
     if which in ("sigma0", "sigma1", "sigma-1"):
-        rep = embed(pt, which)
-        out["output"] = [float(v) for v in rep]
-        out["output_kind"] = "projective representative"
-        out["lightlike"] = is_null(rep)
+        result = embed(pt, which)
+        out["lightlike"] = is_null(result)
     elif which in ("psi1", "psi2"):
         # a typed representative must be a point of the conformal space: not
         # zero, and null to the tolerance typed space-form points get
@@ -249,17 +248,14 @@ def _map_point(which: str, pt: np.ndarray, m: int) -> dict:
             raise InputError("zero vector does not represent a projective point")
         if not is_null(pt, ON_FORM_TOL):
             raise InputError(f"point is off the null cone: |<y,y>| > {ON_FORM_TOL:g} |y|^2")
-        result = psi(1 if which == "psi1" else 2, pt)
-        out["output"] = [float(v) for v in result]
-        out["output_kind"] = "de Sitter point"
+        result = psi(tag.alpha, pt)
     elif which == "tswap":
-        out["output"] = [float(v) for v in t_swap(pt)]
-        out["output_kind"] = "projective representative"
+        result = t_swap(pt)
     else:
         result = compose_maps(which, pt)
-        out["output"] = [float(v) for v in result]
-        out["output_kind"] = "de Sitter point"
-        out["permutation"] = [[float(v) for v in row] for row in MAP_TAGS[which].permutation(m)]
+        out["permutation"] = [[float(v) for v in row] for row in tag.permutation(m)]
+    out["output"] = [float(v) for v in result]
+    out["output_kind"] = "de Sitter point" if tag.alpha is not None else "projective representative"
     return out
 
 
@@ -335,9 +331,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if not exc.code else 1
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ComputationError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         out = getattr(args, "out", None)

@@ -132,16 +132,7 @@ def sigma_rep(kind: str, x: Sequence, isometric: bool = False) -> list:
 
 def sigma_rep_batch(kind: str, X, isometric: bool = False):
     """Vectorized sigma_rep: X (N, d), an array or a Taylor series -> (N, m+3)."""
-    comps = sigma_rep(kind, [X[:, i] for i in range(X.shape[1])], isometric=isometric)
-    if isinstance(X, taylor.Series):
-        return taylor.stack(comps)
-    cols = [np.broadcast_to(np.asarray(c, dtype=float), (X.shape[0],)) for c in comps]
-    return np.stack(cols, axis=1)
-
-
-def _centre(x):
-    """The centre values of a Taylor series; an array as it is."""
-    return x.value if isinstance(x, taylor.Series) else x
+    return taylor.stack(sigma_rep(kind, [X[:, i] for i in range(X.shape[1])], isometric=isometric))
 
 
 def _check_on_form(kind: str, X: np.ndarray) -> None:
@@ -150,9 +141,9 @@ def _check_on_form(kind: str, X: np.ndarray) -> None:
         return
     form = AmbientForm(kind, X.shape[1] - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = np.max(form.quadric_residual(X))
-    # an overflowing <x,x> reads inf or nan, and `resid > ON_FORM_TOL` is
-    # False for nan
+        resid = np.max(form.quadric_residual(X), initial=0.0)
+    # an empty batch has nothing to refuse; an overflowing <x,x> reads inf
+    # or nan, and `resid > ON_FORM_TOL` is False for nan
     if not resid <= ON_FORM_TOL:
         raise InputError(
             f"point is off the {kind} space form: |<x,x> - ({form.quadric_value})| = {resid:.3e}"
@@ -192,19 +183,17 @@ def psi(alpha: int, reps, name: str = ""):
     """
     if alpha not in (1, 2):
         raise ValidationError(f"alpha must be 1 or 2, got {alpha}")
-    if not isinstance(reps, taylor.Series):
-        reps = np.asarray(reps, dtype=float)
+    reps = taylor.asarray(reps)
     single = reps.ndim == 1
     R = reps[None, :] if single else reps
-    if np.any(_slot_vanishes(_centre(R), alpha - 1)):
+    if np.any(_slot_vanishes(taylor.centre(R), alpha - 1)):
         plane = "pi_plus" if alpha == 1 else "t_swap image of pi_plus"
         raise ChartDomainError(
             f"psi{alpha}{' of ' + name if name else ''} undefined: "
             f"dividing slot {alpha} vanishes (representative on {plane})"
         )
     keep = R[:, 1] if alpha == 1 else R[:, 0]
-    join = taylor.concatenate if isinstance(R, taylor.Series) else np.concatenate
-    out = join([keep[:, None], R[:, 2:]], axis=1) / R[:, alpha - 1][:, None]
+    out = taylor.concatenate([keep[:, None], R[:, 2:]], axis=1) / R[:, alpha - 1][:, None]
     return out[0] if single else out
 
 
@@ -285,11 +274,10 @@ def compose_maps(which: str, point):
         raise ValidationError(
             f"unknown composite map {which!r}; use sigma^1, sigma^2, tau^1 or tau^2"
         )
-    if not isinstance(point, taylor.Series):
-        point = np.asarray(point, dtype=float)
+    point = taylor.asarray(point)
     single = point.ndim == 1
     X = point[None, :] if single else point
-    _check_on_form(tag.source_kind, _centre(X))
+    _check_on_form(tag.source_kind, taylor.centre(X))
     reps = sigma_rep_batch(tag.source_kind, X)
     reps = einsum("nj,ij->ni", reps, tag.permutation(reps.shape[1] - 3))
     try:

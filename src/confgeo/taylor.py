@@ -404,23 +404,39 @@ def einsum(subscripts: str, *operands):
     return acc
 
 
-def concatenate(items: list[Series], axis: int) -> Series:
-    """numpy.concatenate of series along a value axis."""
+def concatenate(items: list, axis: int):
+    """numpy.concatenate of series along a value axis; without series items
+    this is numpy.concatenate itself."""
+    if not any(isinstance(s, Series) for s in items):
+        return np.concatenate(items, axis=axis)
     order = min(s.order for s in items)
     c = np.concatenate([s.truncate(order).c for s in items], axis=axis + 1 if axis >= 0 else axis)
     return Series(c, items[0].m, order)
 
 
-def stack(items: list) -> Series:
+def stack(items: list):
     """numpy.stack of series along a new last value axis; items that are not
-    series are constants broadcast to the value shape of the first series."""
-    ref = next(s for s in items if isinstance(s, Series))
+    series are constants broadcast to the value shape of the first series.
+    Without series items this is numpy's stack of the broadcast arrays."""
+    ref = next((s for s in items if isinstance(s, Series)), None)
+    if ref is None:
+        return np.stack(np.broadcast_arrays(*items), axis=-1)
     items = [
         s if isinstance(s, Series)
         else Series.constant(np.broadcast_to(np.asarray(s, dtype=float), ref.shape), ref.m, ref.order)
         for s in items
     ]
     return concatenate([s[..., None] for s in items], -1)
+
+
+def asarray(x):
+    """A series as it is; anything else as a float array."""
+    return x if isinstance(x, Series) else np.asarray(x, dtype=float)
+
+
+def centre(x):
+    """The centre values of a series; an array as it is."""
+    return x.value if isinstance(x, Series) else x
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,25 @@ class TestParameterValidation:
         with pytest.raises(ValidationError, match="1 <= k <= m-1"):
             make_hxr(3, 3)
 
+    @pytest.mark.parametrize(
+        "family,build",
+        [("hxr", make_hxr), ("sxh", lambda m, k: make_sxh(m, k, 2.0)), ("hxh", lambda m, k: make_hxh(m, k, 0.6))],
+    )
+    def test_split_product_range_names_the_family(self, family, build):
+        with pytest.raises(ValidationError, match=f"^{family} requires m >= 2, got m=1$"):
+            build(1, 1)
+        for k in (0, 3):
+            with pytest.raises(ValidationError, match=f"^{family} requires 1 <= k <= m-1, got k={k}, m=3$"):
+                build(3, k)
+
+    def test_split_product_names_a_as_passed(self):
+        # the chart name shows a as the caller wrote it, params hold a float
+        sxh, hxh, hxr = make_sxh(3, 1, 2), make_hxh(4, 2, 0.5), make_hxr(4, 3)
+        assert (sxh.name, sxh.params) == ("sxh(m=3,k=1,a=2)", {"k": 1, "a": 2.0})
+        assert type(sxh.params["a"]) is float
+        assert (hxh.name, hxh.params) == ("hxh(m=4,k=2,a=0.5)", {"k": 2, "a": 0.5})
+        assert (hxr.name, hxr.params) == ("hxr(m=4,k=3)", {"k": 3})
+
     def test_wp_dimension_bound(self):
         with pytest.raises(ValidationError, match="p \\+ q < m"):
             make_wp(3, 2, 1, 2.0)

@@ -9,6 +9,7 @@ import sympy as sp
 from confgeo.catalog import build_instance, sphere_components
 from confgeo.chart import AmbientForm, Box, ImmersionChart
 from confgeo.classifier import (
+    ANCHORS,
     BRANCH_INCONCLUSIVE,
     BRANCH_ISOTROPIC,
     BRANCH_NEGATIVE,
@@ -439,6 +440,16 @@ class TestClassifyPipeline:
             "failing_gate",
             "notes",
         }
+
+    def test_anchor_follows_the_branch(self, sxh_chart):
+        # no exit sets the anchor: it is read from the branch, so none can
+        # leave a stale one
+        rep = classify(sxh_chart)
+        for branch, anchor in ANCHORS.items():
+            rep.branch = branch
+            assert rep.anchor == rep.to_dict()["anchor"] == anchor
+        with pytest.raises(AttributeError):
+            rep.anchor = ANCHORS[BRANCH_INCONCLUSIVE]
 
 
 class TestTolerances:

@@ -421,6 +421,29 @@ def test_cold_classify_imports_no_scipy_or_numpy_test_tools(tmp_path):
     assert json.loads(proc.stdout) == []
 
 
+def test_cold_cli_loads_none_of_the_heavy_modules():
+    # a cold `classify` pays for every module confgeo.cli pulls in; the
+    # report goes to stdout, the path users take
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import confgeo.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as report:\n"
+        "    code = confgeo.cli.main(['classify', '--catalog', 'sxh', '--grid', '3'])\n"
+        "heavy = ('sympy', 'scipy', 'numpy.random', 'numpy.testing')\n"
+        "loaded = sorted(m for m in sys.modules if m in heavy or m.startswith(tuple(h + '.' for h in heavy)))\n"
+        "print(json.dumps([code, json.loads(report.getvalue())['branch'], loaded]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, "ParallelB", []]
+
+
 def test_catalog_classify_loads_no_sympy(tmp_path):
     # catalog charts are plain formulas: importing confgeo and classifying
     # every catalog family, and a catalog chart file, in a fresh process

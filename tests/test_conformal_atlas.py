@@ -243,6 +243,12 @@ class TestComposedMaps:
         else:
             assert np.array_equal(compose_maps(which, point), expected)
 
+    @pytest.mark.parametrize("which", ["sigma^1", "sigma^2", "tau^1", "tau^2"])
+    def test_empty_batch_maps_to_an_empty_batch(self, which):
+        # m = 3: 4 flat or 5 anti-de Sitter coordinates in, 5 de Sitter out
+        d = 4 if which.startswith("sigma") else 5
+        assert compose_maps(which, np.zeros((0, d))).shape == (0, 5)
+
     def test_unknown_map(self):
         with pytest.raises(ValidationError):
             compose_maps("sigma^3", np.zeros(4))

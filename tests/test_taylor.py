@@ -168,6 +168,18 @@ def test_scalar_arguments_fall_through_to_numpy():
     assert np.array_equal(taylor.sqrt(np.array([4.0, 9.0])), [2.0, 3.0])
 
 
+def test_array_items_fall_through_to_numpy():
+    x, y = np.array([0.5, 2.0]), np.array([[1.0], [3.0]])
+    stacked = taylor.stack([1, x, x * x])
+    assert type(stacked) is np.ndarray and stacked.dtype == float
+    assert np.array_equal(stacked, [[1.0, 0.5, 0.25], [1.0, 2.0, 4.0]])
+    assert np.array_equal(taylor.concatenate([stacked, y], axis=1), np.concatenate([stacked, y], axis=1))
+    assert taylor.centre(x) is x
+    assert taylor.asarray(x) is x and taylor.asarray([1, 2]).dtype == float
+    s = taylor.Series.variables(y, 1)[0]
+    assert np.array_equal(taylor.centre(s), s.value) and taylor.asarray(s) is s
+
+
 def test_unsupported_function_rejected():
     u, v = sp.symbols("u v")
     chart = ImmersionChart(
