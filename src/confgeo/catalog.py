@@ -220,7 +220,6 @@ class CoreHypersurface:
 
     kind: str            # ambient quadric kind
     K: int
-    j: int
     r: float
     b1: float
     b2: float
@@ -273,7 +272,7 @@ def _ads_core(m: int, K: int, j: int, r: float | None) -> CoreHypersurface:
         params={"j": j, "r": r},
         template=None,
     )
-    return CoreHypersurface(ANTI_DE_SITTER, K, j, r, b1, b2, chart, target, m)
+    return CoreHypersurface(ANTI_DE_SITTER, K, r, b1, b2, chart, target, m)
 
 
 def _ds_core_obstruction(K: int, j: int) -> str:

@@ -36,6 +36,7 @@ from .errors import (
     ChartDomainError,
     DimensionMismatchError,
     DomainError,
+    InputError,
     RegularityError,
     ValidationError,
 )
@@ -274,10 +275,6 @@ class ImmersionChart:
     # -- evaluation ---------------------------------------------------------
 
     @property
-    def n_comps(self) -> int:
-        return self.ambient.embedding_dim
-
-    @property
     def exprs(self):
         """The components as a sympy Matrix; None for evaluator charts."""
         return self._sympy_form()[0]
@@ -473,7 +470,6 @@ class RegularityReport:
     """Grid diagnostics for the two regularity conditions."""
 
     chart: str
-    n_points: int
     min_rho2: float
     min_metric_eig: float
     max_ambient_residual: float
@@ -488,13 +484,13 @@ def validate_regularity(chart: ImmersionChart, U: np.ndarray) -> RegularityRepor
     points pass both conditions (positive conformal factor, space-like and
     nondegenerate tangent frame).
     """
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    return regularity_from_jet(chart, U, chart.jet(U, 2))
+    return regularity_from_jet(chart, chart.jet(U, 2))
 
 
-def regularity_from_jet(chart: ImmersionChart, U: np.ndarray, jet: taylor.Series) -> RegularityReport:
+def regularity_from_jet(chart: ImmersionChart, jet: taylor.Series) -> RegularityReport:
     """validate_regularity from an already evaluated jet of order >= 2."""
-    dx = jet.grad().value
+    # the centre tangents are the order-1 coefficients: differentiate only those
+    dx = jet.truncate(1).grad().value
     signs = chart.ambient.signs
     g0 = np.einsum("nci,c,ncj->nij", dx, signs, dx)
     eigs = np.linalg.eigvalsh(0.5 * (g0 + np.swapaxes(g0, 1, 2)))
@@ -518,7 +514,6 @@ def regularity_from_jet(chart: ImmersionChart, U: np.ndarray, jet: taylor.Series
     regular = min_rho2 > reg_tol and min_eig > reg_tol and ambient <= ambient_tol
     return RegularityReport(
         chart=chart.name,
-        n_points=U.shape[0],
         min_rho2=min_rho2,
         min_metric_eig=min_eig,
         max_ambient_residual=ambient,
@@ -569,50 +564,73 @@ def chart_to_dict(chart: ImmersionChart) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _malformed(detail) -> ValidationError:
+    return ValidationError(f"malformed chart definition: {detail}")
+
+
 def chart_from_dict(data: dict) -> ImmersionChart:
     """Chart from its file form, built by catalog.build_instance (which
-    supplies the parameters the file leaves out); `params.lift` lifts it."""
+    supplies the parameters the file leaves out); `params.lift` lifts it.
+    A value of the wrong type or form is refused before the chart is built."""
     try:
         name = str(data["name"])
         m = int(data["m"])
         params = dict(data.get("params", {}))
         dom = data["domain"]
+        box = Box(tuple(float(v) for v in dom["lo"]), tuple(float(v) for v in dom["hi"]))
         jet_mode = data.get("jet", "analytic")
         fd_data = data.get("fd", {})
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed chart definition: {exc}") from exc
-    from .catalog import build_instance
-
+        declared = data.get("ambient") or {}
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise _malformed(exc) from exc
+    for key, value in (("fd", fd_data), ("ambient", declared)):
+        if not isinstance(value, dict):
+            raise _malformed(f"{key!r} must be an object, got {value!r}")
     lift = params.pop("lift", None)
-    chart = build_instance(name, m=m, **params)
-    box = Box(tuple(float(v) for v in dom["lo"]), tuple(float(v) for v in dom["hi"]))
+    if lift is not None and not isinstance(lift, str):
+        raise _malformed(f"lift must be a map name, got {lift!r}")
+    if "m" in params:
+        raise _malformed("'m' belongs at the top level, not in params")
+    for key, value in params.items():
+        if value is not None and not (_is_number(value) and math.isfinite(value)):
+            raise _malformed(f"parameter {key!r} must be a finite number or null, got {value!r}")
     # older files also carry the stencil accuracy "order", which the fit does
     # not read; it is still checked, so that a file refused then is refused now
     order = fd_data.get("order", 4)
     if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise ValidationError(f"FD accuracy order must be an integer >= 1, got {order!r}")
     step = fd_data.get("step")
-    real = isinstance(step, (int, float)) and not isinstance(step, bool)
-    if step is not None and (not real or math.isnan(step)):
+    if step is not None and (not _is_number(step) or math.isnan(step)):
         raise ValidationError(f"FD step must be a real number or null, got {step!r}")
-    out = chart._replace(domain=box, jet_mode=jet_mode, fd_step=step)
+    from .catalog import build_instance
+
+    out = build_instance(name, m=m, **params)._replace(domain=box, jet_mode=jet_mode, fd_step=step)
     if lift is not None:
         from .conformal_atlas import lift_chart
 
         out = lift_chart(out, lift)
-    declared = data.get("ambient")
-    if declared:
-        if declared.get("kind") != out.ambient.kind:
-            raise ValidationError(
-                f"chart file declares ambient {declared.get('kind')!r} but template "
-                f"{name!r} builds {out.ambient.kind!r}"
-            )
+    if declared and declared.get("kind") != out.ambient.kind:
+        raise ValidationError(
+            f"chart file declares ambient {declared.get('kind')!r} but template "
+            f"{name!r} builds {out.ambient.kind!r}"
+        )
     return out
 
 
 def load_chart(path: str | Path) -> ImmersionChart:
-    with open(path, "r", encoding="utf-8") as fh:
-        return chart_from_dict(json.load(fh))
+    """Chart from a JSON chart file; an unreadable file or invalid JSON
+    raises InputError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read chart file {str(path)!r}: {exc}") from exc
+    return chart_from_dict(data)
 
 
 def save_chart(chart: ImmersionChart, path: str | Path) -> None:

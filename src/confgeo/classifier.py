@@ -139,7 +139,7 @@ def eigen_structure(f: InvariantField, tol: float) -> EigenStructure:
             f"Blaschke eigenvalues vary over the grid by {constancy:.3e} "
             f"(allowed {tol * scale:.3e}) although the parallel gate passed"
         )
-    clusters = cluster_eigenvalues(np.sort(mean_spec), rel_tol=tol)
+    clusters = cluster_eigenvalues(mean_spec, rel_tol=tol)
     mults = [int(c[1]) for c in clusters]
     comm = np.einsum("nik,nkj->nij", A, B) - np.einsum("nik,nkj->nij", B, A)
     b_values: list[list[float]] = []
@@ -320,7 +320,7 @@ def classify(
     counts = [counts] if isinstance(counts, int) else list(counts)
     work, U, jet = grid_jet(chart, counts, lift)
     notes = [] if work is chart else [f"lifted to the de Sitter picture via {lift}"]
-    reg = regularity_from_jet(work, U, jet)
+    reg = regularity_from_jet(work, jet)
     report = _inconclusive(work, U, cfg)
     if not reg.regular:
         report.residuals = {"min_rho2": reg.min_rho2, "min_metric_eig": reg.min_metric_eig}

@@ -15,9 +15,11 @@ analyze, classify, residuals and verify-catalog all build their grid and
 jet through invariants.grid_jet.  Reports are deterministic: keys sorted,
 floats printed with 17 significant digits, no timestamps; identical
 configurations yield byte-identical output.  Exit codes: 0 success (and
---help), 1 validation/input error, usage errors included, 2 computation or
-consistency error (a partial report is still written once computation has
-started).
+--help), 1 validation/input error, usage errors included, a malformed or
+unreadable chart file and an --out that cannot be written among them
+(one `error: ...` line), 2 computation or consistency error (a partial
+report is still written once computation has started; a failed write of
+it adds an `error: ...` line and keeps exit 2).
 """
 
 from __future__ import annotations
@@ -85,7 +87,10 @@ def render_json(data: dict) -> str:
 
 def _write_report(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write report to {out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -203,7 +208,7 @@ def _cmd_verify_catalog(args) -> int:
             results[name] = entry
             continue
         work, U, jet = grid_jet(chart, args.grid)
-        reg = regularity_from_jet(work, U, jet)
+        reg = regularity_from_jet(work, jet)
         f = field_from_jet(work, U, jet, derivatives=True, curvature=True, cross_check=True)
         gates, res_ok = _residual_gates(f)
         cross = float(max(v for k, v in f.residuals.items() if k.startswith("cross_")))
@@ -335,7 +340,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"computation error: {exc}", file=sys.stderr)
         out = getattr(args, "out", None)
         if out:
-            _write_report(render_json({"error": str(exc)}), out)
+            try:
+                _write_report(render_json({"error": str(exc)}), out)
+            except InputError as write_exc:
+                print(f"error: {write_exc}", file=sys.stderr)
         return 2
     except ConfGeoError as exc:
         print(f"error: {exc}", file=sys.stderr)

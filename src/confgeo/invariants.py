@@ -115,8 +115,8 @@ def _closed_formulas(h, H, g0, g0inv, rho, dlr, d2lr, gam0, dH):
     A = -(hess - einsum("na,nb->nab", dlr, dlr) + H[:, None, None] * h) - 0.5 * (
         grad2 - H**2 - 1.0
     )[:, None, None] * g0
-    B = rho[:, None, None] * (h - H[:, None, None] * g0)
     hmH = h - H[:, None, None] * g0
+    B = rho[:, None, None] * hmH
     Phi = -(1.0 / rho)[:, None] * (einsum("nab,nbc,nc->na", hmH, g0inv, dlr) + dH)
     return A, B, Phi
 
@@ -267,10 +267,10 @@ class InvariantField:
         return self.chart.m
 
     def A_eigs(self) -> np.ndarray:
-        return np.sort(np.linalg.eigvalsh(0.5 * (self.A + np.swapaxes(self.A, 1, 2))), axis=1)
+        return np.linalg.eigvalsh(0.5 * (self.A + np.swapaxes(self.A, 1, 2)))
 
     def B_eigs(self) -> np.ndarray:
-        return np.sort(np.linalg.eigvalsh(0.5 * (self.B + np.swapaxes(self.B, 1, 2))), axis=1)
+        return np.linalg.eigvalsh(0.5 * (self.B + np.swapaxes(self.B, 1, 2)))
 
     def phi_norm(self) -> np.ndarray:
         return np.linalg.norm(self.Phi, axis=1)

@@ -22,7 +22,13 @@ from confgeo.chart import (
 )
 from confgeo.config import NumericsConfig
 from confgeo.conformal_atlas import lift_chart
-from confgeo.errors import DomainError, RegularityError, ValidationError
+from confgeo.errors import (
+    ChartDomainError,
+    DimensionMismatchError,
+    DomainError,
+    RegularityError,
+    ValidationError,
+)
 from confgeo.fd import default_reach
 from confgeo.invariants import evaluate_field, frame_route, grid_margin
 
@@ -248,7 +254,7 @@ class TestRegularity:
         # report of validate_regularity's own order-2 jet
         chart = {"sxh": sxh_chart, "wp@psi1": wp_lifted, "fd-sxh": sxh_chart.with_jet_mode("fd")}[name]
         U = grid_points(chart.domain, [3], margin=max(0.05, grid_margin(chart)))
-        rep = regularity_from_jet(chart, U, chart.jet(U, order))
+        rep = regularity_from_jet(chart, chart.jet(U, order))
         assert rep == validate_regularity(chart, U)
 
     def test_wp_regular(self, wp_chart):
@@ -333,14 +339,101 @@ class TestChartFiles:
         with pytest.raises(ValidationError):
             chart_from_dict({"name": "nope", "m": 3, "params": {}, "domain": {"lo": [0], "hi": [1]}})
 
+    def test_declared_ambient_must_match_the_template(self, sxh_chart):
+        d = chart_to_dict(sxh_chart)
+        d["ambient"]["kind"] = "anti_de_sitter"
+        with pytest.raises(ValidationError, match="declares ambient 'anti_de_sitter' but template 'sxh'"):
+            chart_from_dict(d)
+
+    def test_chart_without_template_is_not_serialized(self, sxh_chart):
+        with pytest.raises(ValidationError, match="has no template name"):
+            chart_to_dict(sxh_chart._replace(template=None))
+
 
 class TestGrids:
     def test_counts_validated(self, sxh_chart):
         with pytest.raises(ValidationError):
             grid_points(sxh_chart.domain, [2])
 
+    def test_one_count_per_axis(self, sxh_chart):
+        with pytest.raises(ValidationError, match="need 3 per-axis counts, got 2"):
+            grid_points(sxh_chart.domain, [3, 3])
+
+    def test_margin_leaving_no_domain_rejected(self, sxh_chart):
+        with pytest.raises(DomainError, match="leaves an empty domain"):
+            grid_points(sxh_chart.domain, [3], margin=0.5)
+
     def test_margin_inset(self, sxh_chart):
         U = grid_points(sxh_chart.domain, [3], margin=0.1)
         lo, hi = sxh_chart.domain.arrays()
         assert np.all(U >= lo + 0.1 - 1e-12)
         assert np.all(U <= hi - 0.1 + 1e-12)
+
+
+def _plane(u0, u1):
+    """A space-like plane in R^3_1 whose formula names u1 as a denominator."""
+    return [0.5 * u0, u0, u1], {"u1": u1}
+
+
+_FLAT_3 = AmbientForm("lorentz_flat", 3)
+_SQUARE = Box((-1.0, -1.0), (1.0, 1.0))
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "build,fragment",
+        [
+            (lambda: AmbientForm("flat", 3), "unknown ambient kind 'flat'"),
+            (lambda: AmbientForm("de_sitter", 3, 0.0), "ambient radius must be positive"),
+            (lambda: Box((0.0, 0.0), (1.0,)), "lo/hi length mismatch"),
+            (lambda: Box((0.0, 1.0), (1.0, 1.0)), "lo < hi per axis"),
+        ],
+        ids=["ambient-kind", "ambient-radius", "box-lengths", "box-order"],
+    )
+    def test_invalid_forms_and_boxes(self, build, fragment):
+        with pytest.raises(ValidationError, match=fragment):
+            build()
+
+    @pytest.mark.parametrize(
+        "changes,fragment",
+        [
+            ({"domain": Box((0.0,), (1.0,))}, "domain dimension 1 != m=2"),
+            ({"ambient": AmbientForm("lorentz_flat", 4)}, "ambient dimension 4 != m\\+1=3"),
+            ({"jet_mode": "taylor"}, "jet mode must be 'analytic' or 'fd', got 'taylor'"),
+            ({"exprs": sp.Matrix([0, 0, 0])}, "expressions or a formula, not both"),
+            ({"formula": None, "exprs": sp.Matrix([0, 0, 0])}, "expressions need their symbols"),
+            ({"formula": None}, "needs a formula, expressions or an evaluator"),
+            ({"formula": None, "eval_fn": np.asarray}, "analytic jets require a formula"),
+        ],
+        ids=["domain", "ambient", "jet-mode", "both", "no-symbols", "no-source", "analytic-evaluator"],
+    )
+    def test_invalid_chart_constructions(self, changes, fragment):
+        args = {"name": "plane", "m": 2, "ambient": _FLAT_3, "domain": _SQUARE, "formula": _plane}
+        with pytest.raises(ValidationError, match=fragment):
+            ImmersionChart(**{**args, **changes})
+
+    def test_symbolic_power_has_no_taylor_jet(self):
+        u = sp.symbols("u0:2")
+        chart = ImmersionChart(
+            "power", 2, _FLAT_3, Box((0.5, 0.5), (1.0, 1.0)),
+            exprs=sp.Matrix([u[0] ** u[1] / 4, u[0], u[1]]), syms=u,
+        )
+        with pytest.raises(ValidationError, match="do not support the power"):
+            chart.jet(np.array([[0.7, 0.7]]), 2)
+
+    @pytest.mark.parametrize("order", [None, 2], ids=["eval", "jet"])
+    def test_vanishing_guard_denominator(self, order):
+        chart = ImmersionChart("plane", 2, _FLAT_3, _SQUARE, formula=_plane)
+        U = np.array([[0.5, 0.5], [0.5, 0.0]])
+        with pytest.raises(ChartDomainError, match="denominator 'u1' vanishes"):
+            chart.eval(U) if order is None else chart.jet(U, order)
+
+    def test_points_of_the_wrong_dimension(self):
+        chart = ImmersionChart("plane", 2, _FLAT_3, _SQUARE, formula=_plane)
+        with pytest.raises(DimensionMismatchError, match="points have 3 coords, chart expects 2"):
+            chart.eval(np.zeros((1, 3)))
+
+    def test_evaluator_chart_is_not_reparametrized(self):
+        chart = fd_chart_from(lambda U: np.zeros((U.shape[0], 3)), 2, _FLAT_3, _SQUARE)
+        with pytest.raises(ValidationError, match="reparametrization requires a formula"):
+            chart.reparametrized(np.eye(2), np.zeros(2))

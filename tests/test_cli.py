@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from confgeo.catalog import build_instance
-from confgeo.chart import save_chart
+from confgeo.chart import chart_to_dict, save_chart
 from confgeo.cli import build_parser, main
 from confgeo.config import DEFAULT
 from confgeo.conformal_atlas import MAP_TAGS, lift_chart
@@ -323,6 +323,71 @@ class TestAnalyzeCommand:
         code, _, err = run_cli(capsys, "residuals", "--chart-file", str(path))
         assert code == 1
         assert err.startswith("error:") and "'p'" in err and "m, k, a" in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            "missing",
+            "directory",
+            "{not json",
+            b"\xff\xfe",
+            {"m": "x"},
+            {"m": 1e400},
+            {"domain": 5},
+            {"domain": {"lo": ["a", 0.9, 0.25], "hi": [0.95, 1.7, 1.05]}},
+            {"fd": []},
+            {"ambient": "de_sitter"},
+            {"params": {"a": "x"}},
+            {"params": {"a": True}},
+            {"params": {"k": 1e400}},
+            {"params": {"m": 3}},
+            {"params": {"lift": ["psi1"]}},
+        ],
+        ids=[
+            "missing", "directory", "not-json", "not-utf8", "m", "m-infinite", "domain", "bound",
+            "fd", "ambient", "parameter", "parameter-bool", "parameter-infinite", "parameter-m", "lift",
+        ],
+    )
+    def test_bad_chart_file_is_an_input_error(self, capsys, tmp_path, sxh_chart, edit):
+        path = tmp_path / "chart.json"
+        if edit == "missing":
+            pass
+        elif edit == "directory":
+            path.mkdir()
+        elif isinstance(edit, (str, bytes)):
+            path.write_bytes(edit.encode() if isinstance(edit, str) else edit)
+        else:
+            path.write_text(json.dumps({**chart_to_dict(sxh_chart), **edit}))
+        code, out, err = run_cli(capsys, "classify", "--chart-file", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_chart_file_of_an_infeasible_example_is_a_computation_error(self, capsys, tmp_path):
+        path = tmp_path / "chart.json"
+        path.write_text(json.dumps({"name": "ex32", "m": 4, "domain": {"lo": [0] * 4, "hi": [1] * 4}}))
+        code, _, err = run_cli(capsys, "classify", "--chart-file", str(path))
+        assert code == 2
+        assert err.startswith("computation error: ex32 core construction infeasible: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", "--catalog", "sxh"], ["map", "--which", "sigma1", "--point", "2,2.2360679774997896,0,0"]],
+        ids=["classify", "map"],
+    )
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_is_an_input_error(self, capsys, tmp_path, argv, target):
+        out = tmp_path / "missing" / "report.json" if target == "missing-directory" else tmp_path
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: cannot write report to {str(out)!r}: ")
+
+    def test_unwritable_partial_report_keeps_exit_2(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        code, stdout, err = run_cli(capsys, "analyze", "--catalog", "ex32", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        computation, write = err.splitlines()
+        assert computation.startswith("computation error: ex32 core construction infeasible: ")
+        assert write.startswith(f"error: cannot write report to {str(out)!r}: ")
 
     def test_computation_error_writes_a_partial_report(self, capsys, tmp_path):
         path = tmp_path / "report.json"

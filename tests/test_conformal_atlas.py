@@ -19,6 +19,7 @@ from confgeo.conformal_atlas import (
     lift_chart,
     projective_equal,
     psi,
+    sigma_rep,
     sigma_rep_batch,
     t_swap,
 )
@@ -106,7 +107,24 @@ class TestEmbed:
         assert not is_null(timelike)
 
 
+    def test_unknown_space_form_kind(self):
+        with pytest.raises(ValidationError, match="unknown space form kind 'flat'"):
+            sigma_rep("flat", [0.0, 1.0])
+
+    def test_unknown_embedding(self):
+        with pytest.raises(ValidationError, match="unknown embedding 'psi1'"):
+            embed(np.zeros(3), "psi1")
+
+    def test_a_batch_is_not_one_point(self):
+        with pytest.raises(InputError, match="embed expects a single point"):
+            embed(np.zeros((2, 3)), "sigma0")
+
+
 class TestPsi:
+    def test_alpha_is_one_or_two(self):
+        with pytest.raises(ValidationError, match="alpha must be 1 or 2, got 3"):
+            psi(3, embed(np.zeros(3), "sigma0"))
+
     def test_left_inverse_of_de_sitter_embedding(self, rng):
         for u in random_de_sitter(rng, 3, 100):
             out = psi(1, embed(u, "sigma1"))
@@ -323,6 +341,10 @@ class TestLiftChart:
         lifted = lift_chart(hxr_chart, "psi2")
         assert lifted.params["lift"] == "psi2"
         assert lifted.ambient.kind == "de_sitter"
+
+    def test_unknown_lift(self, hxr_chart):
+        with pytest.raises(ValidationError, match="unknown lift 'tswap'"):
+            lift_chart(hxr_chart, "tswap")
 
     def test_wrong_composite_for_ambient(self, hxr_chart):
         with pytest.raises(ValidationError):

@@ -402,6 +402,13 @@ class TestConformalChristoffels:
         assert np.max(np.abs(Gam.c - direct.c)) <= 1e-12 * np.max(np.abs(direct.c))
         assert np.array_equal(g.c, g2.truncate(1).c)
 
+    @pytest.mark.parametrize("derivatives,order", [(True, 4), (False, 3)])
+    def test_jet_of_too_low_an_order_refused(self, sxh_chart, derivatives, order):
+        U = _fd_grid(sxh_chart)[:2]
+        need = invariants.jet_order(derivatives)
+        with pytest.raises(ValidationError, match=f"the field needs a jet of order {need}, got {order}"):
+            invariants._series_invariants(sxh_chart, sxh_chart.jet(U, order), derivatives)
+
     def test_field_inverts_only_the_induced_metric(self, ex33_chart, monkeypatch):
         U = _fd_grid(ex33_chart)[:3]
         calls = []

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from confgeo.conformal_atlas import is_null
-from confgeo.errors import RegularityError, ValidationError
+from confgeo.errors import DimensionMismatchError, RegularityError, ValidationError
 from confgeo.pseudo_linalg import (
+    batched_normal,
     cluster_eigenvalues,
     form_signs as signs,
     pseudo_dot,
@@ -101,6 +102,12 @@ class TestGramSchmidt:
         assert np.all(np.diag(F) > 0.0)  # so the first k columns span the first k axes
 
 
+class TestBatchedNormal:
+    def test_needs_one_row_fewer_than_the_dimension(self):
+        with pytest.raises(DimensionMismatchError, match="need d-1=4 rows, got 3"):
+            batched_normal(np.zeros((2, 3, 5)), signs(1, 5))
+
+
 class TestClusterEigenvalues:
     def test_all_equal(self):
         assert cluster_eigenvalues([1.0, 1.0, 1.0], 1e-6) == [(1.0, 3)]
@@ -117,6 +124,13 @@ class TestClusterEigenvalues:
     def test_unsorted_rejected(self):
         with pytest.raises(ValidationError):
             cluster_eigenvalues([2.0, 1.0], 1e-6)
+
+    def test_empty_spectrum_has_no_clusters(self):
+        assert cluster_eigenvalues([], 1e-6) == []
+
+    def test_spectrum_is_one_dimensional(self):
+        with pytest.raises(DimensionMismatchError, match="expected a 1-d spectrum"):
+            cluster_eigenvalues([[1.0, 2.0]], 1e-6)
 
     @given(
         vals=st.lists(st.floats(-100, 100), min_size=1, max_size=12),

@@ -38,7 +38,7 @@ def _expressions(chart):
 
 def _reference_jet(chart, U, order):
     """Derivative stacks by sympy differentiation, one cse'd function."""
-    m, c, N = chart.m, chart.n_comps, U.shape[0]
+    m, c, N = chart.m, chart.ambient.embedding_dim, U.shape[0]
     exprs, syms = _expressions(chart)
     alphas = [a for a in itertools.product(range(order + 1), repeat=m) if sum(a) <= order]
     flat = []
@@ -206,6 +206,18 @@ def test_gradient_and_products_of_series():
     assert np.allclose(g.grad().value[:, 0, 1], 6 * U[:, 0] * U[:, 1] ** 2)
 
 
+def test_an_order_0_series_has_no_gradient():
+    u, _ = taylor.Series.variables(np.array([[0.4, -1.3]]), 0)
+    with pytest.raises(ValueError, match="an order-0 series has no derivative"):
+        u.grad()
+
+
+def test_series_exponents_are_refused():
+    u, v = taylor.Series.variables(np.array([[0.4, 1.3]]), 2)
+    with pytest.raises(TypeError, match="a series exponent is not supported"):
+        v**u
+
+
 def _table_order_sum(terms, m, order):
     """Per product monomial, the sum from 0.0 of the terms of its pairs, one
     term per row of the pair table, added in table order."""
@@ -343,6 +355,12 @@ def test_contraction_rejects_a_misplaced_point_letter(subscripts):
     s = _kernel_operands(np.random.default_rng(12))[3]
     with pytest.raises(ValueError, match="point letter"):
         taylor.einsum(subscripts, s, s)
+
+
+def test_contraction_reserves_the_coefficient_letter():
+    s = _kernel_operands(np.random.default_rng(12))[3]
+    with pytest.raises(ValueError, match="subscript letter 'Q' is reserved"):
+        taylor.einsum("nQb,nbc->nQc", s, s)
 
 
 def _matrix_and_graph(u, v):
