@@ -21,6 +21,7 @@ frame.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,12 +108,10 @@ def _warp_radius(family: str, a: float) -> float:
     return math.sqrt(a**2 - 1)
 
 
-def _split(family: str, m: int, k: int) -> tuple[int, int]:
-    """(m, k) of a split product of a k- and an (m-k)-dimensional factor."""
-    m, k = int(m), int(k)
+def _split(family: str, m: int, k: int) -> None:
+    """Check (m, k) of a split product of a k- and an (m-k)-dimensional factor."""
     _check_range(m >= 2, f"{family} requires m >= 2, got m={m}")
     _check_range(1 <= k <= m - 1, f"{family} requires 1 <= k <= m-1, got k={k}, m={m}")
-    return m, k
 
 
 def _split_product(family: str, m: int, k: int, kind: str, lo: list, hi: list, formula, **params):
@@ -132,7 +131,7 @@ def _split_product(family: str, m: int, k: int, kind: str, lo: list, hi: list, f
 
 def make_hxr(m: int, k: int) -> ImmersionChart:
     """H^k x R^{m-k} in the Lorentz flat form R^{m+1} (1 time slot)."""
-    m, k = _split("hxr", m, k)
+    _split("hxr", m, k)
 
     def formula(*u):
         return hyperbolic_components(1.0, u[:k]) + list(u[k:]), {}
@@ -147,7 +146,7 @@ def make_hxr(m: int, k: int) -> ImmersionChart:
 
 def make_sxh(m: int, k: int, a: float) -> ImmersionChart:
     """S^{m-k}(a) x H^k(-1/(a^2-1)) in the unit de Sitter quadric."""
-    m, k = _split("sxh", m, k)
+    _split("sxh", m, k)
     b = _warp_radius("sxh", a)
 
     def formula(*u):
@@ -163,7 +162,7 @@ def make_hxh(m: int, k: int, a: float) -> ImmersionChart:
 
     Canonical slots: the two time coordinates of the factors come first.
     """
-    m, k = _split("hxh", m, k)
+    _split("hxh", m, k)
     _check_range(0 < a < 1, f"hxh requires 0 < a < 1, got a={a}")
     lo_w, hi_w = _box(k, *_HYPERBOLIC)
     lo_z, hi_z = _box(m - k, *_HYPERBOLIC)
@@ -178,7 +177,6 @@ def make_wp(m: int, p: int, q: int, a: float) -> ImmersionChart:
     flat factor R^{m-p-q-1}.  Exactly three distinct conformal principal
     curvatures; both invariant tensors are parallel.
     """
-    m, p, q = int(m), int(p), int(q)
     _check_range(p >= 1 and q >= 1, f"wp requires p, q >= 1, got p={p}, q={q}")
     _check_range(p + q < m, f"wp requires p + q < m, got p+q={p + q}, m={m}")
     b = _warp_radius("wp", a)
@@ -252,8 +250,7 @@ def _ads_core(m: int, K: int, j: int, r: float | None) -> CoreHypersurface:
     if r is None:
         r = solved
     else:
-        r = float(r)
-        excess = K / r**2 - target
+        excess = K / r / r - target
         if abs(excess) > CORE_RADIUS_TOL:
             raise ValidationError(
                 f"core radius r={r} violates the squared-norm constraint "
@@ -322,22 +319,21 @@ def make_example(
     is raised.
     """
     family = family.lower()
-    m, K, j = int(m), int(K), int(split)
     _check_range(family in ("ex32", "ex33"), f"unknown example family {family!r}")
     _check_range(m >= 3, f"{family} requires m >= 3, got m={m}")
     _check_range(2 <= K <= m - 1, f"{family} requires 2 <= K <= m-1, got K={K}, m={m}")
-    _check_range(1 <= j <= K - 1, f"{family} requires 1 <= split <= K-1, got split={j}")
+    _check_range(1 <= split <= K - 1, f"{family} requires 1 <= split <= K-1, got split={split}")
     if r is not None:
         _check_range(r > 0, f"{family} requires r > 0, got r={r}")
 
     if family == "ex32":
         raise ConstructionError(
-            "ex32 core construction infeasible: " + _ds_core_obstruction(K, j)
+            "ex32 core construction infeasible: " + _ds_core_obstruction(K, split)
         )
 
-    core = _ads_core(m, K, j, r)
+    core = _ads_core(m, K, split, r)
     rr = core.r
-    core_formula = _two_hyperbolic(core.b1, core.b2, j)
+    core_formula = _two_hyperbolic(core.b1, core.b2, split)
 
     def formula(*u):
         y, _ = core_formula(*u[:K])  # canonical (w0, z0, w_vec, z_vec)
@@ -353,12 +349,12 @@ def make_example(
     lo += lo_s
     hi += hi_s
     return ImmersionChart(
-        f"ex33(m={m},K={K},j={j},r={rr:.6g})",
+        f"ex33(m={m},K={K},j={split},r={rr:.6g})",
         m,
         AmbientForm(DE_SITTER, m + 1, 1.0),
         Box(tuple(lo), tuple(hi)),
         formula=formula,
-        params={"K": K, "split": j, "r": rr},
+        params={"K": K, "split": split, "r": rr},
         template="ex33",
         core=core,
     )
@@ -402,9 +398,11 @@ def verify_core(core: CoreHypersurface, *, counts: int = 3) -> CoreReport:
 # default instances
 # ---------------------------------------------------------------------------
 
-# each family's defaults, naming every parameter it takes; these are also the
-# instances exercised by the verification suite, and ex32 is listed so the
-# infeasibility surfaces through the same path as everything else
+# each family parameter and its type, in the CLI's flag order (a name has one
+# type in every family); then each family's defaults, naming every parameter
+# it takes: the instances the verification suite exercises, ex32 included so
+# that its infeasibility surfaces through the same path as everything else
+PARAMETERS: dict[str, type] = dict(m=int, k=int, a=float, p=int, q=int, K=int, split=int, r=float)
 DEFAULT_INSTANCES: dict[str, dict] = {
     "hxr": {"m": 3, "k": 1},
     "sxh": {"m": 3, "k": 1, "a": math.sqrt(2.0)},
@@ -414,26 +412,45 @@ DEFAULT_INSTANCES: dict[str, dict] = {
     "ex32": {"m": 4, "K": 2, "split": 1, "r": None},
 }
 
-# the builder of each family but the assembled examples (make_example)
-_BUILDERS = {"hxr": make_hxr, "sxh": make_sxh, "hxh": make_hxh, "wp": make_wp}
+_BUILDERS = {
+    "hxr": make_hxr, "sxh": make_sxh, "hxh": make_hxh, "wp": make_wp,
+    "ex32": lambda **p: make_example("ex32", **p), "ex33": lambda **p: make_example("ex33", **p),
+}
 
 
-def build_instance(name: str, **overrides) -> ImmersionChart:
-    """Build a catalog chart by CLI name with optional parameter overrides.
+def _coerce(family: str, key: str, value):
+    """A parameter value from outside as its PARAMETERS type: an int one must be
+    integral, and becomes an int; a float one passes as given (names show it as
+    written) unless an int beyond 2**53.  Bools and non-numbers are refused."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if PARAMETERS[key] is int:
+        if number and (isinstance(value, numbers.Integral) or float(value).is_integer()):
+            return int(value)
+        raise ValidationError(f"{family} parameter {key!r} must be an integer, got {value!r}")
+    if number and (not isinstance(value, numbers.Integral) or abs(value) <= 2**53):
+        return value
+    raise ValidationError(f"{family} parameter {key!r} must be a double-precision number, got {value!r}")
 
-    DEFAULT_INSTANCES names every parameter of each family; an override of
-    any other name is refused.
-    """
+
+def family_parameters(name: str, given: dict) -> dict:
+    """The parameters build_instance builds family `name` with: its defaults
+    updated by each given value that is not None, coerced (_coerce).  A name
+    the family does not take is refused."""
     name = name.lower()
     if name not in DEFAULT_INSTANCES:
         raise ValidationError(f"unknown catalog name {name!r}; use one of {sorted(DEFAULT_INSTANCES)}")
     params = dict(DEFAULT_INSTANCES[name])
-    for key in overrides:
+    for key in given:
         if key not in params:
             raise ValidationError(
                 f"{name} takes no parameter {key!r}; its parameters are {', '.join(params)}"
             )
-    params.update({k: v for k, v in overrides.items() if v is not None})
-    if name in ("ex32", "ex33"):
-        return make_example(name, **params)
-    return _BUILDERS[name](**params)
+    params.update({key: _coerce(name, key, v) for key, v in given.items() if v is not None})
+    return params
+
+
+def build_instance(name: str, **overrides) -> ImmersionChart:
+    """Build a catalog chart by CLI name with optional parameter overrides
+    (family_parameters); an override of None keeps the default."""
+    params = family_parameters(name, overrides)
+    return _BUILDERS[name.lower()](**params)

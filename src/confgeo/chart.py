@@ -110,8 +110,8 @@ class Box:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise ValidationError("domain lo/hi length mismatch")
-        if any(h <= l for l, h in zip(self.lo, self.hi)):
-            raise ValidationError("domain requires lo < hi per axis")
+        if not all(-math.inf < l < h < math.inf for l, h in zip(self.lo, self.hi)):
+            raise ValidationError("domain requires finite lo < hi per axis")
 
     @property
     def dim(self) -> int:
@@ -369,7 +369,8 @@ class ImmersionChart:
 
         Only charts with a formula support this.  The new domain is the
         bounding box of the preimage of the old one (a parallelotope), so
-        boundary margins are advisory near the corners.
+        boundary margins are advisory near the corners.  It has no template,
+        as a chart file cannot record the affine map.
         """
         if self._formula is None:
             raise ValidationError("reparametrization requires a formula or symbolic chart")
@@ -386,7 +387,7 @@ class ImmersionChart:
         pre = (corners - b) @ Ainv.T
         dom = Box(tuple(pre.min(axis=0)), tuple(pre.max(axis=0)))
         return self._replace(
-            name=name or f"{self.name}~affine", domain=dom, formula=formula, eval_fn=None
+            name=name or f"{self.name}~affine", domain=dom, formula=formula, eval_fn=None, template=None
         )
 
     def with_jet_mode(self, jet_mode: str, fd_step: float | None = None) -> "ImmersionChart":
@@ -564,23 +565,19 @@ def chart_to_dict(chart: ImmersionChart) -> dict:
     }
 
 
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _malformed(detail) -> ValidationError:
     return ValidationError(f"malformed chart definition: {detail}")
 
 
 def chart_from_dict(data: dict) -> ImmersionChart:
-    """Chart from its file form, built by catalog.build_instance (which
-    supplies the parameters the file leaves out); `params.lift` lifts it.
-    A value of the wrong type or form is refused before the chart is built."""
+    """Chart from its file form, built by catalog.build_instance from its
+    parameters (catalog.PARAMETERS) and the defaults of those it leaves out;
+    `params.lift` lifts it.  A value of the wrong type or form, or a domain
+    of the wrong length, is refused before the chart is built."""
     try:
         name = str(data["name"])
-        m = int(data["m"])
-        params = dict(data.get("params", {}))
+        m = data["m"]
+        params = data.get("params", {})
         dom = data["domain"]
         box = Box(tuple(float(v) for v in dom["lo"]), tuple(float(v) for v in dom["hi"]))
         jet_mode = data.get("jet", "analytic")
@@ -588,28 +585,32 @@ def chart_from_dict(data: dict) -> ImmersionChart:
         declared = data.get("ambient") or {}
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _malformed(exc) from exc
-    for key, value in (("fd", fd_data), ("ambient", declared)):
+    for key, value in (("params", params), ("fd", fd_data), ("ambient", declared)):
         if not isinstance(value, dict):
             raise _malformed(f"{key!r} must be an object, got {value!r}")
+    params = dict(params)
     lift = params.pop("lift", None)
     if lift is not None and not isinstance(lift, str):
         raise _malformed(f"lift must be a map name, got {lift!r}")
     if "m" in params:
         raise _malformed("'m' belongs at the top level, not in params")
-    for key, value in params.items():
-        if value is not None and not (_is_number(value) and math.isfinite(value)):
-            raise _malformed(f"parameter {key!r} must be a finite number or null, got {value!r}")
+    if m is None:
+        raise _malformed("'m' must be given, got null")
     # older files also carry the stencil accuracy "order", which the fit does
     # not read; it is still checked, so that a file refused then is refused now
     order = fd_data.get("order", 4)
     if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise ValidationError(f"FD accuracy order must be an integer >= 1, got {order!r}")
     step = fd_data.get("step")
-    if step is not None and (not _is_number(step) or math.isnan(step)):
+    number = isinstance(step, (int, float)) and not isinstance(step, bool)
+    if step is not None and (not number or math.isnan(step)):
         raise ValidationError(f"FD step must be a real number or null, got {step!r}")
-    from .catalog import build_instance
+    from .catalog import build_instance, family_parameters
 
-    out = build_instance(name, m=m, **params)._replace(domain=box, jet_mode=jet_mode, fd_step=step)
+    params = family_parameters(name, {**params, "m": m})
+    if box.dim != params["m"]:
+        raise ValidationError(f"domain dimension {box.dim} != m={params['m']}")
+    out = build_instance(name, **params)._replace(domain=box, jet_mode=jet_mode, fd_step=step)
     if lift is not None:
         from .conformal_atlas import lift_chart
 

@@ -99,16 +99,10 @@ def _write_report(text: str, out: str | None) -> None:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-# the catalog family parameters, each a flag --<name> of its type
-_FAMILY_FLAGS = (
-    ("m", int), ("k", int), ("a", float), ("p", int), ("q", int), ("K", int), ("split", int), ("r", float),
-)
-
-
 def _add_chart_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--catalog", type=str, help="catalog chart name (hxr, sxh, hxh, wp, ex32, ex33)")
     p.add_argument("--chart-file", type=str, help="chart definition JSON file")
-    for name, kind in _FAMILY_FLAGS:
+    for name, kind in catalog.PARAMETERS.items():
         p.add_argument(f"--{name}", type=kind, default=None)
     p.add_argument("--lift", type=str, default="psi1", choices=["psi1", "psi2"])
 
@@ -123,10 +117,8 @@ def _build_chart(args) -> "catalog.ImmersionChart":
         raise InputError("provide exactly one of --catalog or --chart-file")
     if args.chart_file:
         return load_chart(args.chart_file)
-    overrides = {
-        name: getattr(args, name) for name, _ in _FAMILY_FLAGS if getattr(args, name) is not None
-    }
-    return catalog.build_instance(args.catalog, **overrides)
+    given = {name: getattr(args, name) for name in catalog.PARAMETERS}
+    return catalog.build_instance(args.catalog, **{k: v for k, v in given.items() if v is not None})
 
 
 def _prepare_field(args):

@@ -261,6 +261,11 @@ MAP_TAGS: dict[str, ConformalMapTag] = {
 }
 
 
+def _composite(kind: str, alpha: int, X, P: np.ndarray, name: str = ""):
+    """psi_alpha(P sigma_rep(kind, x)) of points X (N, d), an array or a Taylor series."""
+    return psi(alpha, einsum("nj,ij->ni", sigma_rep_batch(kind, X), P), name)
+
+
 def compose_maps(which: str, point):
     """Apply one of the four composed conformal maps onto the unit de Sitter.
 
@@ -278,10 +283,8 @@ def compose_maps(which: str, point):
     single = point.ndim == 1
     X = point[None, :] if single else point
     _check_on_form(tag.source_kind, taylor.centre(X))
-    reps = sigma_rep_batch(tag.source_kind, X)
-    reps = einsum("nj,ij->ni", reps, tag.permutation(reps.shape[1] - 3))
     try:
-        out = psi(tag.alpha, reps)
+        out = _composite(tag.source_kind, tag.alpha, X, tag.permutation(tag.source_m(X.shape[1])))
     except ChartDomainError:
         raise ChartDomainError(
             f"{which} undefined: denominator {tag.denominator!r} vanishes"
@@ -323,16 +326,11 @@ class LiftedChart(ImmersionChart):
         self.M = np.asarray(M, dtype=float)
         self.alpha = alpha
 
-    def _lift(self, x):
-        """The map of points x (N, d), given as an array or a Taylor series."""
-        reps = einsum("nj,ij->ni", sigma_rep_batch(self.base.ambient.kind, x), self.M)
-        return psi(self.alpha, reps, self.name)
-
     def eval(self, U: np.ndarray) -> np.ndarray:
-        return self._lift(self.base.eval(U))
+        return _composite(self.base.ambient.kind, self.alpha, self.base.eval(U), self.M, self.name)
 
     def jet(self, U: np.ndarray, order: int) -> taylor.Series:
-        return self._lift(self.base.jet(U, order))
+        return _composite(self.base.ambient.kind, self.alpha, self.base.jet(U, order), self.M, self.name)
 
     def with_jet_mode(self, jet_mode: str, fd_step: float | None = None) -> "LiftedChart":
         return LiftedChart(self.base.with_jet_mode(jet_mode, fd_step), self.M, self.alpha)

@@ -245,17 +245,13 @@ class InvariantField:
     U: np.ndarray
     rho: np.ndarray
     H: np.ndarray
-    x: np.ndarray
-    normal: np.ndarray
     metric: np.ndarray          # conformal metric, coordinates
-    frame: np.ndarray           # conformal orthonormal frame coefficients
     A: np.ndarray               # (N, m, m)
     B: np.ndarray
     Phi: np.ndarray             # (N, m)
     cfg: NumericsConfig = DEFAULT   # set by field_from_jet; classify_field gates at its classify_tol
     kappa: np.ndarray | None = None
     riemann: np.ndarray | None = None   # (N,m,m,m,m) frame components
-    ricci: np.ndarray | None = None
     dA: np.ndarray | None = None        # (N,m,m,m), last index derivative direction
     dB: np.ndarray | None = None
     dPhi: np.ndarray | None = None      # (N,m,m): [i,j] = (nabla_{E_j} Phi)(E_i)
@@ -362,10 +358,7 @@ def _invariant_field(
         U=U,
         rho=np.sqrt(s.rho2.value),
         H=s.H.value,
-        x=s.x.value,
-        normal=s.n.value,
         metric=g.value,
-        frame=Fg,
         A=_in_frame(A.value, Fg),
         B=_in_frame(B.value, Fg),
         Phi=_in_frame(Phi.value, Fg),
@@ -374,7 +367,6 @@ def _invariant_field(
         Rf = _in_frame(_riemann_coords(g.value, Gam), Fg)
         fieldv.riemann = Rf
         ric = np.einsum("nkijk->nij", Rf)
-        fieldv.ricci = ric
         scal = np.einsum("nii->n", ric)
         fieldv.kappa = scal / (m * (m - 1))
     if derivatives:

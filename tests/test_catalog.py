@@ -311,3 +311,36 @@ class TestBuildInstance:
                 build_instance(name)
         else:
             assert build_instance(name).template == name
+
+    @pytest.mark.parametrize(
+        "name,overrides,key,kind",
+        [
+            ("sxh", {"k": 1.5}, "k", "an integer"),
+            ("wp", {"m": 4.9}, "m", "an integer"),
+            ("wp", {"p": True}, "p", "an integer"),
+            ("ex33", {"K": 2.7}, "K", "an integer"),
+            ("hxr", {"k": "1"}, "k", "an integer"),
+            ("hxr", {"m": math.nan}, "m", "an integer"),
+            ("sxh", {"m": math.inf}, "m", "an integer"),
+            ("sxh", {"a": True}, "a", "a double-precision number"),
+            ("hxh", {"a": "0.5"}, "a", "a double-precision number"),
+            ("wp", {"a": 10**300}, "a", "a double-precision number"),
+            ("ex33", {"r": [2.0]}, "r", "a double-precision number"),
+        ],
+    )
+    def test_parameter_of_the_wrong_type_is_refused(self, name, overrides, key, kind):
+        # a value is never truncated: the refusal names the family and the parameter
+        with pytest.raises(ValidationError, match=f"^{name} parameter '{key}' must be {kind}, got "):
+            build_instance(name, **overrides)
+
+    def test_integral_values_become_ints_and_floats_pass_as_given(self):
+        chart = build_instance("sxh", m=4.0, k=np.int64(2), a=2)
+        assert chart.name == "sxh(m=4,k=2,a=2)" and chart.m == 4
+        assert type(chart.params["k"]) is int
+        assert build_instance("wp", a=2.5).name == "wp(m=4,p=1,q=1,a=2.5)"
+
+    @pytest.mark.parametrize("r", [1e200, 1e-200, 10**15])
+    def test_extreme_core_radius_is_refused(self, r):
+        # K / r^2 neither overflows nor divides by zero on the way
+        with pytest.raises(ValidationError, match="squared-norm constraint"):
+            build_instance("ex33", r=r)

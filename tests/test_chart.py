@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from confgeo import catalog
 from confgeo.catalog import build_instance, sphere_components
 from confgeo.chart import (
     AmbientForm,
@@ -348,6 +349,33 @@ class TestChartFiles:
     def test_chart_without_template_is_not_serialized(self, sxh_chart):
         with pytest.raises(ValidationError, match="has no template name"):
             chart_to_dict(sxh_chart._replace(template=None))
+
+    @pytest.mark.parametrize("lifted", [False, True], ids=["sxh", "sxh@psi1"])
+    def test_reparametrized_chart_is_not_saved_as_its_template(self, tmp_path, sxh_chart, lifted):
+        # a file records the template and the preimage box but not the affine
+        # map, so loading it would build another patch
+        chart = lift_chart(sxh_chart, "psi1") if lifted else sxh_chart
+        A = np.eye(3)
+        A[0, 1] = 0.2
+        re = chart.reparametrized(A, np.array([0.05, 0.0, 0.0]))
+        assert re.template is None
+        with pytest.raises(ValidationError, match="has no template name"):
+            save_chart(re, tmp_path / "chart.json")
+
+    def test_domain_length_is_checked_before_the_builders_run(self, monkeypatch):
+        # a 10**7-dimensional sxh takes seconds and hundreds of MB to build;
+        # its 3-entry domain refuses it first
+        monkeypatch.setitem(catalog._BUILDERS, "sxh", lambda **_: pytest.fail("builder ran"))
+        d = {"name": "sxh", "m": 10**7, "domain": {"lo": [0.35, 0.9, 0.25], "hi": [0.95, 1.7, 1.05]}}
+        with pytest.raises(ValidationError, match="^domain dimension 3 != m=10000000$"):
+            chart_from_dict(d)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    def test_non_finite_domain_bound_rejected(self, sxh_chart, bound):
+        d = chart_to_dict(sxh_chart)
+        d["domain"]["hi"][1] = bound
+        with pytest.raises(ValidationError, match="finite lo < hi per axis"):
+            chart_from_dict(d)
 
 
 class TestGrids:

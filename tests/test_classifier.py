@@ -40,10 +40,7 @@ def synthetic_field(A_diag, B_diag, m=4, N=6, dA=0.0, dB=0.0, phi=0.0, riemann=N
         cfg=DEFAULT,
         rho=np.ones(N),
         H=np.zeros(N),
-        x=np.zeros((N, m + 2)),
-        normal=np.zeros((N, m + 2)),
         metric=np.tile(np.eye(m), (N, 1, 1)),
-        frame=np.tile(np.eye(m), (N, 1, 1)),
         A=A,
         B=B,
         Phi=np.full((N, m), phi),

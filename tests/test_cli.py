@@ -342,10 +342,19 @@ class TestAnalyzeCommand:
             {"params": {"k": 1e400}},
             {"params": {"m": 3}},
             {"params": {"lift": ["psi1"]}},
+            {"m": "3"},
+            {"m": 3.7},
+            {"m": None},
+            {"params": {"k": 1.5}},
+            {"params": {"name": 1}},
+            {"params": [["k", 1]]},
+            {"domain": {"lo": [0.35, float("nan"), 0.25], "hi": [0.95, 1.7, 1.05]}},
         ],
         ids=[
             "missing", "directory", "not-json", "not-utf8", "m", "m-infinite", "domain", "bound",
             "fd", "ambient", "parameter", "parameter-bool", "parameter-infinite", "parameter-m", "lift",
+            "m-string", "m-non-integral", "m-null", "parameter-non-integral", "parameter-name",
+            "params-not-object", "bound-nan",
         ],
     )
     def test_bad_chart_file_is_an_input_error(self, capsys, tmp_path, sxh_chart, edit):

@@ -2,10 +2,11 @@
 `confgeo/__init__.py` exports is either read by the library itself or
 documented in the README.  A name that neither the library nor the README
 uses is a second way in that nothing keeps in step with the pipeline.
-Likewise no function takes a parameter it never reads, and classify_tol is
-the one tolerance a caller sets, and every threshold is a named constant
-of config.py."""
+Likewise no function takes a parameter it never reads, classify_tol is
+the one tolerance a caller sets, every threshold is a named constant of
+config.py, and the CLI's family flags are catalog.PARAMETERS."""
 
+import argparse
 import ast
 import re
 from dataclasses import fields, replace
@@ -14,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import confgeo
-from confgeo import config
+from confgeo import catalog, config
+from confgeo.cli import build_parser
 from confgeo.config import DEFAULT, NumericsConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,7 +71,7 @@ def test_every_export_is_read_or_documented():
 # parameters kept although their function never reads them, each with why
 UNREAD_PARAMETERS_KEPT = {
     # perfbench/workloads.py `cli_margin` passes a config; the parameter goes
-    # with the next benchmark change (ROADMAP item 3)
+    # with the next benchmark change (ROADMAP item 4)
     ("invariants.py", "required_margin", "cfg"),
 }
 
@@ -168,3 +170,19 @@ def test_classify_tol_is_the_only_setting():
     with pytest.raises(TypeError):
         replace(DEFAULT, analytic_tol=1.0)
     assert not hasattr(confgeo, "FDConfig")
+
+
+
+def test_family_flags_are_the_catalog_parameters():
+    # catalog.PARAMETERS is the one home of the family parameters: the CLI's
+    # flags between --chart-file and --lift are its names, in its order and
+    # of its types, and every family takes only names it declares
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("analyze", "classify", "residuals"):
+        actions = sub.choices[command]._actions
+        flags = [a.option_strings[0] for a in actions]
+        chart = actions[flags.index("--chart-file") + 1 : flags.index("--lift")]
+        assert [(a.option_strings, a.type, a.default) for a in chart] == [
+            ([f"--{name}"], kind, None) for name, kind in catalog.PARAMETERS.items()
+        ]
+    assert all(set(params) <= set(catalog.PARAMETERS) for params in catalog.DEFAULT_INSTANCES.values())
