@@ -602,8 +602,7 @@ def chart_from_dict(data: dict) -> ImmersionChart:
     if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise ValidationError(f"FD accuracy order must be an integer >= 1, got {order!r}")
     step = fd_data.get("step")
-    number = isinstance(step, (int, float)) and not isinstance(step, bool)
-    if step is not None and (not number or math.isnan(step)):
+    if step is not None and not _is_double(step):
         raise ValidationError(f"FD step must be a real number or null, got {step!r}")
     from .catalog import build_instance, family_parameters
 
@@ -620,7 +619,23 @@ def chart_from_dict(data: dict) -> ImmersionChart:
             f"chart file declares ambient {declared.get('kind')!r} but template "
             f"{name!r} builds {out.ambient.kind!r}"
         )
+    radius = declared.get("a", out.ambient.radius)
+    if not (_is_double(radius) and abs(radius - out.ambient.radius) <= UNIT_RADIUS_TOL):
+        raise ValidationError(
+            f"chart file declares ambient radius {radius!r} but template "
+            f"{name!r} builds {out.ambient.radius!r}"
+        )
     return out
+
+
+def _is_double(value) -> bool:
+    """A JSON number, not a bool, that is not NaN and fits a double."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return not math.isnan(value)
+    except OverflowError:
+        return False
 
 
 def load_chart(path: str | Path) -> ImmersionChart:

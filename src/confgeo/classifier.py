@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 
 from .chart import ImmersionChart, regularity_from_jet
-from .config import DEFAULT, NumericsConfig
+from .config import DEFAULT, NumericsConfig, check_positive
 from .errors import ComputationError, ConsistencyError
 from .invariants import InvariantField, field_from_jet, grid_jet
 from .pseudo_linalg import cluster_eigenvalues
@@ -212,7 +212,7 @@ def zero_block_sectional_curvature(
 # pipeline
 # ---------------------------------------------------------------------------
 
-def _inconclusive(chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig) -> ClassificationReport:
+def _inconclusive(chart: ImmersionChart, U: np.ndarray, classify_tol: float) -> ClassificationReport:
     """The report every exit starts from: no branch yet, and the tolerances
     and grid that every report carries."""
     return ClassificationReport(
@@ -221,23 +221,23 @@ def _inconclusive(chart: ImmersionChart, U: np.ndarray, cfg: NumericsConfig) -> 
         residuals={},
         eigen=None,
         tolerances={
-            "classify_tol": cfg.classify_tol,
-            "tier_tol": cfg.tier(chart.jet_mode == "analytic"),
+            "classify_tol": classify_tol,
+            "tier_tol": NumericsConfig.tier(chart.jet_mode == "analytic"),
         },
         grid={"n_points": int(U.shape[0]), "m": chart.m},
     )
 
 
-def classify_field(f: InvariantField) -> ClassificationReport:
-    """Assign a branch to a precomputed invariant field; the gates use
-    f.cfg.classify_tol."""
-    tol = f.cfg.classify_tol
-    report = _inconclusive(f.chart, f.U, f.cfg)
-    ok_a, grad_a = gate_parallel(f.dA, f.A, tol)
+def classify_field(f: InvariantField, classify_tol: float = DEFAULT.classify_tol) -> ClassificationReport:
+    """Assign a branch to a precomputed invariant field; every gate and the
+    eigenvalue clustering use classify_tol, a finite number > 0."""
+    check_positive("classify_tol", classify_tol)
+    report = _inconclusive(f.chart, f.U, classify_tol)
+    ok_a, grad_a = gate_parallel(f.dA, f.A, classify_tol)
     report.residuals["grad_a_norm"] = grad_a
-    ok_phi, phi_norm = gate_phi(f, tol)
+    ok_phi, phi_norm = gate_phi(f, classify_tol)
     report.residuals["phi_norm"] = phi_norm
-    ok_b, grad_b = gate_parallel(f.dB, f.B, tol)
+    ok_b, grad_b = gate_parallel(f.dB, f.B, classify_tol)
     report.residuals["grad_b_norm"] = grad_b
     if not ok_a:
         report.branch = BRANCH_NOT_PARALLEL_A
@@ -251,13 +251,13 @@ def classify_field(f: InvariantField) -> ClassificationReport:
         )
         return report
     try:
-        eigen = eigen_structure(f, tol)
+        eigen = eigen_structure(f, classify_tol)
     except ConsistencyError as exc:
         report.failing_gate = "eigenvalue_constancy"
         report.notes.append(str(exc))
         return report
     report.eigen = eigen
-    if eigen.t >= 2 and eigen.commutator_norm > tol:
+    if eigen.t >= 2 and eigen.commutator_norm > classify_tol:
         report.failing_gate = "commutator"
         report.notes.append(
             f"[A, B] norm {eigen.commutator_norm:.3e} exceeds tolerance although "
@@ -281,7 +281,7 @@ def classify_field(f: InvariantField) -> ClassificationReport:
         return report
     lam_sum = eigen.eigenvalues[0] + eigen.eigenvalues[1]
     scale = max(1.0, max(abs(v) for v in eigen.eigenvalues))
-    if eigen.zero_block is None or abs(lam_sum) > tol * scale:
+    if eigen.zero_block is None or abs(lam_sum) > classify_tol * scale:
         report.failing_gate = "zero_block"
         report.notes.append(
             "non-parallel B requires one vanishing B-block and opposite "
@@ -306,7 +306,7 @@ def classify_field(f: InvariantField) -> ClassificationReport:
 def classify(
     chart: ImmersionChart,
     counts: int | list[int] = 3,
-    cfg: NumericsConfig = DEFAULT,
+    classify_tol: float = DEFAULT.classify_tol,
     lift: str = "psi1",
 ) -> ClassificationReport:
     """Full pipeline: regularity, invariants with derivatives, gates.
@@ -317,22 +317,23 @@ def classify(
     regularity check and the invariants share one jet per point
     (invariants.grid_jet).
     """
+    check_positive("classify_tol", classify_tol)
     counts = [counts] if isinstance(counts, int) else list(counts)
     work, U, jet = grid_jet(chart, counts, lift)
     notes = [] if work is chart else [f"lifted to the de Sitter picture via {lift}"]
     reg = regularity_from_jet(work, jet)
-    report = _inconclusive(work, U, cfg)
+    report = _inconclusive(work, U, classify_tol)
     if not reg.regular:
         report.residuals = {"min_rho2": reg.min_rho2, "min_metric_eig": reg.min_metric_eig}
         report.failing_gate = "regularity"
     else:
         try:
-            f = field_from_jet(work, U, jet, cfg, derivatives=True, curvature=True)
+            f = field_from_jet(work, U, jet, derivatives=True, curvature=True)
         except ComputationError as exc:
             report.failing_gate = "invariant_computation"
             report.notes.append(str(exc))
         else:
-            report = classify_field(f)
+            report = classify_field(f, classify_tol)
     report.chart = chart.name
     report.notes = notes + report.notes
     report.grid["counts"] = counts

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,7 @@ import numpy as np
 from . import catalog
 from .chart import load_chart, regularity_from_jet
 from .classifier import classify
-from .config import CATALOG_CHECK_TOL, DEFAULT, ON_FORM_TOL, check_positive
+from .config import CATALOG_CHECK_TOL, DEFAULT, ON_FORM_TOL, check_positive, residual_tolerance
 from .conformal_atlas import MAP_TAGS, compose_maps, embed, is_null, psi, t_swap
 from .errors import ComputationError, ConfGeoError, ConstructionError, InputError
 from .invariants import (
@@ -143,23 +142,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _residual_gates(f) -> tuple[dict, bool]:
-    """Per-identity gate levels: trace identities strict, field-derivative
-    residuals at the residual tier."""
-    cfg, analytic = f.cfg, f.chart.jet_mode == "analytic"
-    rtier = cfg.residual_tier(analytic)
-    strict = cfg.tier(analytic)
-    gates = {}
-    for key, value in f.residuals.items():
-        if key.startswith("cross_"):
-            continue
-        if key in ("trace_b", "norm_b"):
-            gates[key] = (value, strict)
-        elif key == "trace_a_scalar":
-            gates[key] = (value, max(cfg.trace_a_tol, strict))
-        else:
-            gates[key] = (value, rtier)
-    ok = all(v <= tol for v, tol in gates.values())
-    return gates, ok
+    """(value, residual_tolerance) of each residual but the cross-route ones; all pass?"""
+    analytic = f.chart.jet_mode == "analytic"
+    gates = {k: (v, residual_tolerance(k, analytic))
+             for k, v in f.residuals.items() if not k.startswith("cross_")}
+    return gates, all(v <= tol for v, tol in gates.values())
 
 
 def _cmd_residuals(args) -> int:
@@ -177,12 +164,9 @@ def _cmd_residuals(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    cfg = DEFAULT
-    if args.classify_tol is not None:
-        check_positive("--classify-tol", args.classify_tol)
-        cfg = replace(cfg, classify_tol=args.classify_tol)
+    check_positive("--classify-tol", args.classify_tol)
     chart = _build_chart(args)
-    rep = classify(chart, counts=args.grid, cfg=cfg, lift=args.lift)
+    rep = classify(chart, counts=args.grid, classify_tol=args.classify_tol, lift=args.lift)
     _write_report(render_json(rep.to_dict()), args.out)
     return 0
 
@@ -298,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="assign a classification branch")
     _add_chart_args(p)
     _add_run_args(p)
-    p.add_argument("--classify-tol", type=float, default=None)
+    p.add_argument("--classify-tol", type=float, default=DEFAULT.classify_tol)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("verify-catalog", help="run the catalog invariant suites")

@@ -1,8 +1,7 @@
 """Numerical configuration: every threshold the package decides by.
 
 Each decision has one named constant here, and every call site reads it.
-The tiers are class attributes of NumericsConfig, read through any
-instance:
+The tiers are class attributes of NumericsConfig, read through the class:
 
 * analytic_tol          -- identities checked on charts with exact
                            (symbolic) jets; also the strict tier of the
@@ -19,9 +18,10 @@ instance:
 * crosscheck_factor     -- a cross-route mismatch above this times the
                            tier is an error
 
-classify_tol, the relative tolerance of the classification gates and of
-eigenvalue clustering, is the one setting: the only field of
-NumericsConfig (`confgeo classify --classify-tol`).
+residual_tolerance(key, analytic_jets) gives each field residual its
+tolerance.  classify_tol, the relative tolerance of the classification
+gates and of eigenvalue clustering, is the one setting: an argument of
+classify and classify_field.
 
 Module constants, one per decision outside the tiers:
 
@@ -110,17 +110,29 @@ class NumericsConfig:
     def __post_init__(self):
         check_positive("classify_tol", self.classify_tol)
 
-    def tier(self, analytic_jets: bool) -> float:
-        return self.analytic_tol if analytic_jets else self.fd_tol
+    @classmethod
+    def tier(cls, analytic_jets: bool) -> float:
+        return cls.analytic_tol if analytic_jets else cls.fd_tol
 
-    def residual_tier(self, analytic_jets: bool) -> float:
-        return self.residual_tol_analytic if analytic_jets else self.residual_tol_fd
+    @classmethod
+    def residual_tier(cls, analytic_jets: bool) -> float:
+        return cls.residual_tol_analytic if analytic_jets else cls.residual_tol_fd
 
 
 def check_positive(name: str, value: float) -> None:
     """The one rule every tolerance obeys: a finite number > 0."""
     if not (math.isfinite(value) and value > 0):
         raise ValidationError(f"{name} must be a finite number > 0, got {value!r}")
+
+
+def residual_tolerance(key: str, analytic_jets: bool) -> float:
+    """The gate of a field residual: the strict tier for trace_b and norm_b,
+    at least trace_a_tol for trace_a_scalar, the residual tier otherwise."""
+    if key in ("trace_b", "norm_b"):
+        return NumericsConfig.tier(analytic_jets)
+    if key == "trace_a_scalar":
+        return max(NumericsConfig.trace_a_tol, NumericsConfig.tier(analytic_jets))
+    return NumericsConfig.residual_tier(analytic_jets)
 
 
 DEFAULT = NumericsConfig()

@@ -54,7 +54,7 @@ from . import taylor
 from .chart import DE_SITTER, LORENTZ_FLAT, ImmersionChart, ShapeSeries, grid_points, shape_series
 from .config import DEFAULT, NumericsConfig
 from .conformal_atlas import lift_chart, sigma_rep_batch
-from .errors import ConsistencyError, RegularityError, ValidationError
+from .errors import ComputationError, ConsistencyError, RegularityError, ValidationError
 from .pseudo_linalg import batched_normal, form_signs, pseudo_dot, triangular_frame
 from .taylor import einsum
 
@@ -87,8 +87,8 @@ def required_margin(chart: ImmersionChart, cfg: NumericsConfig = DEFAULT) -> flo
     FD charts sample their fit's cloud, which reaches chart.fd_margin()
     along each axis; 15% to spare keeps rounded grid points inside.
     Analytic charts take every derivative from Taylor series at the points
-    themselves and need no margin.  `cfg` is unused and kept for callers
-    that pass it.
+    themselves and need no margin.  `cfg` is unused; perfbench/workloads
+    passes it until the next benchmark change (ROADMAP item 4).
     """
     return 1.15 * chart.fd_margin()
 
@@ -148,7 +148,23 @@ def grid_jet(
     """
     work = chart if chart.ambient.kind == DE_SITTER else lift_chart(chart, lift)
     U = grid_points(work.domain, counts, margin=grid_margin(work))
-    return work, U, work.jet(U, jet_order(derivatives=True))
+    return work, U, _finite_jet(work, U, jet_order(derivatives=True))
+
+
+def _finite_jet(chart: ImmersionChart, U: np.ndarray, order: int) -> taylor.Series:
+    """chart.jet(U, order), refused with a ComputationError when one of its
+    coefficients overflows double precision or is NaN: every later stage
+    would compute on it without an error of its own."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        jet = chart.jet(U, order)
+    finite = np.isfinite(jet.c)
+    if not finite.all():
+        bad = ~finite.reshape(finite.shape[0], U.shape[0], -1).all(axis=(0, 2))
+        raise ComputationError(
+            f"chart {chart.name!r} has a non-finite jet at {int(bad.sum())} of {len(bad)} "
+            f"points (first u = {U[bad][0].tolist()}): double precision does not resolve it there"
+        )
+    return jet
 
 
 def _refuse_umbilic(rho2: taylor.Series) -> None:
@@ -249,7 +265,7 @@ class InvariantField:
     A: np.ndarray               # (N, m, m)
     B: np.ndarray
     Phi: np.ndarray             # (N, m)
-    cfg: NumericsConfig = DEFAULT   # set by field_from_jet; classify_field gates at its classify_tol
+    cfg: NumericsConfig = DEFAULT   # always DEFAULT; only perfbench reads it (ROADMAP item 4)
     kappa: np.ndarray | None = None
     riemann: np.ndarray | None = None   # (N,m,m,m,m) frame components
     dA: np.ndarray | None = None        # (N,m,m,m), last index derivative direction
@@ -287,7 +303,6 @@ def _in_frame(T: np.ndarray, F: np.ndarray) -> np.ndarray:
 def evaluate_field(
     chart: ImmersionChart,
     U: np.ndarray,
-    cfg: NumericsConfig = DEFAULT,
     derivatives: bool = True,
     curvature: bool = True,
     cross_check: bool = False,
@@ -299,15 +314,14 @@ def evaluate_field(
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     _check_picture(chart)
-    jet = chart.jet(U, jet_order(derivatives))
-    return field_from_jet(chart, U, jet, cfg, derivatives, curvature, cross_check)
+    jet = _finite_jet(chart, U, jet_order(derivatives))
+    return field_from_jet(chart, U, jet, derivatives, curvature, cross_check)
 
 
 def field_from_jet(
     chart: ImmersionChart,
     U: np.ndarray,
     jet: taylor.Series,
-    cfg: NumericsConfig = DEFAULT,
     derivatives: bool = True,
     curvature: bool = True,
     cross_check: bool = False,
@@ -328,7 +342,6 @@ def field_from_jet(
         fieldv, shape = _points(stacked, slice(None, n)), _points(shape, slice(None, n))
         _attach_residuals(fieldv)
         _attach_fd_estimate(fieldv, _points(stacked, slice(n, None)))
-    fieldv.cfg = cfg
     if cross_check:
         run_cross_check(fieldv, shape)
     return fieldv
@@ -556,11 +569,10 @@ def run_cross_check(f: InvariantField, shape: ShapeSeries | None = None) -> dict
     }
     worst = max(diff.values())
     diff["cross_frame_relations"] = max(fr.relations.values())
-    tier = f.cfg.tier(f.chart.jet_mode == "analytic")
-    if worst > f.cfg.crosscheck_factor * tier:
+    allowed = NumericsConfig.crosscheck_factor * NumericsConfig.tier(f.chart.jet_mode == "analytic")
+    if worst > allowed:
         raise ConsistencyError(
-            f"invariant routes disagree by {worst:.3e} "
-            f"(allowed {f.cfg.crosscheck_factor * tier:.3e}); jets too inaccurate"
+            f"invariant routes disagree by {worst:.3e} (allowed {allowed:.3e}); jets too inaccurate"
         )
     f.residuals.update(diff)
     return diff

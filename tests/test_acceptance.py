@@ -57,11 +57,11 @@ def _lifted(chart):
     return chart if chart.ambient.kind == "de_sitter" else lift_chart(chart, "psi1")
 
 
-def _field(chart, counts, cfg=DEFAULT, **kw):
+def _field(chart, counts, **kw):
     work = _lifted(chart)
-    margin = max(required_margin(work, cfg), 0.02)
+    margin = max(required_margin(work), 0.02)
     U = grid_points(work.domain, [counts], margin=margin)
-    return evaluate_field(work, U, cfg, **kw)
+    return evaluate_field(work, U, **kw)
 
 
 @pytest.fixture(scope="module")

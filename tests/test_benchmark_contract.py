@@ -66,3 +66,14 @@ def test_cli_ops_are_valid_commands(workloads):
 def test_cli_margin_is_the_grid_margin(workloads, workload):
     for op in workloads.in_process_ops(workload, 1):
         assert workloads.cli_margin(op.chart, confgeo.DEFAULT) == invariants.grid_margin(op.chart)
+
+
+def test_fields_carry_the_default_config(sxh_chart):
+    # perfbench's field_checks reads its tiers and classify_tol through f.cfg
+    U = confgeo.grid_points(sxh_chart.domain, [3], margin=0.05)[:2]
+    jet = sxh_chart.jet(U, invariants.jet_order(derivatives=False))
+    fields = (
+        invariants.evaluate_field(sxh_chart, U, derivatives=False, curvature=False),
+        invariants.field_from_jet(sxh_chart, U, jet, derivatives=False, curvature=False),
+    )
+    assert all(f.cfg is confgeo.DEFAULT for f in fields)

@@ -345,6 +345,9 @@ class TestChartFiles:
         d["ambient"]["kind"] = "anti_de_sitter"
         with pytest.raises(ValidationError, match="declares ambient 'anti_de_sitter' but template 'sxh'"):
             chart_from_dict(d)
+        d["ambient"] = {"kind": "de_sitter", "a": 1.0 + 1e-12}
+        with pytest.raises(ValidationError, match="declares ambient radius 1.000000000001 but template 'sxh'"):
+            chart_from_dict(d)
 
     def test_chart_without_template_is_not_serialized(self, sxh_chart):
         with pytest.raises(ValidationError, match="has no template name"):

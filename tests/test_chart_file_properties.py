@@ -77,13 +77,15 @@ _SWAPS = {
 }
 _NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 _HUGE = [10**300, -(10**300), 1e300, -1e300]
+# beyond the range of a double
+_OVERFLOW = [10**400, -(10**400)]
 
 
 def _leaves(data) -> list[tuple]:
     """Paths of the keys of a chart file whose every value of another type is
-    invalid; the ambient radius, which loading does not read, is left out."""
+    invalid."""
     paths = [("name",), ("m",), ("domain",), ("domain", "lo"), ("domain", "hi"), ("jet",), ("fd",),
-             ("fd", "step"), ("ambient",), ("ambient", "kind"), ("params",)]
+             ("fd", "step"), ("ambient",), ("ambient", "kind"), ("ambient", "a"), ("params",)]
     paths += [("params", key) for key in data["params"]]
     paths += [("domain", side, i) for side in ("lo", "hi") for i in range(len(data["domain"]["lo"]))]
     return paths
@@ -107,7 +109,8 @@ def mutated_files(draw):
     params = [("m",)] + [("params", key) for key in data["params"] if key != "lift"]
     ints = [("m",)] + [("params", key) for key in data["params"] if catalog.PARAMETERS.get(key) is int]
     kind = draw(st.sampled_from(
-        ["type-swap", "missing-key", "extra-key", "non-integral", "bool", "non-finite", "huge", "ambient"]
+        ["type-swap", "missing-key", "extra-key", "non-integral", "bool", "non-finite", "huge", "fd-step",
+         "ambient", "ambient-radius"]
     ))
     if kind == "type-swap":
         path = draw(st.sampled_from(_leaves(data)))
@@ -133,6 +136,10 @@ def mutated_files(draw):
         _set(data, draw(st.sampled_from(params + domain)), draw(st.sampled_from(_NON_FINITE)))
     elif kind == "huge":
         _set(data, draw(st.sampled_from(params)), draw(st.sampled_from(_HUGE)))
+    elif kind == "fd-step":
+        data["fd"]["step"] = draw(st.sampled_from(_OVERFLOW))
+    elif kind == "ambient-radius":
+        data["ambient"]["a"] = draw(st.sampled_from(_NON_FINITE + _OVERFLOW + [7.0, 0.5, 1.0 + 1e-12]))
     else:
         kinds = {"de_sitter", "anti_de_sitter", "lorentz_flat"} - {data["ambient"]["kind"]}
         data["ambient"]["kind"] = draw(st.sampled_from(sorted(kinds) + ["flat", "unknown"]))

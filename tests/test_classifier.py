@@ -37,7 +37,6 @@ def synthetic_field(A_diag, B_diag, m=4, N=6, dA=0.0, dB=0.0, phi=0.0, riemann=N
     f = InvariantField(
         chart=chart,
         U=np.linspace(0, 1, N * m).reshape(N, m),
-        cfg=DEFAULT,
         rho=np.ones(N),
         H=np.zeros(N),
         metric=np.tile(np.eye(m), (N, 1, 1)),
@@ -451,16 +450,19 @@ class TestClassifyPipeline:
 
 class TestTolerances:
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-    def test_invalid_classify_tol_refused(self, tol):
+    def test_invalid_classify_tol_refused(self, sxh_chart, tol):
         with pytest.raises(ValidationError, match="classify_tol"):
             replace(DEFAULT, classify_tol=tol)
+        with pytest.raises(ValidationError, match="classify_tol must be a finite number > 0"):
+            classify(sxh_chart, classify_tol=tol)
+        with pytest.raises(ValidationError, match="classify_tol must be a finite number > 0"):
+            classify_field(synthetic_field([0.2] * 4, [0.0] * 4), classify_tol=tol)
 
     def test_classify_field_gates_at_its_config(self):
         # |grad A| = 8e-6, within 1e-4 (1 + |A|) but not within 1e-6 (1 + |A|)
         f = synthetic_field([0.2, 0.2, -0.2, -0.2], [C, -C, 0, 0], dA=1e-6)
         assert classify_field(f).branch == BRANCH_PARALLEL_B
-        f.cfg = replace(DEFAULT, classify_tol=1e-6)
-        rep = classify_field(f)
+        rep = classify_field(f, classify_tol=1e-6)
         assert rep.branch == BRANCH_NOT_PARALLEL_A
         assert rep.tolerances["classify_tol"] == 1e-6
 

@@ -10,7 +10,8 @@ import pytest
 
 from confgeo.catalog import build_instance
 from confgeo.chart import chart_to_dict, save_chart
-from confgeo.cli import build_parser, main
+from confgeo.classifier import classify
+from confgeo.cli import build_parser, main, render_json
 from confgeo.config import DEFAULT
 from confgeo.conformal_atlas import MAP_TAGS, lift_chart
 
@@ -92,6 +93,11 @@ class TestClassifyCommand:
         )
         assert code == 1 and out == ""
         assert err.startswith("error:") and "--classify-tol" in err
+
+    def test_classify_tol_argument_prints_the_flag_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--catalog", "sxh", "--grid", "3", "--classify-tol", "1e-6")
+        assert code == 0
+        assert out == render_json(classify(build_instance("sxh"), counts=3, classify_tol=1e-6).to_dict())
 
 
 # sha256 of the exact stdout of the analytic reports at grid 3; FD reports
@@ -307,12 +313,23 @@ class TestAnalyzeCommand:
         path = tmp_path / "chart.json"
         save_chart(sxh_chart.with_jet_mode("fd"), path)
         data = json.loads(path.read_text())
-        for step in ("abc", True, float("nan"), [0.1]):
+        for step in ("abc", True, float("nan"), [0.1], 10**400):
             data["fd"]["step"] = step
             path.write_text(json.dumps(data))
             code, _, err = run_cli(capsys, "residuals", "--chart-file", str(path))
             assert code == 1
             assert err.startswith("error:") and "FD step" in err
+
+    def test_chart_file_beyond_double_precision_is_a_computation_error(self, capsys, tmp_path, sxh_chart):
+        # sinh and cosh of the grid's first coordinate overflow
+        path = tmp_path / "chart.json"
+        data = chart_to_dict(sxh_chart)
+        data["domain"]["lo"][0] = -1e300
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "classify", "--chart-file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("computation error: chart 'sxh(") and err.count("\n") == 1
+        assert "has a non-finite jet at 18 of 27 points" in err
 
     def test_chart_file_with_unknown_parameter(self, capsys, tmp_path, sxh_chart):
         path = tmp_path / "chart.json"
@@ -349,12 +366,16 @@ class TestAnalyzeCommand:
             {"params": {"name": 1}},
             {"params": [["k", 1]]},
             {"domain": {"lo": [0.35, float("nan"), 0.25], "hi": [0.95, 1.7, 1.05]}},
+            {"ambient": {"kind": "de_sitter", "a": float("nan")}},
+            {"ambient": {"kind": "de_sitter", "a": 7.0}},
+            {"ambient": {"kind": "de_sitter", "a": 10**400}},
+            {"ambient": {"kind": "de_sitter", "a": "1"}},
         ],
         ids=[
             "missing", "directory", "not-json", "not-utf8", "m", "m-infinite", "domain", "bound",
             "fd", "ambient", "parameter", "parameter-bool", "parameter-infinite", "parameter-m", "lift",
             "m-string", "m-non-integral", "m-null", "parameter-non-integral", "parameter-name",
-            "params-not-object", "bound-nan",
+            "params-not-object", "bound-nan", "radius-nan", "radius", "radius-overflow", "radius-string",
         ],
     )
     def test_bad_chart_file_is_an_input_error(self, capsys, tmp_path, sxh_chart, edit):

@@ -11,7 +11,7 @@ from confgeo.catalog import build_instance
 from confgeo.chart import DE_SITTER, AmbientForm, ImmersionChart, grid_points, shape_batch
 from confgeo.config import DEFAULT
 from confgeo.conformal_atlas import LiftedChart, lift_chart, sigma_rep_batch
-from confgeo.errors import ConsistencyError, ValidationError
+from confgeo.errors import ComputationError, ConsistencyError, ValidationError
 from confgeo.invariants import (
     _gauss_rhs,
     evaluate_field,
@@ -164,6 +164,14 @@ class TestInvariantTensors:
     def test_requires_de_sitter_picture(self, hxr_chart):
         with pytest.raises(ValidationError, match="lift"):
             evaluate_field(hxr_chart, np.array([[0.5, 0.9, 0.9]]))
+
+    @pytest.mark.parametrize("u0", [-1e300, math.nan])
+    def test_non_finite_jet_is_refused(self, sxh_chart, u0):
+        # sinh and cosh overflow at u0 = -1e300 and NaN propagates: the jet
+        # is refused where it is taken, with no numpy warning (an error here)
+        U = np.array([[0.5, 1.2, 0.6], [u0, 1.2, 0.6]])
+        with pytest.raises(ComputationError, match=r"non-finite jet at 1 of 2 points \(first u = \["):
+            evaluate_field(sxh_chart, U)
 
     @pytest.mark.parametrize("excess,refused", [(1e-13, True), (1e-15, False)])
     def test_one_unit_radius_rule(self, sxh_chart, excess, refused):
