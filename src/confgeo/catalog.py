@@ -208,7 +208,7 @@ def make_wp(m: int, p: int, q: int, a: float) -> ImmersionChart:
 
 @dataclass
 class CoreHypersurface:
-    """Maximal space-like core inside a curvature-r quadric.
+    """Maximal space-like core inside the radius-r quadric that is its chart's ambient.
 
     The closed-form family used here is the two-factor cylinder with radii
     b1, b2 tied to the quadric radius r; the mean curvature vanishes iff the
@@ -216,20 +216,16 @@ class CoreHypersurface:
     admits and the de Sitter quadric does not (same-sign curvatures).
     """
 
-    kind: str            # ambient quadric kind
     K: int
     r: float
     b1: float
     b2: float
     chart: ImmersionChart
     target_h2: float     # required |h|^2 = (m-1)/m of the assembly
-    m_total: int
 
     def expected_scalar_curvature(self) -> float:
-        m, K, r = self.m_total, self.K, self.r
-        if self.kind == DE_SITTER:
-            return (m * K * (K - 1) + (m - 1) * r**2) / (m * r**2)
-        return (-m * K * (K - 1) + (m - 1) * r**2) / (m * r**2)
+        """K(K-1) c + |h|^2 of a maximal core, c the curvature of its quadric."""
+        return self.K * (self.K - 1) * self.chart.ambient.curvature + self.target_h2
 
 
 def _core_box(count: int):
@@ -269,7 +265,7 @@ def _ads_core(m: int, K: int, j: int, r: float | None) -> CoreHypersurface:
         params={"j": j, "r": r},
         template=None,
     )
-    return CoreHypersurface(ANTI_DE_SITTER, K, r, b1, b2, chart, target, m)
+    return CoreHypersurface(K, r, b1, b2, chart, target)
 
 
 def _ds_core_obstruction(K: int, j: int) -> str:
@@ -374,15 +370,14 @@ def verify_core(core: CoreHypersurface, *, counts: int = 3) -> CoreReport:
     """Check maximality, |h|^2 and the Gauss-equation scalar curvature.
 
     The intrinsic scalar curvature is assembled through the Gauss equation
-    S = K(K-1) c_ambient + |h|^2 - K^2 H^2 with c_ambient = +-1/r^2 and a
-    time-like normal.
+    S = K(K-1) c + |h|^2 - K^2 H^2 with c the curvature of the core's
+    quadric and a time-like normal.
     """
     K = core.K
     U = grid_points(core.chart.domain, [counts] * K)
     s = shape_series(core.chart, core.chart.jet(U, 2))
     h2, H = s.h2.value, s.H.value
-    c_amb = (1.0 if core.kind == DE_SITTER else -1.0) / core.r**2
-    scalar = K * (K - 1) * c_amb + h2 - K**2 * H**2
+    scalar = K * (K - 1) * core.chart.ambient.curvature + h2 - K**2 * H**2
     if h2.max() < TOTALLY_GEODESIC_TOL:
         # totally geodesic candidates never meet |h|^2 = (m-1)/m
         return CoreReport(core.chart.name, float(np.max(np.abs(H))), float(core.target_h2), np.inf)

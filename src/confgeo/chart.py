@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .config import GUARD_TOL, UNIT_RADIUS_TOL, NumericsConfig
+from .config import GUARD_TOL, UNIT_RADIUS_TOL, NumericsConfig, check_positive
 from .errors import (
     ChartDomainError,
     DimensionMismatchError,
@@ -71,10 +71,15 @@ class AmbientForm:
         if self.kind != LORENTZ_FLAT and not self.radius > 0:
             raise ValidationError(f"ambient radius must be positive, got {self.radius}")
 
-    @property
-    def is_unit(self) -> bool:
-        """Radius 1 up to UNIT_RADIUS_TOL: the unit picture of a quadric."""
-        return abs(self.radius - 1.0) <= UNIT_RADIUS_TOL
+    def check_unit(self, chart_name: str) -> None:
+        """Refuse a quadric whose radius is more than UNIT_RADIUS_TOL off 1:
+        the invariants, the frame route and the lifts work in unit space
+        forms (the flat form has no radius)."""
+        if self.kind != LORENTZ_FLAT and abs(self.radius - 1.0) > UNIT_RADIUS_TOL:
+            raise ValidationError(
+                f"chart {chart_name!r} lies in the {self.kind} form of radius {self.radius!r}; "
+                "conformal invariants and lifts need its unit form"
+            )
 
     @property
     def embedding_dim(self) -> int:
@@ -92,6 +97,14 @@ class AmbientForm:
         if self.kind == ANTI_DE_SITTER:
             return -(self.radius**2)
         return None
+
+    @property
+    def curvature(self) -> float:
+        """Sectional curvature: 1/quadric_value on a quadric <x,x> = q (the
+        position x is normal to it with D_X x = X, so the Gauss equation
+        gives <R(X,Y)Y,X> = (<X,X><Y,Y> - <X,Y>^2)/q), 0 on the flat form."""
+        q = self.quadric_value
+        return 0.0 if q is None else 1.0 / q
 
     def quadric_residual(self, x: np.ndarray) -> np.ndarray:
         """|<x,x> - quadric constant| per point; zeros for the flat form."""
@@ -220,10 +233,11 @@ class ImmersionChart:
     formula charts switched to FD jets, fit a polynomial to one evaluation
     on a sample cloud around each point and write its coefficients as the
     same series.  `fd_step` is the reach of that cloud, its largest offset
-    along each parameter axis, when positive; otherwise (None or <= 0) the
-    reach is fd.default_reach of the chart's dimension (0.1, and 0.15 at
-    m = 4).  Instances are immutable by convention; the compiled form of
-    sympy expressions is a cache, shared by the copies of a chart.
+    along each parameter axis: a finite number > 0 (checked on
+    construction), or None for fd.default_reach of the chart's dimension
+    (0.1, and 0.15 at m = 4).  Instances are immutable by convention; the
+    compiled form of sympy expressions is a cache, shared by the copies of
+    a chart.
     """
 
     def __init__(
@@ -249,6 +263,8 @@ class ImmersionChart:
             raise ValidationError(f"ambient dimension {ambient.dim} != m+1={m + 1}")
         if jet_mode not in ("analytic", "fd"):
             raise ValidationError(f"jet mode must be 'analytic' or 'fd', got {jet_mode!r}")
+        if fd_step is not None:
+            check_positive("FD step", fd_step)
         if exprs is not None:
             if formula is not None:
                 raise ValidationError("chart takes expressions or a formula, not both")
@@ -338,8 +354,7 @@ class ImmersionChart:
         for analytic jets)."""
         if self.jet_mode != "fd":
             return 0.0
-        step = self.fd_step
-        return step if step is not None and step > 0 else default_reach(self.m)
+        return default_reach(self.m) if self.fd_step is None else self.fd_step
 
     # -- jets ---------------------------------------------------------------
 
@@ -474,7 +489,6 @@ class RegularityReport:
     min_rho2: float
     min_metric_eig: float
     max_ambient_residual: float
-    max_normal_residual: float
     regular: bool
 
 
@@ -498,18 +512,9 @@ def regularity_from_jet(chart: ImmersionChart, jet: taylor.Series) -> Regularity
     min_eig = float(np.min(eigs))
     ambient = float(np.max(chart.ambient.quadric_residual(jet.value)))
     try:
-        s = shape_series(chart, jet.truncate(2))
-        n = s.n.value
-        min_rho2 = float(np.min(s.rho2.value))
-        normal_resid = float(
-            max(
-                np.max(np.abs(pseudo_dot(n, n, signs) + 1.0)),
-                np.max(np.abs(np.einsum("nc,c,nci->ni", n, signs, dx))),
-            )
-        )
+        min_rho2 = float(np.min(shape_series(chart, jet.truncate(2)).rho2.value))
     except RegularityError:
         min_rho2 = 0.0
-        normal_resid = np.inf
     reg_tol = NumericsConfig.regularity_tol
     ambient_tol = NumericsConfig.ambient_tol if chart.jet_mode == "analytic" else NumericsConfig.fd_tol
     regular = min_rho2 > reg_tol and min_eig > reg_tol and ambient <= ambient_tol
@@ -518,7 +523,6 @@ def regularity_from_jet(chart: ImmersionChart, jet: taylor.Series) -> Regularity
         min_rho2=min_rho2,
         min_metric_eig=min_eig,
         max_ambient_residual=ambient,
-        max_normal_residual=normal_resid,
         regular=bool(regular),
     )
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .chart import ImmersionChart, regularity_from_jet
 from .config import DEFAULT, NumericsConfig, check_positive
-from .errors import ComputationError, ConsistencyError
+from .errors import ComputationError, ConsistencyError, ValidationError
 from .invariants import InvariantField, field_from_jet, grid_jet
 from .pseudo_linalg import cluster_eigenvalues
 
@@ -229,9 +229,12 @@ def _inconclusive(chart: ImmersionChart, U: np.ndarray, classify_tol: float) -> 
 
 
 def classify_field(f: InvariantField, classify_tol: float = DEFAULT.classify_tol) -> ClassificationReport:
-    """Assign a branch to a precomputed invariant field; every gate and the
-    eigenvalue clustering use classify_tol, a finite number > 0."""
+    """Assign a branch to a precomputed invariant field, one evaluated with
+    derivatives=True; every gate and the eigenvalue clustering use
+    classify_tol, a finite number > 0."""
     check_positive("classify_tol", classify_tol)
+    if f.dA is None:
+        raise ValidationError("classify_field needs a field evaluated with derivatives=True")
     report = _inconclusive(f.chart, f.U, classify_tol)
     ok_a, grad_a = gate_parallel(f.dA, f.A, classify_tol)
     report.residuals["grad_a_norm"] = grad_a

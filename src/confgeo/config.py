@@ -31,9 +31,10 @@ Module constants, one per decision outside the tiers:
                        squared-norm constraint (catalog._ads_core)
 * TOTALLY_GEODESIC_TOL -- a catalog core is totally geodesic
                        (catalog.verify_core)
-* UNIT_RADIUS_TOL   -- a quadric ambient is the unit picture
-                       (AmbientForm.is_unit: evaluate_field, frame_route,
-                       lift_chart)
+* UNIT_RADIUS_TOL   -- a quadric ambient is its unit form
+                       (AmbientForm.check_unit: evaluate_field,
+                       field_from_jet, frame_route, lift_chart); a chart
+                       file's radius is its template's (chart_from_dict)
 * ON_FORM_TOL       -- a point handed to embed or compose_maps lies on its
                        space form; a representative typed to
                        `map --which psi1|psi2` is null
@@ -66,7 +67,7 @@ CORE_RADIUS_TOL = 1e-5
 # verify_core reports a core as totally geodesic when its largest |h|^2 is below this
 TOTALLY_GEODESIC_TOL = 1e-5
 
-# a quadric ambient is the unit picture when |radius - 1| is within this
+# a quadric ambient is its unit form when |radius - 1| is within this
 UNIT_RADIUS_TOL = 1e-14
 
 # a point given to embed or compose_maps is on its form when |<x,x> -+ 1| is within this

@@ -101,11 +101,11 @@ def in_pi(rep: np.ndarray) -> bool:
 # sympy expressions)
 # ---------------------------------------------------------------------------
 
-def _lorentz_square(x: Sequence) -> object:
-    """<x,x> with one leading time slot, generic over numeric/symbolic entries."""
-    q = -x[0] * x[0]
-    for c in x[1:]:
-        q = q + c * c
+def _lorentz_dot(x: Sequence, v: Sequence) -> object:
+    """<x,v> with one leading time slot, generic over numeric/symbolic entries."""
+    q = -x[0] * v[0]
+    for a, b in zip(x[1:], v[1:]):
+        q = q + a * b
     return q
 
 
@@ -122,7 +122,7 @@ def sigma_rep(kind: str, x: Sequence, isometric: bool = False) -> list:
     if kind == ANTI_DE_SITTER:
         return [x[0], x[1], 1, *x[2:]]
     if kind == LORENTZ_FLAT:
-        q = _lorentz_square(x)
+        q = _lorentz_dot(x, x)
         rep = [2 * x[0], q + 1, q - 1, *(2 * c for c in x[1:])]
         if isometric:
             rep = [c / 2 for c in rep]
@@ -133,6 +133,19 @@ def sigma_rep(kind: str, x: Sequence, isometric: bool = False) -> list:
 def sigma_rep_batch(kind: str, X, isometric: bool = False):
     """Vectorized sigma_rep: X (N, d), an array or a Taylor series -> (N, m+3)."""
     return taylor.stack(sigma_rep(kind, [X[:, i] for i in range(X.shape[1])], isometric=isometric))
+
+
+def sigma_differential_batch(kind: str, X, V):
+    """dZ_X(V): the differential of the isometric representative
+    Z = sigma_rep_batch(kind, X, isometric=True) at the points X applied to
+    the vectors V, both (N, d), arrays or Taylor series -> (N, m+3)."""
+    x, v = ([S[:, i] for i in range(S.shape[1])] for S in (X, V))
+    if kind == DE_SITTER:
+        return taylor.stack([0, *v])
+    if kind == ANTI_DE_SITTER:
+        return taylor.stack([v[0], v[1], 0, *v[2:]])
+    xv = _lorentz_dot(x, v)
+    return taylor.stack([v[0], xv, xv, *v[1:]])
 
 
 def _check_on_form(kind: str, X: np.ndarray) -> None:
@@ -354,8 +367,7 @@ def lift_chart(chart: ImmersionChart, which: str) -> LiftedChart:
     kind = chart.ambient.kind
     if tag.source_kind not in (None, kind):
         raise ValidationError(f"{which} lifts {tag.source_kind} charts, not {kind}")
-    if kind == DE_SITTER and not chart.ambient.is_unit:
-        raise ValidationError("only unit de Sitter charts can be re-lifted")
+    chart.ambient.check_unit(chart.name)
     return LiftedChart(chart, _slot_permutation(kind, chart.m), tag.alpha)
 
 

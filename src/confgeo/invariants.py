@@ -1,21 +1,23 @@
-"""Conformal invariants of space-like hypersurfaces in the unit de Sitter form.
+"""Conformal invariants of space-like hypersurfaces in a unit Lorentzian space form.
 
-Two independent computation routes:
+Charts in the unit de Sitter, unit anti-de Sitter and flat forms (sectional
+curvature c = 1, -1, 0) all take the same two computation routes:
 
 * closed formulas in terms of the shape data (the primary route):
 
       B = rho (h - H g0)                                   as coordinate tensors
       A = -[Hess log rho - dlogrho (x) dlogrho + H h]
-          - 1/2 (|grad log rho|^2 - H^2 - 1) g0
+          - 1/2 (|grad log rho|^2 - H^2 - c) g0
       Phi = -rho^{-1} [ (h - H g0)(., grad log rho) + dH ]
 
   with the Hessian and gradient taken in the induced metric; frame
   components follow by contracting with the conformal-metric orthonormal
   frame E_i (so that B_ij = rho^{-1}(h_ij - H delta_ij) etc.).
 
-* the moving-frame route through the light-cone lift Y = rho * Z(x):
-  A_ij = -<Y_ij, N>, B_ij = -<Y_ij, xi>, which works in any of the three
-  space-form pictures and doubles as the internal consistency check.
+* the moving-frame route through the light-cone lift Y = rho Z(x), Z the
+  isometric representative of the form: A_ij = -<Y_ij, N>,
+  B_ij = -<Y_ij, xi> with xi = dZ_x(n) - H Z, Phi_i = <N, E_i xi>; it
+  doubles as the internal consistency check.
 
 Both routes run on truncated Taylor series (taylor.py) of one jet per
 point, whatever the jet source: the exact series of formula charts or the
@@ -51,11 +53,11 @@ from dataclasses import dataclass, field as dc_field, fields, replace
 import numpy as np
 
 from . import taylor
-from .chart import DE_SITTER, LORENTZ_FLAT, ImmersionChart, ShapeSeries, grid_points, shape_series
+from .chart import DE_SITTER, ImmersionChart, ShapeSeries, grid_points, shape_series
 from .config import DEFAULT, NumericsConfig
-from .conformal_atlas import lift_chart, sigma_rep_batch
+from .conformal_atlas import lift_chart, sigma_differential_batch, sigma_rep_batch
 from .errors import ComputationError, ConsistencyError, RegularityError, ValidationError
-from .pseudo_linalg import batched_normal, form_signs, pseudo_dot, triangular_frame
+from .pseudo_linalg import form_signs, pseudo_dot, triangular_frame
 from .taylor import einsum
 
 
@@ -104,29 +106,22 @@ def grid_margin(chart: ImmersionChart) -> float:
 # coordinate-level invariants (one shared pass)
 # ---------------------------------------------------------------------------
 
-def _closed_formulas(h, H, g0, g0inv, rho, dlr, d2lr, gam0, dH):
+def _closed_formulas(h, H, g0, g0inv, rho, dlr, d2lr, gam0, dH, c):
     """Coordinate components of A, B and Phi from the shape data.
 
     Works on arrays and on Taylor series alike: d2lr are the plain second
-    partials of log rho and gam0 the Christoffels of g0.
+    partials of log rho, gam0 the Christoffels of g0 and c the sectional
+    curvature of the ambient form.
     """
     hess = d2lr - einsum("ngab,ng->nab", gam0, dlr)
     grad2 = einsum("na,nab,nb->n", dlr, g0inv, dlr)
     A = -(hess - einsum("na,nb->nab", dlr, dlr) + H[:, None, None] * h) - 0.5 * (
-        grad2 - H**2 - 1.0
+        grad2 - H**2 - c
     )[:, None, None] * g0
     hmH = h - H[:, None, None] * g0
     B = rho[:, None, None] * hmH
     Phi = -(1.0 / rho)[:, None] * (einsum("nab,nbc,nc->na", hmH, g0inv, dlr) + dH)
     return A, B, Phi
-
-
-def _check_picture(chart: ImmersionChart) -> None:
-    if chart.ambient.kind != DE_SITTER or not chart.ambient.is_unit:
-        raise ValidationError(
-            "conformal invariants are computed in the unit de Sitter picture; "
-            f"lift chart {chart.name!r} first (conformal_atlas.lift_chart)"
-        )
 
 
 def jet_order(derivatives: bool) -> int:
@@ -206,7 +201,7 @@ def _series_invariants(
     A, B, Phi = _closed_formulas(
         s.h.truncate(k), s.H.truncate(k), s.g0.truncate(k), s.g0inv.truncate(k),
         taylor.sqrt(s.rho2.truncate(k)), dlr.truncate(k), dlr.grad(), gam0.truncate(k),
-        s.H.grad().truncate(k),
+        s.H.grad().truncate(k), chart.ambient.curvature,
     )
     g = s.rho2.truncate(1)[:, None, None] * g0
     d1 = dlr.truncate(1)
@@ -313,7 +308,7 @@ def evaluate_field(
     the module docstring).
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    _check_picture(chart)
+    chart.ambient.check_unit(chart.name)
     jet = _finite_jet(chart, U, jet_order(derivatives))
     return field_from_jet(chart, U, jet, derivatives, curvature, cross_check)
 
@@ -328,7 +323,7 @@ def field_from_jet(
 ) -> InvariantField:
     """evaluate_field from an already evaluated jet of order >=
     jet_order(derivatives)."""
-    _check_picture(chart)
+    chart.ambient.check_unit(chart.name)
     if chart.jet_mode != "fd":
         fieldv, shape = _invariant_field(chart, U, jet, derivatives, curvature)
         _attach_residuals(fieldv)
@@ -463,7 +458,7 @@ class FrameRoute:
     Y_i: np.ndarray         # (N, m+3, m)
     A: np.ndarray           # frame components
     B: np.ndarray
-    Phi: np.ndarray | None
+    Phi: np.ndarray
     relations: dict[str, float]
 
 
@@ -473,20 +468,18 @@ def frame_route(
     *,
     shape: ShapeSeries | None = None,
 ) -> FrameRoute:
-    """A and B from the frame equations of the light-cone lift.
+    """A, B and Phi from the frame equations of the light-cone lift.
 
-    Works in the native picture of the chart (any of the three space forms,
-    unit radius for the quadrics); the conformal-space machinery is shared,
-    only the homogeneous representative differs.  The derivatives of the
-    lift come from the shape series of an order-4 jet, or of `shape` when
-    the caller already holds them.  Raises RegularityError on the totally
-    umbilic locus.
+    Works in the native picture of the chart (any unit space form); the
+    conformal-space machinery is shared, only the isometric representative
+    Z and its differential differ.  The derivatives of the lift come from
+    the shape series of an order-4 jet, or of `shape` when the caller
+    already holds them.  Raises RegularityError on the totally umbilic locus.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     m = chart.m
     kind = chart.ambient.kind
-    if kind != LORENTZ_FLAT and not chart.ambient.is_unit:
-        raise ValidationError("frame route expects unit-radius quadric ambients")
+    chart.ambient.check_unit(chart.name)
     signs2 = form_signs(2, m + 3)
     if shape is None:
         shape = shape_series(chart, chart.jet(U, 4))
@@ -511,20 +504,12 @@ def frame_route(
     Y_i = EY.value
     Y_ij = np.einsum("nbj,ncib->ncij", F.value, EY.grad().value)  # E_j E_i Y
 
-    Phi = None
-    if kind == DE_SITTER:
-        # dN = sum_i psi_i Y_i + Phi xi with <xi, xi> = -1, and <N, xi> = 0:
-        # Phi_i = -<E_i N, xi> = <N, E_i xi>
-        H = shape.H.truncate(1)[:, None]
-        xis = taylor.concatenate([-H, -H * x.truncate(1) + shape.n.truncate(1)], axis=1)
-        xi = xis.value
-        Exi = np.einsum("nai,nca->nci", F.value, xis.grad().value)
-        Phi = np.einsum("nc,c,nci->ni", N_vec, signs2, Exi)
-    else:
-        rows = np.concatenate(
-            [Y[:, None, :], N_vec[:, None, :], np.swapaxes(Y_i, 1, 2)], axis=1
-        )
-        xi = batched_normal(rows, signs2)
+    # dN = sum_i psi_i Y_i + Phi xi with <xi, xi> = -1, and <N, xi> = 0:
+    # Phi_i = -<E_i N, xi> = <N, E_i xi>
+    xis = sigma_differential_batch(kind, x, shape.n.truncate(1)) - shape.H.truncate(1)[:, None] * Z
+    xi = xis.value
+    Exi = np.einsum("nai,nca->nci", F.value, xis.grad().value)
+    Phi = np.einsum("nc,c,nci->ni", N_vec, signs2, Exi)
 
     A = -np.einsum("ncij,c,nc->nij", Y_ij, signs2, N_vec)
     B = -np.einsum("ncij,c,nc->nij", Y_ij, signs2, xi)
@@ -556,8 +541,8 @@ def run_cross_check(f: InvariantField, shape: ShapeSeries | None = None) -> dict
     """Compare the closed-formula route against the frame route.
 
     `shape` passes the Taylor route's shape series on to the frame route,
-    which otherwise takes its own jet.  Each of A, B and (on de Sitter
-    charts) Phi is compared relative to 1 + its largest closed-route entry;
+    which otherwise takes its own jet.  Each of A, B and Phi is compared
+    relative to 1 + its largest closed-route entry;
     raises ConsistencyError when one of them exceeds crosscheck_factor times
     the tier tolerance (signals insufficient jet accuracy).
     """
@@ -565,7 +550,6 @@ def run_cross_check(f: InvariantField, shape: ShapeSeries | None = None) -> dict
     diff = {
         f"cross_{key}": float(np.max(np.abs(frame - closed))) / (1.0 + float(np.max(np.abs(closed))))
         for key, frame, closed in (("a", fr.A, f.A), ("b", fr.B, f.B), ("phi", fr.Phi, f.Phi))
-        if frame is not None
     }
     worst = max(diff.values())
     diff["cross_frame_relations"] = max(fr.relations.values())

@@ -204,9 +204,7 @@ class TestAssembledExample:
             exprs=sp.Matrix(comps),
             syms=tuple(t),
         )
-        core = CoreHypersurface(
-            "anti_de_sitter", K, r, r, r, chart, target_h2=3 / 4, m_total=4
-        )
+        core = CoreHypersurface(K, r, r, r, chart, target_h2=3 / 4)
         rep = verify_core(core)
         assert not np.isfinite(rep.scalar_curvature_deviation) or rep.h2_deviation > 0.5
 

@@ -314,9 +314,15 @@ class TestChartFiles:
             chart_from_dict(d)
 
     @pytest.mark.parametrize("step", [0, -0.5])
-    def test_non_positive_fd_step_takes_the_default_reach(self, sxh_chart, step):
+    def test_non_positive_fd_step_is_refused(self, sxh_chart, step):
+        # null is the one spelling of the default reach
         d = chart_to_dict(sxh_chart.with_jet_mode("fd"))
         d["fd"]["step"] = step
+        with pytest.raises(ValidationError, match=f"FD step must be a finite number > 0, got {step}"):
+            chart_from_dict(d)
+        with pytest.raises(ValidationError, match="FD step must be a finite number > 0"):
+            sxh_chart.with_jet_mode("fd", fd_step=step)
+        d["fd"]["step"] = None
         assert chart_from_dict(d).fd_margin() == default_reach(3)
 
     @pytest.mark.parametrize("name", ["wp", "hxr", "hxh"])

@@ -137,7 +137,7 @@ def mutated_files(draw):
     elif kind == "huge":
         _set(data, draw(st.sampled_from(params)), draw(st.sampled_from(_HUGE)))
     elif kind == "fd-step":
-        data["fd"]["step"] = draw(st.sampled_from(_OVERFLOW))
+        data["fd"]["step"] = draw(st.sampled_from(_OVERFLOW + [0, -0.05, -1e300]))
     elif kind == "ambient-radius":
         data["ambient"]["a"] = draw(st.sampled_from(_NON_FINITE + _OVERFLOW + [7.0, 0.5, 1.0 + 1e-12]))
     else:

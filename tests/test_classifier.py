@@ -7,7 +7,7 @@ import pytest
 import sympy as sp
 
 from confgeo.catalog import build_instance, sphere_components
-from confgeo.chart import AmbientForm, Box, ImmersionChart
+from confgeo.chart import AmbientForm, Box, ImmersionChart, grid_points
 from confgeo.classifier import (
     ANCHORS,
     BRANCH_INCONCLUSIVE,
@@ -26,7 +26,7 @@ from confgeo.classifier import (
 )
 from confgeo.config import DEFAULT
 from confgeo.errors import ComputationError, ValidationError
-from confgeo.invariants import InvariantField
+from confgeo.invariants import InvariantField, evaluate_field
 
 
 def synthetic_field(A_diag, B_diag, m=4, N=6, dA=0.0, dB=0.0, phi=0.0, riemann=None):
@@ -436,6 +436,13 @@ class TestClassifyPipeline:
             "failing_gate",
             "notes",
         }
+
+    def test_field_without_derivatives_is_refused(self, sxh_chart):
+        # the parallel gates read dA and dB; the curvature is optional
+        U = grid_points(sxh_chart.domain, [3], margin=0.06)
+        with pytest.raises(ValidationError, match="needs a field evaluated with derivatives=True"):
+            classify_field(evaluate_field(sxh_chart, U, derivatives=False))
+        assert classify_field(evaluate_field(sxh_chart, U, curvature=False)).branch == BRANCH_PARALLEL_B
 
     def test_anchor_follows_the_branch(self, sxh_chart):
         # no exit sets the anchor: it is read from the branch, so none can

@@ -313,7 +313,7 @@ class TestAnalyzeCommand:
         path = tmp_path / "chart.json"
         save_chart(sxh_chart.with_jet_mode("fd"), path)
         data = json.loads(path.read_text())
-        for step in ("abc", True, float("nan"), [0.1], 10**400):
+        for step in ("abc", True, float("nan"), [0.1], 10**400, 0, -1e300):
             data["fd"]["step"] = step
             path.write_text(json.dumps(data))
             code, _, err = run_cli(capsys, "residuals", "--chart-file", str(path))

@@ -8,8 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from confgeo import invariants
 from confgeo.catalog import build_instance
+from confgeo.classifier import classify_field
 from confgeo.chart import DE_SITTER, AmbientForm, ImmersionChart, grid_points, shape_batch
-from confgeo.config import DEFAULT
+from confgeo.config import DEFAULT, residual_tolerance
 from confgeo.conformal_atlas import LiftedChart, lift_chart, sigma_rep_batch
 from confgeo.errors import ComputationError, ConsistencyError, ValidationError
 from confgeo.invariants import (
@@ -161,10 +162,6 @@ class TestInvariantTensors:
         with pytest.raises(ConsistencyError, match="routes disagree"):
             run_cross_check(f)
 
-    def test_requires_de_sitter_picture(self, hxr_chart):
-        with pytest.raises(ValidationError, match="lift"):
-            evaluate_field(hxr_chart, np.array([[0.5, 0.9, 0.9]]))
-
     @pytest.mark.parametrize("u0", [-1e300, math.nan])
     def test_non_finite_jet_is_refused(self, sxh_chart, u0):
         # sinh and cosh overflow at u0 = -1e300 and NaN propagates: the jet
@@ -173,15 +170,21 @@ class TestInvariantTensors:
         with pytest.raises(ComputationError, match=r"non-finite jet at 1 of 2 points \(first u = \["):
             evaluate_field(sxh_chart, U)
 
-    @pytest.mark.parametrize("excess,refused", [(1e-13, True), (1e-15, False)])
-    def test_one_unit_radius_rule(self, sxh_chart, excess, refused):
-        # the invariants, the frame route and the psi2 re-lift all need the
-        # unit de Sitter picture, and decide it by the same rule
+    @pytest.mark.parametrize(
+        "excess,refused", [(1e-13, True), (1e-15, False), pytest.param(None, True, id="anti-de-sitter-core")]
+    )
+    def test_one_unit_radius_rule(self, sxh_chart, ex33_chart, excess, refused):
+        # the invariants, the frame route and the lifts all need a unit space
+        # form, and decide it by the same rule: a de Sitter chart of radius
+        # 1 + excess, or ex33's core in its anti-de Sitter quadric of radius 1.63
         m = sxh_chart.m
-        chart = ImmersionChart(
-            sxh_chart.name, m, AmbientForm(DE_SITTER, m + 1, 1.0 + excess), sxh_chart.domain,
-            formula=sxh_chart._formula,
-        )
+        if excess is None:
+            chart = ex33_chart.core.chart
+        else:
+            chart = ImmersionChart(
+                sxh_chart.name, m, AmbientForm(DE_SITTER, m + 1, 1.0 + excess), sxh_chart.domain,
+                formula=sxh_chart._formula,
+            )
         U = grid_points(chart.domain, [3], margin=0.05)[:2]
         calls = [
             lambda: evaluate_field(chart, U, derivatives=False, curvature=False),
@@ -190,10 +193,63 @@ class TestInvariantTensors:
         ]
         for call in calls:
             if refused:
-                with pytest.raises(ValidationError):
+                with pytest.raises(ValidationError, match="need its unit form"):
                     call()
             else:
                 call()
+
+
+# bounds measured at grid 3 inset by grid_margin (largest value seen, about
+# doubled): native against psi1-lifted sorted A eigenvalues, sorted |B|
+# eigenvalues, |Phi| and kappa; the native field's residuals and its
+# cross-check.  hxh a = 0.001 and wp a = 100 are where the lift loses digits
+NATIVE_BOUNDS = {"A": 3e-13, "|B|": 1.5e-11, "|Phi|": 6e-11, "kappa": 3e-13, "residual": 1.5e-11, "cross": 3e-11}
+NATIVE_CASES = {
+    "hxr": ("hxr", {}, {}),
+    "hxh": ("hxh", {}, {}),
+    "wp": ("wp", {}, {}),
+    "hxh-a0.001": ("hxh", {"a": 0.001}, {"A": 4e-9, "|Phi|": 1.5e-9, "kappa": 3e-9, "cross": 1.6e-9}),
+    "wp-a100": ("wp", {"a": 100.0}, {"A": 2e-10, "kappa": 8e-11}),
+    "graph": (None, {}, {}),
+}
+
+
+class TestNativeSpaceForms:
+    """Flat and anti-de Sitter charts evaluated in their own unit space form
+    (curvature 0 and -1) give the conformal invariants of their psi1 lift
+    into de Sitter."""
+
+    @pytest.mark.parametrize("case", NATIVE_CASES)
+    def test_native_field_matches_the_lift(self, graph_chart, case):
+        family, params, wider = NATIVE_CASES[case]
+        bound = {**NATIVE_BOUNDS, **wider}
+        chart = graph_chart if family is None else build_instance(family, **params)
+        U = grid_points(chart.domain, [3], margin=grid_margin(chart))
+        native = evaluate_field(chart, U, cross_check=True)
+        lifted = evaluate_field(lift_chart(chart, "psi1"), U)
+        assert "cross_phi" in native.residuals
+        for key, value in native.residuals.items():
+            cross = key.startswith("cross_")
+            assert value <= bound["cross" if cross else "residual"], key
+            if not cross:
+                assert value <= residual_tolerance(key, True), key
+        pairs = {
+            "A": (native.A_eigs(), lifted.A_eigs()),
+            "|B|": (np.sort(np.abs(native.B_eigs()), axis=1), np.sort(np.abs(lifted.B_eigs()), axis=1)),
+            "|Phi|": (native.phi_norm(), lifted.phi_norm()),
+            "kappa": (native.kappa, lifted.kappa),
+        }
+        for key, (a, b) in pairs.items():
+            assert np.max(np.abs(a - b)) <= bound[key], key
+
+    def test_native_fd_field_resolves_parallel_a(self):
+        # through psi1 the fit of hxh a = 0.001 reads |grad A| = 1.2e-2 and
+        # classifies as NotParallelA; natively it reads 1e-7
+        chart = build_instance("hxh", a=0.001).with_jet_mode("fd")
+        f = evaluate_field(chart, grid_points(chart.domain, [3], margin=grid_margin(chart)))
+        report = classify_field(f)
+        assert report.branch == "ParallelB"
+        assert report.residuals["grad_a_norm"] <= 1e-6
 
 
 class TestCurvature:

@@ -186,3 +186,24 @@ def test_family_flags_are_the_catalog_parameters():
             ([f"--{name}"], kind, None) for name, kind in catalog.PARAMETERS.items()
         ]
     assert all(set(params) <= set(catalog.PARAMETERS) for params in catalog.DEFAULT_INSTANCES.values())
+
+
+PICTURE_NAMES = {"DE_SITTER", "ANTI_DE_SITTER", "LORENTZ_FLAT"}
+
+
+def picture_reads(path: Path) -> set[str]:
+    """Top-level functions and classes of a module that read a space-form
+    kind constant."""
+    return {
+        top.name
+        for top in ast.parse(path.read_text()).body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id in PICTURE_NAMES
+    }
+
+
+def test_invariant_pipeline_is_picture_free():
+    # the invariants run alike in every unit space form, reading only its
+    # curvature; the one choice of picture is grid_jet's lift policy
+    assert picture_reads(PACKAGE / "invariants.py") == {"grid_jet"}
