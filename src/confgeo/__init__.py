@@ -28,10 +28,8 @@ from .classifier import (
     classify,
     classify_field,
     eigen_structure,
-    gate_parallel,
-    gate_phi,
 )
-from .config import NumericsConfig, DEFAULT
+from .config import DEFAULT, Gate, NumericsConfig
 from .conformal_atlas import (
     ConformalMapTag,
     compose_maps,

@@ -1,6 +1,9 @@
 """Decision procedure for hypersurfaces with parallel Blaschke tensor.
 
-Gate order follows the logical dependencies of the classification: the
+Every tolerance decision is a config.Gate row, and report.gates holds the
+rows the path read, in its order: grad_a_norm, phi_norm, grad_b_norm,
+eigenvalue_constancy, eigenvalue_clusters, commutator (t >= 2), then
+zero_block_b and zero_block_lambda_sum on the two-block path.  The
 conformal form is tested after Blaschke parallelism (a parallel Blaschke
 tensor forces the form to vanish, so a failure there signals numerics, not
 a new branch), the eigenvalue structure only after both.  Branches:
@@ -17,14 +20,15 @@ a new branch), the eigenvalue structure only after both.  Branches:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field as dc_field
+from itertools import combinations
 
 import numpy as np
 
 from .chart import ImmersionChart, regularity_from_jet
-from .config import DEFAULT, NumericsConfig, check_positive
-from .errors import ComputationError, ConsistencyError, ValidationError
+from .config import DEFAULT, Gate, NumericsConfig, check_positive, gate_table
+from .errors import ComputationError, ValidationError
 from .invariants import InvariantField, field_from_jet, grid_jet
-from .pseudo_linalg import cluster_eigenvalues
+from .pseudo_linalg import cluster_eigenvalues, gap_bound
 
 BRANCH_ISOTROPIC = "Isotropic"
 BRANCH_PARALLEL_B = "ParallelB"
@@ -55,8 +59,6 @@ class EigenStructure:
     multiplicities: list[int]
     b_values: list[list[float]]     # B-block spectra per Blaschke cluster
     zero_block: int | None
-    commutator_norm: float
-    constancy_deviation: float
     block_b_spread: float           # within-block spread of B (relevant for t >= 3)
 
 
@@ -70,6 +72,7 @@ class ClassificationReport:
     grid: dict
     failing_gate: str | None = None
     notes: list[str] = dc_field(default_factory=list)
+    gates: list[Gate] = dc_field(default_factory=list)
 
     @property
     def anchor(self) -> str:
@@ -87,6 +90,7 @@ class ClassificationReport:
             "grid": self.grid,
             "failing_gate": self.failing_gate,
             "notes": list(self.notes),
+            "gates": gate_table(self.gates),
         }
 
 
@@ -94,17 +98,10 @@ class ClassificationReport:
 # gates
 # ---------------------------------------------------------------------------
 
-def gate_phi(f: InvariantField, tol: float) -> tuple[bool, float]:
-    """Vanishing of the conformal form: max |Phi| against tol."""
-    norm = float(np.max(f.phi_norm()))
-    return norm <= tol, norm
-
-
-def gate_parallel(dT: np.ndarray, T: np.ndarray, tol: float) -> tuple[bool, float]:
-    """Parallelism of a tensor field: max |grad T| <= tol (1 + |T|)."""
-    grad = float(np.max(np.sqrt(np.sum(dT**2, axis=tuple(range(1, dT.ndim))))))
-    scale = 1.0 + float(np.max(np.abs(T)))
-    return grad <= tol * scale, grad
+def _parallel_gate(name: str, dT: np.ndarray, T: np.ndarray, U: np.ndarray, tol: float) -> Gate:
+    """Parallelism of a tensor field: max |grad T| against tol (1 + max |T|)."""
+    grad = np.sqrt(np.sum(dT**2, axis=tuple(range(1, dT.ndim))))
+    return Gate.worst(name, grad, tol * (1.0 + float(np.max(np.abs(T)))), U)
 
 
 def _symmetric(T: np.ndarray) -> np.ndarray:
@@ -118,33 +115,34 @@ def _cluster_columns(Q: np.ndarray, multiplicities: list[int], ci: int) -> np.nd
     return Q[:, :, start:start + multiplicities[ci]]
 
 
-def eigen_structure(f: InvariantField, tol: float) -> EigenStructure:
-    """Cluster the Blaschke spectrum and extract simultaneous B-blocks.
+def eigen_structure(f: InvariantField, tol: float) -> tuple[EigenStructure, dict[str, Gate]]:
+    """Cluster the Blaschke spectrum and extract simultaneous B-blocks;
+    returns the structure and its gate rows by name.
 
-    Requires the spectrum to be constant over the grid (the parallel gate
-    guarantees this mathematically; deviations beyond tol raise a
-    ConsistencyError).  A constant spectrum gives each cluster the same
+    The structure assumes a spectrum constant over the grid (the parallel
+    gate guarantees it mathematically), and the eigenvalue_constancy row
+    says whether it is.  A constant spectrum gives each cluster the same
     range of ascending eigenvector columns at every point, so one batched
-    eigendecomposition serves every cluster.  When t >= 2 the commutator
-    with B must vanish; B-block eigenvalues are reported per cluster with
-    their grid spread.
+    eigendecomposition serves every cluster.  B-block eigenvalues are
+    reported per cluster with their grid spread; the block nearest zero is
+    the zero block when its zero_block_b row passes.
     """
     A, B = _symmetric(f.A), _symmetric(f.B)
     spectra = np.linalg.eigvalsh(A)
     mean_spec = spectra.mean(axis=0)
-    scale = max(1.0, float(np.max(np.abs(spectra))))
-    constancy = float(np.max(np.abs(spectra - mean_spec[None, :])))
-    if constancy > tol * scale:
-        raise ConsistencyError(
-            f"Blaschke eigenvalues vary over the grid by {constancy:.3e} "
-            f"(allowed {tol * scale:.3e}) although the parallel gate passed"
-        )
+    deviation = np.max(np.abs(spectra - mean_spec[None, :]), axis=1)
     clusters = cluster_eigenvalues(mean_spec, rel_tol=tol)
     mults = [int(c[1]) for c in clusters]
-    comm = np.einsum("nik,nkj->nij", A, B) - np.einsum("nik,nkj->nij", B, A)
+    merged = np.delete(np.diff(mean_spec), np.cumsum(mults)[:-1] - 1)
+    rows = {
+        "eigenvalue_constancy": Gate.worst("eigenvalue_constancy", deviation, gap_bound(spectra, tol), f.U),
+        "eigenvalue_clusters": Gate("eigenvalue_clusters", float(merged.max(initial=0.0)), gap_bound(mean_spec, tol)),
+    }
+    if len(clusters) >= 2:
+        comm = np.einsum("nik,nkj->nij", A, B) - np.einsum("nik,nkj->nij", B, A)
+        rows["commutator"] = Gate.worst("commutator", np.max(np.abs(comm), axis=(1, 2)), tol, f.U)
     b_values: list[list[float]] = []
     spread = 0.0
-    zero_block: int | None = None
     # eigh only for the vectors: its eigenvalues differ from eigvalsh's at
     # roundoff, and the reported spectrum is eigvalsh's
     Q = np.linalg.eigh(A)[1]
@@ -154,18 +152,17 @@ def eigen_structure(f: InvariantField, tol: float) -> EigenStructure:
         mean_be = block_eigs.mean(axis=0)
         spread = max(spread, float(np.max(np.abs(block_eigs - mean_be[None, :]))))
         b_values.append([float(v) for v in mean_be])
-        if zero_block is None and np.max(np.abs(mean_be)) <= tol:
-            zero_block = ci
+    b_max = [max(map(abs, vals)) for vals in b_values]
+    nearest = b_max.index(min(b_max))
+    rows["zero_block_b"] = Gate("zero_block_b", b_max[nearest], tol)
     return EigenStructure(
         t=len(clusters),
         eigenvalues=[float(c[0]) for c in clusters],
         multiplicities=mults,
         b_values=b_values,
-        zero_block=zero_block,
-        commutator_norm=float(np.max(np.abs(comm))),
-        constancy_deviation=constancy,
+        zero_block=nearest if rows["zero_block_b"].passes else None,
         block_b_spread=spread,
-    )
+    ), rows
 
 
 def check_bibj(eigen: EigenStructure) -> float:
@@ -174,16 +171,9 @@ def check_bibj(eigen: EigenStructure) -> float:
     Applicable with t >= 3 or with t = 2 and one vanishing B-block; the max
     over all cross-block value pairs is returned.
     """
-    worst = 0.0
-    for a in range(eigen.t):
-        for b in range(a + 1, eigen.t):
-            for Ba in eigen.b_values[a]:
-                for Bb in eigen.b_values[b]:
-                    worst = max(
-                        worst,
-                        abs(-Ba * Bb + eigen.eigenvalues[a] + eigen.eigenvalues[b]),
-                    )
-    return worst
+    blocks = list(zip(eigen.eigenvalues, eigen.b_values))
+    return max((abs(-Ba * Bb + la + lb) for (la, ba), (lb, bb) in combinations(blocks, 2)
+                for Ba in ba for Bb in bb), default=0.0)
 
 
 def zero_block_sectional_curvature(
@@ -230,22 +220,21 @@ def _inconclusive(chart: ImmersionChart, U: np.ndarray, classify_tol: float) -> 
 
 def classify_field(f: InvariantField, classify_tol: float = DEFAULT.classify_tol) -> ClassificationReport:
     """Assign a branch to a precomputed invariant field, one evaluated with
-    derivatives=True; every gate and the eigenvalue clustering use
+    derivatives=True; every gate row and the eigenvalue clustering use
     classify_tol, a finite number > 0."""
     check_positive("classify_tol", classify_tol)
     if f.dA is None:
         raise ValidationError("classify_field needs a field evaluated with derivatives=True")
     report = _inconclusive(f.chart, f.U, classify_tol)
-    ok_a, grad_a = gate_parallel(f.dA, f.A, classify_tol)
-    report.residuals["grad_a_norm"] = grad_a
-    ok_phi, phi_norm = gate_phi(f, classify_tol)
-    report.residuals["phi_norm"] = phi_norm
-    ok_b, grad_b = gate_parallel(f.dB, f.B, classify_tol)
-    report.residuals["grad_b_norm"] = grad_b
-    if not ok_a:
+    grad_a = _parallel_gate("grad_a_norm", f.dA, f.A, f.U, classify_tol)
+    phi = Gate.worst("phi_norm", f.phi_norm(), classify_tol, f.U)
+    grad_b = _parallel_gate("grad_b_norm", f.dB, f.B, f.U, classify_tol)
+    report.gates = [grad_a, phi, grad_b]
+    report.residuals = {g.name: g.value for g in report.gates}
+    if not grad_a.passes:
         report.branch = BRANCH_NOT_PARALLEL_A
         return report
-    if not ok_phi:
+    if not phi.passes:
         report.failing_gate = "conformal_form"
         report.notes.append(
             "numerical inconsistency: the conformal form does not vanish although "
@@ -253,47 +242,37 @@ def classify_field(f: InvariantField, classify_tol: float = DEFAULT.classify_tol
             "the computation (not the geometry) is at fault"
         )
         return report
-    try:
-        eigen = eigen_structure(f, classify_tol)
-    except ConsistencyError as exc:
+    eigen, rows = eigen_structure(f, classify_tol)
+    report.gates.append(rows["eigenvalue_constancy"])
+    if not report.gates[-1].passes:
         report.failing_gate = "eigenvalue_constancy"
-        report.notes.append(str(exc))
         return report
     report.eigen = eigen
-    if eigen.t >= 2 and eigen.commutator_norm > classify_tol:
-        report.failing_gate = "commutator"
-        report.notes.append(
-            f"[A, B] norm {eigen.commutator_norm:.3e} exceeds tolerance although "
-            "the conformal form vanishes"
-        )
-        return report
+    report.gates.append(rows["eigenvalue_clusters"])
     if eigen.t >= 2:
+        report.gates.append(rows["commutator"])
+        if not report.gates[-1].passes:
+            report.failing_gate = "commutator"
+            return report
         report.residuals["bibj_residual"] = check_bibj(eigen)
     if eigen.t == 1:
         report.branch = BRANCH_ISOTROPIC
         return report
-    if ok_b:
+    if grad_b.passes:
         report.branch = BRANCH_PARALLEL_B
         return report
-    # non-parallel B: the two-block structure must hold
+    # non-parallel B: two blocks, one with vanishing B, opposite Blaschke eigenvalues
     if eigen.t != 2:
         report.failing_gate = "two_block_structure"
-        report.notes.append(
-            f"non-parallel B with t={eigen.t}; the classification admits only t=2 here"
-        )
+        report.notes.append(f"non-parallel B with t={eigen.t}; the classification admits only t=2 here")
         return report
-    lam_sum = eigen.eigenvalues[0] + eigen.eigenvalues[1]
-    scale = max(1.0, max(abs(v) for v in eigen.eigenvalues))
-    if eigen.zero_block is None or abs(lam_sum) > classify_tol * scale:
+    lam_sum = Gate("zero_block_lambda_sum", abs(eigen.eigenvalues[0] + eigen.eigenvalues[1]),
+                   gap_bound(eigen.eigenvalues, classify_tol))
+    report.gates += [rows["zero_block_b"], lam_sum]
+    if not (rows["zero_block_b"].passes and lam_sum.passes):
         report.failing_gate = "zero_block"
-        report.notes.append(
-            "non-parallel B requires one vanishing B-block and opposite "
-            f"Blaschke eigenvalues; found zero_block={eigen.zero_block}, "
-            f"lambda_1 + lambda_2 = {lam_sum:.3e}"
-        )
         return report
-    nonzero = 1 - eigen.zero_block
-    lam = eigen.eigenvalues[nonzero]
+    lam = eigen.eigenvalues[1 - eigen.zero_block]
     report.notes.append(
         f"zero B-block is cluster {eigen.zero_block} "
         f"(eigenvalue {eigen.eigenvalues[eigen.zero_block]:.6g}, "

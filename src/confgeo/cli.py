@@ -33,7 +33,7 @@ import numpy as np
 from . import catalog
 from .chart import load_chart, regularity_from_jet
 from .classifier import classify
-from .config import CATALOG_CHECK_TOL, DEFAULT, ON_FORM_TOL, check_positive, residual_tolerance
+from .config import CATALOG_CHECK_TOL, DEFAULT, ON_FORM_TOL, Gate, check_positive, gate_table
 from .conformal_atlas import MAP_TAGS, compose_maps, embed, is_null, psi, t_swap
 from .errors import ComputationError, ConfGeoError, ConstructionError, InputError
 from .invariants import (
@@ -41,6 +41,7 @@ from .invariants import (
     field_report,
     field_report_csv,
     grid_jet,
+    residual_gates,
 )
 
 
@@ -70,11 +71,7 @@ def _fmt(value, indent: int = 0) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         v = float(value)
-        if v != v:
-            return '"nan"'
-        if v in (float("inf"), float("-inf")):
-            return f'"{v}"'
-        return format(v, ".17g")
+        return format(v, ".17g") if np.isfinite(v) else f'"{v}"'
     import json as _json
 
     return _json.dumps(str(value))
@@ -141,23 +138,15 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _residual_gates(f) -> tuple[dict, bool]:
-    """(value, residual_tolerance) of each residual but the cross-route ones; all pass?"""
-    analytic = f.chart.jet_mode == "analytic"
-    gates = {k: (v, residual_tolerance(k, analytic))
-             for k, v in f.residuals.items() if not k.startswith("cross_")}
-    return gates, all(v <= tol for v, tol in gates.values())
-
-
 def _cmd_residuals(args) -> int:
     chart, f = _prepare_field(args)
-    gates, ok = _residual_gates(f)
+    gates = residual_gates(f)
     rep = {
         "chart": chart.name,
         "jet_mode": f.chart.jet_mode,
         "n_points": int(f.U.shape[0]),
-        "gates": {k: {"value": v, "tolerance": tol} for k, (v, tol) in gates.items()},
-        "pass": ok,
+        "gates": gate_table(gates),
+        "pass": all(g.passes for g in gates),
     }
     _write_report(render_json(rep), args.out)
     return 0
@@ -173,34 +162,24 @@ def _cmd_classify(args) -> int:
 
 def _cmd_verify_catalog(args) -> int:
     results = {}
-    all_ok = True
     for name in sorted(catalog.DEFAULT_INSTANCES):
-        entry: dict = {}
         try:
             chart = catalog.build_instance(name)
         except ConstructionError as exc:
-            entry["status"] = "infeasible (documented)"
-            entry["detail"] = str(exc)
-            results[name] = entry
+            results[name] = {"status": "infeasible (documented)", "detail": str(exc)}
             continue
         work, U, jet = grid_jet(chart, args.grid)
         reg = regularity_from_jet(work, jet)
         f = field_from_jet(work, U, jet, derivatives=True, curvature=True, cross_check=True)
-        gates, res_ok = _residual_gates(f)
-        cross = float(max(v for k, v in f.residuals.items() if k.startswith("cross_")))
-        phi = float(np.max(f.phi_norm()))
-        ok = bool(reg.regular and res_ok and phi <= CATALOG_CHECK_TOL and cross <= CATALOG_CHECK_TOL)
-        entry.update(
-            {
-                "status": "pass" if ok else "fail",
-                "regular": reg.regular,
-                "gates": {k: {"value": v, "tolerance": tol} for k, (v, tol) in gates.items()},
-                "cross_route_max": cross,
-                "phi_norm": phi,
-            }
-        )
-        results[name] = entry
-        all_ok = all_ok and ok
+        # every catalog chart has Phi = 0, and its two routes must agree
+        gates = residual_gates(f) + [
+            Gate.worst("phi_norm", f.phi_norm(), CATALOG_CHECK_TOL, f.U),
+            Gate("cross_route_max", max(v for k, v in f.residuals.items() if k.startswith("cross_")),
+                 CATALOG_CHECK_TOL),
+        ]
+        ok = reg.regular and all(g.passes for g in gates)
+        results[name] = {"status": "pass" if ok else "fail", "regular": reg.regular, "gates": gate_table(gates)}
+    all_ok = all(entry["status"] != "fail" for entry in results.values())
     rep = {"catalog": results, "pass": all_ok}
     _write_report(render_json(rep), args.out)
     return 0 if all_ok else 2

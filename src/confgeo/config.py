@@ -21,7 +21,7 @@ The tiers are class attributes of NumericsConfig, read through the class:
 residual_tolerance(key, analytic_jets) gives each field residual its
 tolerance.  classify_tol, the relative tolerance of the classification
 gates and of eigenvalue clustering, is the one setting: an argument of
-classify and classify_field.
+classify and classify_field.  Each decision a report shows is a Gate row.
 
 Module constants, one per decision outside the tiers:
 
@@ -84,6 +84,8 @@ GUARD_TOL = 1e-12
 # a unit normal is oriented by its first component larger than this times its norm
 NORMAL_LEAD_TOL = 1e-9
 
+FLOAT_TINY = 2.0**-1022  # the smallest normal double, numpy's finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class NumericsConfig:
@@ -124,6 +126,38 @@ def check_positive(name: str, value: float) -> None:
     """The one rule every tolerance obeys: a finite number > 0."""
     if not (math.isfinite(value) and value > 0):
         raise ValidationError(f"{name} must be a finite number > 0, got {value!r}")
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One tolerance decision: passes when value <= tolerance; u is its point, or None."""
+
+    name: str
+    value: float
+    tolerance: float
+    u: tuple[float, ...] | None = None
+
+    @classmethod
+    def worst(cls, name: str, values, tolerance: float, U) -> "Gate":
+        """The row of the largest of per-point values (N,) at points U (N, m)."""
+        return cls(name, float(values.max()), tolerance, tuple(U[values.argmax()].tolist()))
+
+    @property
+    def passes(self) -> bool:
+        return self.value <= self.tolerance
+
+    @property
+    def headroom(self) -> float:
+        """log10(tolerance / max(value, FLOAT_TINY)), perfbench's rule; -inf
+        for an infinite or NaN value."""
+        ratio = self.tolerance / max(self.value, FLOAT_TINY)
+        return math.log10(ratio) if ratio > 0 else -math.inf
+
+
+def gate_table(gates: list[Gate]) -> dict:
+    """The reports' `gates` section: {name: {value, tolerance, headroom, u}}."""
+    return {g.name: {"value": g.value, "tolerance": g.tolerance, "headroom": g.headroom, "u": g.u}
+            for g in gates}
 
 
 def residual_tolerance(key: str, analytic_jets: bool) -> float:

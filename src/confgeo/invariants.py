@@ -54,7 +54,7 @@ import numpy as np
 
 from . import taylor
 from .chart import DE_SITTER, ImmersionChart, ShapeSeries, grid_points, shape_series
-from .config import DEFAULT, NumericsConfig
+from .config import DEFAULT, Gate, NumericsConfig, residual_tolerance
 from .conformal_atlas import lift_chart, sigma_differential_batch, sigma_rep_batch
 from .errors import ComputationError, ConsistencyError, RegularityError, ValidationError
 from .pseudo_linalg import form_signs, pseudo_dot, triangular_frame
@@ -565,6 +565,12 @@ def run_cross_check(f: InvariantField, shape: ShapeSeries | None = None) -> dict
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
+
+def residual_gates(f: InvariantField) -> list[Gate]:
+    """A row per per-point residual (all but cross_*), at config.residual_tolerance."""
+    analytic = f.chart.jet_mode == "analytic"
+    return [Gate.worst(k, v, residual_tolerance(k, analytic), f.U) for k, v in f.residual_fields.items()]
+
 
 def field_report(f: InvariantField) -> dict:
     """Per-point records plus grid maxima (the documented report schema)."""

@@ -17,12 +17,17 @@ from .config import NORMAL_LEAD_TOL
 from .errors import DimensionMismatchError, RegularityError, ValidationError
 
 
+def gap_bound(values, rel_tol: float) -> float:
+    """rel_tol * max(1, spectral radius): every comparison of eigenvalues."""
+    return rel_tol * max(1.0, float(np.max(np.abs(values))))
+
+
 def cluster_eigenvalues(values: Sequence[float], rel_tol: float) -> list[tuple[float, int]]:
     """Greedy gap clustering of a sorted spectrum.
 
-    Consecutive values within rel_tol * scale merge, scale = max(1, spectral
-    radius).  Returns (cluster mean, multiplicity) pairs; multiplicities sum
-    to the input length.
+    Consecutive values within gap_bound(values, rel_tol) merge.  Returns
+    (cluster mean, multiplicity) pairs; multiplicities sum to the input
+    length.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1:
@@ -31,8 +36,7 @@ def cluster_eigenvalues(values: Sequence[float], rel_tol: float) -> list[tuple[f
         return []
     if np.any(np.diff(vals) < 0):
         raise ValidationError("spectrum must be sorted ascending")
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    gap = rel_tol * scale
+    gap = gap_bound(vals, rel_tol)
     clusters: list[tuple[float, int]] = []
     start = 0
     for i in range(1, vals.size + 1):

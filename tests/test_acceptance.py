@@ -132,7 +132,7 @@ def test_criterion_3_blaschke_eigenvalues_ads_core(fields5):
     # the negative eigenvalue sits on the core block (the one carrying B)
     from confgeo.classifier import eigen_structure
 
-    es = eigen_structure(f, DEFAULT.classify_tol)
+    es, _ = eigen_structure(f, DEFAULT.classify_tol)
     nonzero = 1 - es.zero_block
     arrangement_ok = es.eigenvalues[nonzero] == pytest.approx(-lam, rel=1e-5)
     ok = dev <= 1e-5 and arrangement_ok

@@ -77,3 +77,10 @@ def test_fields_carry_the_default_config(sxh_chart):
         invariants.field_from_jet(sxh_chart, U, jet, derivatives=False, curvature=False),
     )
     assert all(f.cfg is confgeo.DEFAULT for f in fields)
+
+
+def test_gate_headroom_is_the_benchmark_headroom(workloads, sxh_chart):
+    # a report's headroom and perfbench's headroom_log10 read one rule
+    for g in confgeo.classify(sxh_chart).gates:
+        result = workloads.verdict([(g.name, g.value, g.tolerance)], None)
+        assert (result["headroom"], result["ok"]) == (g.headroom, g.passes)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from confgeo.catalog import build_instance
 from confgeo.chart import chart_to_dict, save_chart
 from confgeo.classifier import classify
 from confgeo.cli import build_parser, main, render_json
-from confgeo.config import DEFAULT
+from confgeo.config import CATALOG_CHECK_TOL, DEFAULT, FLOAT_TINY
 from confgeo.conformal_atlas import MAP_TAGS, lift_chart
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -22,6 +23,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def check_gate_rows(gates: dict, n_coords: int) -> bool:
+    """Every row of a serialized gate table follows the headroom rule and
+    names a point of n_coords coordinates or none; returns whether all pass."""
+    for name, row in gates.items():
+        assert set(row) == {"value", "tolerance", "headroom", "u"}, name
+        assert row["headroom"] == math.log10(row["tolerance"] / max(row["value"], FLOAT_TINY)), name
+        assert (row["headroom"] < 0) == (row["value"] > row["tolerance"]), name
+        assert row["u"] is None or len(row["u"]) == n_coords, name
+    return all(row["value"] <= row["tolerance"] for row in gates.values())
 
 
 class TestClassifyCommand:
@@ -103,17 +115,17 @@ class TestClassifyCommand:
 # sha256 of the exact stdout of the analytic reports at grid 3; FD reports
 # are left out, as they still depend on the BLAS thread count (ROADMAP item 6)
 REPORT_GOLDEN = [
-    (("classify", "--catalog", "hxr"), "7495aeb3aab68a974d05ad0728d55ecd3a5987dd1f5a9f4a34ca0cf306d707a1"),
+    (("classify", "--catalog", "hxr"), "ed708f0aba2d38dde3f4615dd44341c3eaa3b411aaf9133c70a41cbf9ee3d050"),
     (("analyze", "--catalog", "hxr", "--format", "csv"), "b35433f9efcd21f8ae65036ed01199c7854cc8f270b0de0d5dacf65f9beb080f"),
-    (("classify", "--catalog", "sxh"), "f6170639eb968745f31d39eb1483555cbb2e2c2de7048bfc62716b524da61a51"),
+    (("classify", "--catalog", "sxh"), "2105d2f296a656799507b8158f0ec45bee00c75f7600a651013a31ec4029c857"),
     (("analyze", "--catalog", "sxh", "--format", "csv"), "0d7bccfc14c2aa1240dd5815d0de17f50eac5508525d2e8c9563b57197f21a55"),
-    (("classify", "--catalog", "hxh"), "bcd5c045e0fffb2668cea794befaaed6380ada7b917f8caf7180395d8befd574"),
+    (("classify", "--catalog", "hxh"), "ab1f6071c76c39ed13f0afe06232ba56edaf366401a115c132fd26854627c5b3"),
     (("analyze", "--catalog", "hxh", "--format", "csv"), "393f8ff6c294e0ca5fe7a996368fac9b7fb3d0ef9eaf7bb1538e2745f60b356b"),
-    (("classify", "--catalog", "wp"), "2cceda9a6c4a97cc55f9f5687301e075c9aa347814f8277e91f54afc1d1cc8ee"),
+    (("classify", "--catalog", "wp"), "736592286f41d1c893029185790e54e7a065ab85fce76f3163011b62a538c9a0"),
     (("analyze", "--catalog", "wp", "--format", "csv"), "f2094c14c31df99aae065434c1fddf762412622d4d491c1041b6c95c2d3485b5"),
-    (("classify", "--catalog", "ex33"), "b7f532a8fef5367a260998b3d209a31aedefa30df4b311df5827c2c31d5d9a5e"),
+    (("classify", "--catalog", "ex33"), "99d1ce641b216455a74c19ad47a39a4422639981ceb89680c223cad1ca9f0428"),
     (("analyze", "--catalog", "ex33", "--format", "csv"), "700c899622102d8f1eba58d4544d3a6d1fa79b9aa8500b687899832b36444502"),
-    (("verify-catalog",), "3d2a304cea91f78f374c6b6e6c66290172af59a0e9a66af5dec35184645113dd"),
+    (("verify-catalog",), "711bdd45738b071a213d8c700e66a3a35f7af2d5d10e35851bcabd7c7197f4d1"),
 ]
 
 
@@ -297,6 +309,9 @@ class TestAnalyzeCommand:
         data = json.loads(out)
         assert data["jet_mode"] == "fd" and data["pass"] is True
         assert data["gates"]["fd_error_estimate"]["tolerance"] == DEFAULT.residual_tol_fd
+        assert check_gate_rows(data["gates"], 3) is data["pass"]
+        # the per-point residuals each have their worst point
+        assert all(row["u"] is not None for row in data["gates"].values())
 
     def test_chart_file_with_invalid_fd_order(self, capsys, tmp_path, sxh_chart):
         path = tmp_path / "chart.json"
@@ -440,7 +455,26 @@ class TestVerifyCatalog:
         assert data["pass"] is True
         assert data["catalog"]["ex32"]["status"] == "infeasible (documented)"
         for name in ("hxr", "sxh", "hxh", "wp", "ex33"):
-            assert data["catalog"][name]["status"] == "pass"
+            entry = data["catalog"][name]
+            assert entry["status"] == "pass"
+            gates = entry["gates"]
+            assert check_gate_rows(gates, build_instance(name).m) is True
+            # the catalog's own checks are rows of the same table
+            assert gates["phi_norm"]["tolerance"] == gates["cross_route_max"]["tolerance"] == CATALOG_CHECK_TOL
+            assert gates["phi_norm"]["u"] is not None and gates["cross_route_max"]["u"] is None
+
+    def test_pass_is_every_row_passing(self, capsys, monkeypatch):
+        # tightening the catalog tolerance fails the phi_norm and
+        # cross_route_max rows, and with them the chart and the run
+        monkeypatch.setattr("confgeo.cli.CATALOG_CHECK_TOL", 1e-300)
+        code, out, _ = run_cli(capsys, "verify-catalog", "--grid", "3")
+        data = json.loads(out)
+        assert code == 2 and data["pass"] is False
+        for name in ("hxr", "sxh", "hxh", "wp", "ex33"):
+            entry = data["catalog"][name]
+            assert entry["status"] == "fail"
+            assert check_gate_rows(entry["gates"], build_instance(name).m) is False
+            assert entry["gates"]["cross_route_max"]["headroom"] < 0
 
 
 class TestUsage:
